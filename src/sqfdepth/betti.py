@@ -6,6 +6,10 @@ sigma, in degree |sigma| - i - 1.  Subsets whose induced complex is a cone
 are skipped: sigma survives only if it is the union of the generator
 supports it contains.  Projective dimension is the top nonzero homological
 degree; depth is ambient_n minus that (Auslander-Buchsbaum).
+
+``betti_table`` computes every entry.  ``proj_dim`` and ``depth`` (and so
+``g_profile``) need only the top degree and use a separate walk that skips
+most subsets and every homology degree above the first nonzero one.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroIdeal
-from .homology import FieldSpec, homology_dims_from_faces
+from .homology import FieldSpec, homology_dims_from_faces, iter_homology_dims
 from .ideals import Ideal
 
 # Hochster enumeration walks all 2^n multidegrees; refuse hopeless inputs.
@@ -72,18 +76,35 @@ def _global_faces(n: int, gen_masks: tuple[int, ...]) -> np.ndarray:
     return arr[ok]
 
 
+def _sieves(ideal: Ideal) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Survivor multidegrees, the global faces and their sizes, all ascending."""
+    n = ideal.ambient_n
+    if n > MAX_HOCHSTER_AMBIENT:
+        raise ValueError(
+            f"Hochster enumeration needs 2^n subsets; n={n} exceeds {MAX_HOCHSTER_AMBIENT}"
+        )
+    gen_masks = ideal.gen_masks()
+    faces = _global_faces(n, gen_masks)
+    return _survivors(n, gen_masks), faces, np.bitwise_count(faces)
+
+
+def _faces_by_size(
+    sigma: int, faces: np.ndarray, face_sizes: np.ndarray, max_size: int
+) -> list[list[int]]:
+    """Faces inside sigma with at most max_size vertices, grouped by size."""
+    inv = np.uint32(((1 << 32) - 1) ^ sigma)
+    sel = ((faces & inv) == 0) & (face_sizes <= max_size)
+    groups: list[list[int]] = [[] for _ in range(max_size + 1)]
+    for m, s in zip(faces[sel].tolist(), face_sizes[sel].tolist()):
+        groups[s].append(m)
+    return groups
+
+
 def _sigma_entries(
     sigma: int, faces: np.ndarray, face_sizes: np.ndarray, p: int
 ) -> list[tuple[int, int, int]]:
-    inv = np.uint32(((1 << 32) - 1) ^ sigma)
-    sel = (faces & inv) == 0
-    sub = faces[sel].tolist()
-    sizes = face_sizes[sel].tolist()
     width = sigma.bit_count()
-    groups: list[list[int]] = [[] for _ in range(width + 1)]
-    for m, s in zip(sub, sizes):
-        groups[s].append(m)
-    dims = homology_dims_from_faces(groups, p)
+    dims = homology_dims_from_faces(_faces_by_size(sigma, faces, face_sizes, width), p)
     out = []
     for s, dim in enumerate(dims):
         i = width - s
@@ -100,15 +121,7 @@ def betti_table(ideal: Ideal, field: FieldSpec = FieldSpec(2), threads: int = 1)
     """
     if ideal.is_zero:
         raise ZeroIdeal("Betti table of S requested; the zero ideal has no table")
-    n = ideal.ambient_n
-    if n > MAX_HOCHSTER_AMBIENT:
-        raise ValueError(
-            f"Hochster enumeration needs 2^n subsets; n={n} exceeds {MAX_HOCHSTER_AMBIENT}"
-        )
-    gen_masks = ideal.gen_masks()
-    survivors = _survivors(n, gen_masks)
-    faces = _global_faces(n, gen_masks)
-    face_sizes = np.bitwise_count(faces)
+    survivors, faces, face_sizes = _sieves(ideal)
     p = field.characteristic
     sigmas = survivors.tolist()
 
@@ -132,21 +145,47 @@ def betti_table(ideal: Ideal, field: FieldSpec = FieldSpec(2), threads: int = 1)
             entries.extend(_sigma_entries(sigma, faces, face_sizes, p))
 
     entries.sort(key=lambda e: (e[0], e[1]))
-    return BettiTable(n, field, tuple(entries))
+    return BettiTable(ideal.ambient_n, field, tuple(entries))
 
 
-def proj_dim(ideal: Ideal, field: FieldSpec = FieldSpec(2), threads: int = 1) -> int:
-    """Projective dimension of S/I: the top homological degree in the table."""
+def proj_dim(ideal: Ideal, field: FieldSpec = FieldSpec(2)) -> int:
+    """Projective dimension of S/I, without building the Betti table.
+
+    pd is the largest |sigma| - s over survivors sigma, where s is the least
+    face size at which the induced complex on sigma has nonzero reduced
+    homology.  Survivors are visited by descending size, ties by ascending
+    mask.  Once a best value is known, a sigma can beat it only through face
+    sizes s < |sigma| - best, so the walk stops at the first sigma with
+    |sigma| <= best, and each sigma's homology is computed bottom-up only
+    until its first nonzero degree or that size limit.  The ranks are the
+    same exact ranks ``betti_table`` uses.
+    """
     if ideal.is_zero:
         raise ZeroIdeal("projective dimension of S requested")
-    return betti_table(ideal, field, threads).proj_dim()
+    survivors, faces, face_sizes = _sieves(ideal)
+    widths = np.bitwise_count(survivors).astype(np.int64)
+    order = np.argsort(-widths, kind="stable")
+    p = field.characteristic
+    best = 0
+    for sigma, width in zip(survivors[order].tolist(), widths[order].tolist()):
+        if width <= best:
+            break
+        limit = width - best
+        groups = _faces_by_size(sigma, faces, face_sizes, limit)
+        # range first: zip stops before asking for the size-limit value,
+        # which would need the (omitted) faces of size limit + 1
+        for s, dim in zip(range(limit), iter_homology_dims(groups, p)):
+            if dim:
+                best = width - s
+                break
+    return best
 
 
-def depth(ideal: Ideal, field: FieldSpec = FieldSpec(2), threads: int = 1) -> int:
+def depth(ideal: Ideal, field: FieldSpec = FieldSpec(2)) -> int:
     """depth(S/I) = ambient_n - proj_dim; the zero ideal gets depth ambient_n."""
     if ideal.is_zero:
         return ideal.ambient_n
-    return ideal.ambient_n - proj_dim(ideal, field, threads)
+    return ideal.ambient_n - proj_dim(ideal, field)
 
 
 def regularity(ideal: Ideal, field: FieldSpec = FieldSpec(2), threads: int = 1) -> int:
@@ -189,7 +228,7 @@ class GProfile:
         }
 
 
-def g_profile(ideal: Ideal, field: FieldSpec = FieldSpec(2), threads: int = 1) -> GProfile:
+def g_profile(ideal: Ideal, field: FieldSpec = FieldSpec(2)) -> GProfile:
     """Normalized depth function of a nonzero squarefree ideal."""
     if ideal.is_zero:
         raise ZeroIdeal("g profile undefined for the zero ideal")
@@ -198,7 +237,7 @@ def g_profile(ideal: Ideal, field: FieldSpec = FieldSpec(2), threads: int = 1) -
     for k in range(1, nu + 1):
         power = ideal.squarefree_power(k)
         d_k = power.min_gen_degree()
-        depth_k = depth(power, field, threads)
+        depth_k = depth(power, field)
         rows.append(GRow(k, d_k, depth_k, depth_k - (d_k - 1)))
     return GProfile(nu, tuple(rows))
 
@@ -221,7 +260,11 @@ class DepthReport:
     field_sensitive: bool = False
 
     def __post_init__(self) -> None:
-        assert self.depth + self.proj_dim == self.ambient_n
+        if self.depth + self.proj_dim != self.ambient_n:
+            raise ValueError(
+                f"inconsistent report: depth {self.depth} + proj_dim {self.proj_dim} "
+                f"!= n = {self.ambient_n} (Auslander-Buchsbaum)"
+            )
 
     def to_json_dict(self) -> dict:
         return {

@@ -40,11 +40,16 @@ def _emit(obj) -> None:
     print(json.dumps(obj))
 
 
-def _add_common(sub, threads=True, char=True):
+# gprofile, verify-family and graph-depth need only depth, which the serial
+# pd-only engine computes; they keep accepting --threads for old scripts.
+_PD_ONLY_THREADS_HELP = "no effect: this command uses the serial depth-only engine"
+
+
+def _add_common(sub, threads=True, char=True, threads_help="worker threads"):
     if char:
         sub.add_argument("--char", type=int, default=2, help="field characteristic")
     if threads:
-        sub.add_argument("--threads", type=int, default=None, help="worker threads")
+        sub.add_argument("--threads", type=int, default=None, help=threads_help)
 
 
 def _threads(args) -> int:
@@ -75,7 +80,7 @@ def cmd_power(args) -> int:
 
 def cmd_gprofile(args) -> int:
     ideal = Ideal.parse(_read(args.ideal))
-    profile = g_profile(ideal, FieldSpec(args.char), threads=_threads(args))
+    profile = g_profile(ideal, FieldSpec(args.char))
     _emit(profile.to_json_dict())
     return 0
 
@@ -98,7 +103,7 @@ def cmd_verify_family(args) -> int:
         print("verify-family: need 6 <= n-min <= n-max", file=sys.stderr)
         return 2
     reports = [
-        verify_theorem(n, FieldSpec(args.char), threads=_threads(args))
+        verify_theorem(n, FieldSpec(args.char))
         for n in range(args.n_min, args.n_max + 1)
     ]
     _emit([r.to_json_dict() for r in reports])
@@ -107,7 +112,7 @@ def cmd_verify_family(args) -> int:
 
 def cmd_graph_depth(args) -> int:
     graph = Graph.parse(_read(args.graph))
-    engine = depth(edge_ideal(graph), FieldSpec(args.char), threads=_threads(args))
+    engine = depth(edge_ideal(graph), FieldSpec(args.char))
     domination = independence_domination(graph)
     tree = is_tree(graph)
     lemma = tree_depth_via_lemma(graph) if tree else None
@@ -244,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("gprofile", help="normalized depth function g(1..nu)")
     p.add_argument("ideal")
-    _add_common(p)
+    _add_common(p, threads_help=_PD_ONLY_THREADS_HELP)
     p.set_defaults(func=cmd_gprofile)
 
     p = subs.add_parser("minimal-primes", help="minimal primes / vertex covers")
@@ -258,12 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify-family", help="verify the theorem for a range of n")
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
-    _add_common(p)
+    _add_common(p, threads_help=_PD_ONLY_THREADS_HELP)
     p.set_defaults(func=cmd_verify_family)
 
     p = subs.add_parser("graph-depth", help="tree depth formula vs homology engine")
     p.add_argument("graph")
-    _add_common(p)
+    _add_common(p, threads_help=_PD_ONLY_THREADS_HELP)
     p.set_defaults(func=cmd_graph_depth)
 
     p = subs.add_parser("search", help="scan for increasing normalized depth functions")

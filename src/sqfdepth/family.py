@@ -80,12 +80,12 @@ class FamilyReport:
         }
 
 
-def verify_theorem(n: int, field: FieldSpec = FieldSpec(2), threads: int = 1) -> FamilyReport:
+def verify_theorem(n: int, field: FieldSpec = FieldSpec(2)) -> FamilyReport:
     """Recompute g(1), g(2) and every step of the argument for one n."""
     if n < 6:
         raise InvalidFamilyParameter(f"family requires n >= 6, got {n}")
     ideal = build_family(n)
-    profile = g_profile(ideal, field, threads)
+    profile = g_profile(ideal, field)
     depth_i = profile.rows[0].depth
     g1 = profile.rows[0].g
     g2 = profile.rows[1].g if len(profile.rows) > 1 else None
@@ -103,7 +103,7 @@ def verify_theorem(n: int, field: FieldSpec = FieldSpec(2), threads: int = 1) ->
 
     sum_ideal = ideal.add_variable(3)
     expected_sum = Ideal.from_supports([[3], [1, 4, 5]], n)
-    depth_sum = depth(sum_ideal, field, threads)
+    depth_sum = depth(sum_ideal, field)
     checks.append(
         CheckResult(
             "step-3",
@@ -116,7 +116,7 @@ def verify_theorem(n: int, field: FieldSpec = FieldSpec(2), threads: int = 1) ->
     colon_ideal = ideal.colon_by_variable(3)
     tree_full = colon_tree(n)
     tree_match = colon_ideal == edge_ideal(tree_full)
-    depth_colon = depth(colon_ideal, field, threads)
+    depth_colon = depth(colon_ideal, field)
     compact = _compact_colon_tree(n)
     lemma_ok = is_tree(compact) and tree_depth_via_lemma(compact, free_vars=1) == 3
     checks.append(

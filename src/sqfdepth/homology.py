@@ -10,7 +10,7 @@ elimination in numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -28,13 +28,27 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+# Every prime above this overflows int64 in the elimination products (p - 1)^2.
+MAX_CHARACTERISTIC = 3037000499
+
+
+def _check_characteristic(p: int) -> None:
+    if p > MAX_CHARACTERISTIC:
+        raise ValueError(
+            f"characteristic {p} is too large: exact ranks over F_p use int64 "
+            f"arithmetic, which needs p <= {MAX_CHARACTERISTIC}"
+        )
+
+
 @dataclass(frozen=True)
 class FieldSpec:
-    """The coefficient field F_p."""
+    """The coefficient field F_p, for a prime p <= MAX_CHARACTERISTIC."""
 
     characteristic: int = 2
 
     def __post_init__(self) -> None:
+        # size first: trial division of a huge number would not finish
+        _check_characteristic(self.characteristic)
         if not _is_prime(self.characteristic):
             raise ValueError(f"characteristic must be prime, got {self.characteristic}")
 
@@ -58,6 +72,7 @@ def rank_gf2(packed_rows: Iterable[int]) -> int:
 
 def rank_mod_p(mat: np.ndarray, p: int) -> int:
     """Rank of an integer matrix over F_p by dense Gaussian elimination."""
+    _check_characteristic(p)
     a = np.atleast_2d(np.asarray(mat, dtype=np.int64)) % p
     if a.size == 0:
         return 0
@@ -109,20 +124,30 @@ def _boundary_rank(lower: list[int], upper: list[int], p: int) -> int:
     return rank_mod_p(mat, p)
 
 
+def iter_homology_dims(faces_by_size: list[list[int]], p: int) -> Iterator[int]:
+    """Reduced homology dimensions in ascending degree, computed lazily.
+
+    ``faces_by_size[s]`` lists the masks of the s-element faces (so entry 0
+    is ``[0]`` for the empty face).  The value for size s is the dim of
+    reduced homology in degree s - 1.  Yielding it ranks the boundary out of
+    size s + 1 and no higher one, so a consumer that stops early skips every
+    higher boundary.
+    """
+    top = len(faces_by_size) - 1
+    below = 0  # rank of the boundary out of size s
+    for s in range(top + 1):
+        above = _boundary_rank(faces_by_size[s], faces_by_size[s + 1], p) if s < top else 0
+        yield len(faces_by_size[s]) - below - above
+        below = above
+
+
 def homology_dims_from_faces(faces_by_size: list[list[int]], p: int) -> list[int]:
     """Reduced homology dimensions of a complex given its faces by cardinality.
 
-    ``faces_by_size[s]`` lists the masks of the s-element faces (so entry 0
-    is ``[0]`` for the empty face).  Returns dims for degrees -1..top, i.e.
-    entry ``d + 1`` is dim of reduced homology in degree ``d``.
+    Returns dims for degrees -1..top, i.e. entry ``d + 1`` is dim of reduced
+    homology in degree ``d``; see ``iter_homology_dims``.
     """
-    top = len(faces_by_size) - 1
-    ranks = [0] * (top + 2)
-    for s in range(1, top + 1):
-        ranks[s] = _boundary_rank(faces_by_size[s - 1], faces_by_size[s], p)
-    return [
-        len(faces_by_size[s]) - ranks[s] - ranks[s + 1] for s in range(top + 1)
-    ]
+    return list(iter_homology_dims(faces_by_size, p))
 
 
 @dataclass(frozen=True)

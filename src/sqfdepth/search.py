@@ -9,6 +9,7 @@ up to relabeling of the variables when the ambient is small enough.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -19,7 +20,7 @@ import numpy as np
 
 from .betti import GProfile, g_profile
 from .errors import DegenerateSample, SpaceTooLarge
-from .homology import FieldSpec, _is_prime
+from .homology import FieldSpec
 from .ideals import Ideal, Monomial, _minimal_masks
 
 MAX_SEARCH_AMBIENT = 14
@@ -62,8 +63,10 @@ class SearchConfig:
             _normalize_range(self.gen_count, "gen_count", 1, 1 << 20)
         if self.density is not None and not 0.0 <= self.density <= 1.0:
             raise ValueError("density must be in [0, 1]")
-        if not self.primes or not all(_is_prime(p) for p in self.primes):
+        if not self.primes:
             raise ValueError("primes must be a nonempty tuple of primes")
+        for p in self.primes:
+            FieldSpec(p)  # rejects non-primes and primes too large for exact ranks
         if not self.exhaustive and self.density is None and self.gen_count is None:
             raise ValueError("need density or gen_count for random sampling")
         for ideal in self.inject:
@@ -71,27 +74,38 @@ class SearchConfig:
                 raise ValueError("injected ideal ambient differs from config ambient")
 
 
-def candidate_pool(cfg: SearchConfig) -> list[int]:
-    """All allowed generator supports as masks, ascending (the sampling order)."""
-    if cfg.edge_ideals_only:
-        lo, hi = 2, 2
-    else:
-        lo, hi = _normalize_range(cfg.gen_degree, "gen_degree", 1, cfg.ambient_n)
+@functools.lru_cache(maxsize=16)
+def _supports(ambient_n: int, lo: int, hi: int) -> tuple[int, ...]:
+    """Masks of every lo..hi-subset of the variables, ascending."""
     masks = []
     for d in range(lo, hi + 1):
-        for combo in itertools.combinations(range(cfg.ambient_n), d):
+        for combo in itertools.combinations(range(ambient_n), d):
             mask = 0
             for i in combo:
                 mask |= 1 << i
             masks.append(mask)
     masks.sort()
-    return masks
+    return tuple(masks)
+
+
+def _pool(cfg: SearchConfig) -> tuple[int, ...]:
+    """The config's generator supports; built once, then shared by every sample."""
+    if cfg.edge_ideals_only:
+        lo, hi = 2, 2
+    else:
+        lo, hi = _normalize_range(cfg.gen_degree, "gen_degree", 1, cfg.ambient_n)
+    return _supports(cfg.ambient_n, lo, hi)
+
+
+def candidate_pool(cfg: SearchConfig) -> list[int]:
+    """All allowed generator supports as masks, ascending (the sampling order)."""
+    return list(_pool(cfg))
 
 
 def random_ideal(cfg: SearchConfig, index: int) -> Ideal:
     """The index-th sampled ideal: deterministic in (cfg.seed, index)."""
     rng = np.random.Generator(np.random.Philox(key=(cfg.seed << 64) | index))
-    pool = candidate_pool(cfg)
+    pool = _pool(cfg)
     for _ in range(_SAMPLE_RETRIES):
         if cfg.density is not None:
             coins = rng.random(len(pool))

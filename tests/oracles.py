@@ -139,6 +139,14 @@ def homology_of_facet_complex(facets: list[tuple[int, ...]], p: int) -> dict[int
     for facet in facets:
         for r in range(len(facet) + 1):
             faces.update(itertools.combinations(sorted(facet), r))
+    return homology_of_faces(faces, p)
+
+
+def homology_of_faces(faces: set[tuple[int, ...]], p: int) -> dict[int, int]:
+    """Reduced homology dims {degree: dim} of a complex listed face by face.
+
+    Faces are sorted vertex tuples and must include the empty face ().
+    """
     by_size: dict[int, list[tuple[int, ...]]] = {}
     for f in faces:
         by_size.setdefault(len(f), []).append(f)
@@ -161,6 +169,34 @@ def homology_of_facet_complex(facets: list[tuple[int, ...]], p: int) -> dict[int
         d = len(by_size.get(s, [])) - ranks.get(s, 0) - ranks.get(s + 1, 0)
         dims[s - 1] = d
     return dims
+
+
+def depth_via_links(ideal: Ideal, p: int) -> int:
+    """depth(S/I) from Hochster's formula for local cohomology, over links.
+
+    H^i_m(S/I) in multidegree -F is the reduced homology of lk F in degree
+    i - |F| - 1, so depth = min over faces F of |F| + 1 + d(F), with d(F)
+    the least degree where lk F has nonzero reduced homology (faces whose
+    link is acyclic contribute nothing).  No Betti numbers are involved.
+    """
+    gens = [g.support for g in ideal.gens]
+    vertices = range(1, ideal.ambient_n + 1)
+    faces = [
+        c
+        for r in range(ideal.ambient_n + 1)
+        for c in itertools.combinations(vertices, r)
+        if not _monomial_in_ideal(frozenset(c), gens)
+    ]
+    face_set = {frozenset(f) for f in faces}
+    best = None
+    for f in faces:
+        fs = frozenset(f)
+        link = {g for g in faces if not fs & set(g) and fs | set(g) in face_set}
+        nonzero = [d for d, dim in homology_of_faces(link, p).items() if dim]
+        if nonzero:
+            value = len(f) + 1 + min(nonzero)
+            best = value if best is None else min(best, value)
+    return best
 
 
 def random_test_ideal(rng: np.random.Generator, n: int, max_degree: int = 3,

@@ -5,8 +5,14 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import homology_of_facet_complex, koszul_betti_table, random_test_ideal
+from oracles import (
+    depth_via_links,
+    homology_of_facet_complex,
+    koszul_betti_table,
+    random_test_ideal,
+)
 from sqfdepth.betti import (
+    DepthReport,
     betti_table,
     depth,
     depth_report,
@@ -153,6 +159,41 @@ class TestProjDimAndDepth:
                     assert base >= min(depth(colon, field), depth(total, field))
 
 
+class TestDepthOnlyEngine:
+    """proj_dim skips most of the table; check it against two references."""
+
+    def test_matches_full_table_on_random_ideals(self):
+        rng = np.random.default_rng(71)
+        for _ in range(60):
+            n = int(rng.integers(1, 9))
+            ideal = random_test_ideal(rng, n, max_degree=4, max_gens=8)
+            for field in (F2, F3):
+                assert proj_dim(ideal, field) == betti_table(ideal, field).proj_dim()
+
+    def test_matches_full_table_on_edge_cases(self):
+        cases = [
+            Ideal.from_supports([[1]], 1),  # the induced complex is {empty face}
+            Ideal.from_supports([[1], [2, 3]], 3),
+            Ideal.from_supports([[1], [2], [3]], 5),  # degree one plus unused variables
+            Ideal.from_supports([[1, 2], [2, 3]], 6),
+            build_family(8),
+            rp2_ideal(),
+        ]
+        for ideal in cases:
+            for field in (F2, F3):
+                assert proj_dim(ideal, field) == betti_table(ideal, field).proj_dim()
+        # the projective plane's pd depends on the characteristic
+        assert (proj_dim(rp2_ideal(), F2), proj_dim(rp2_ideal(), F3)) == (4, 3)
+
+    def test_depth_matches_link_oracle(self):
+        rng = np.random.default_rng(83)
+        ideals = [Ideal.zero(3), rp2_ideal(), Ideal.from_supports([[1], [2, 3]], 4)]
+        ideals += [random_test_ideal(rng, int(rng.integers(1, 7))) for _ in range(20)]
+        for ideal in ideals:
+            for p in (2, 3):
+                assert depth(ideal, FieldSpec(p)) == depth_via_links(ideal, p)
+
+
 class TestRegularity:
     def test_single_quadric(self):
         assert regularity(Ideal.from_supports([[1, 2]], 2), F2) == 1
@@ -258,3 +299,8 @@ class TestDepthReport:
             ideal = random_test_ideal(rng, int(rng.integers(2, 8)))
             report = depth_report(ideal, F3)
             assert report.depth + report.proj_dim == ideal.ambient_n
+
+    def test_inconsistent_report_rejected(self):
+        # a raised error, not an assert, so the check also runs under python -O
+        with pytest.raises(ValueError, match="Auslander-Buchsbaum"):
+            DepthReport(4, F2, depth=2, proj_dim=1, regularity=1, betti=())

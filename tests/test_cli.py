@@ -252,6 +252,14 @@ class TestExitCodes:
         code, _, err = run(capsys, "depth", family6_file, "--char", "4")
         assert code == 2 and "prime" in err
 
+    def test_characteristic_too_large_for_exact_ranks(self, capsys, tmp_path):
+        # 4294967311 is prime; int64 elimination used to report depth 4 here
+        path = tmp_path / "family7.ideal"
+        path.write_text(build_family(7).to_text())
+        for command in ("depth", "gprofile"):
+            code, out, err = run(capsys, command, str(path), "--char", "4294967311")
+            assert code == 2 and out == "" and "too large" in err
+
 
 class TestThreadsEnv:
     def test_env_fallback_keeps_output_stable(self, capsys, family6_file, monkeypatch):

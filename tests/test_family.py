@@ -83,6 +83,12 @@ class TestVerifyTheorem:
             assert (r2.g1, r2.g2) == (r3.g1, r3.g2)
             assert r2.all_passed and r3.all_passed
 
+    def test_depth_only_engine_reaches_n16(self):
+        for p in (2, 3):
+            report = verify_theorem(16, FieldSpec(p))
+            assert report.all_passed
+            assert (report.g1, report.g2) == (1, 10)
+
     def test_too_small_rejected(self):
         with pytest.raises(InvalidFamilyParameter):
             verify_theorem(5)

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import rank_mod_p_oracle
 from sqfdepth.homology import (
+    MAX_CHARACTERISTIC,
     FieldSpec,
     InducedComplex,
     induced_faces,
@@ -27,6 +28,17 @@ class TestFieldSpec:
         for bad in (0, 1, 4, 9, -3):
             with pytest.raises(ValueError):
                 FieldSpec(bad)
+
+    def test_rejects_primes_that_overflow_int64(self):
+        # (p - 1)^2 must fit in int64 for the dense elimination to be exact;
+        # 3037000493 and 3037000507 are the primes on either side of the cap
+        assert (MAX_CHARACTERISTIC - 1) ** 2 < 2**63 <= (3037000507 - 1) ** 2
+        assert FieldSpec(3037000493).characteristic == 3037000493
+        for big in (3037000507, 4294967311, 2**89 - 1):
+            with pytest.raises(ValueError, match="too large"):
+                FieldSpec(big)
+        with pytest.raises(ValueError, match="too large"):
+            rank_mod_p(np.eye(2, dtype=int), 4294967311)
 
 
 class TestInducedFaces:

@@ -43,6 +43,8 @@ class TestConfig:
     def test_primes_validated(self):
         with pytest.raises(ValueError):
             base_cfg(primes=(4,))
+        with pytest.raises(ValueError, match="too large"):
+            base_cfg(primes=(2, 4294967311))
 
     def test_injected_ambient_checked(self):
         with pytest.raises(ValueError):
@@ -71,6 +73,12 @@ class TestRandomIdeal:
         cfg = base_cfg(gen_degree=(2, 3))
         sizes = {m.bit_count() for m in candidate_pool(cfg)}
         assert sizes == {2, 3}
+
+    def test_mutating_pool_leaves_samples_alone(self):
+        cfg = SearchConfig(ambient_n=6, seed=9, gen_count=3)
+        before = [random_ideal(cfg, i) for i in range(5)]
+        candidate_pool(cfg).clear()  # callers get their own list
+        assert candidate_pool(cfg) and [random_ideal(cfg, i) for i in range(5)] == before
 
     def test_edge_pool_is_all_pairs(self):
         cfg = SearchConfig(
