@@ -93,7 +93,9 @@ def _faces_by_size(
 ) -> list[list[int]]:
     """Faces inside sigma with at most max_size vertices, grouped by size."""
     inv = np.uint32(((1 << 32) - 1) ^ sigma)
-    sel = ((faces & inv) == 0) & (face_sizes <= max_size)
+    sel = (faces & inv) == 0
+    if max_size < sigma.bit_count():
+        sel &= face_sizes <= max_size
     groups: list[list[int]] = [[] for _ in range(max_size + 1)]
     for m, s in zip(faces[sel].tolist(), face_sizes[sel].tolist()):
         groups[s].append(m)

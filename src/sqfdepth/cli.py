@@ -40,16 +40,11 @@ def _emit(obj) -> None:
     print(json.dumps(obj))
 
 
-# gprofile, verify-family and graph-depth need only depth, which the serial
-# pd-only engine computes; they keep accepting --threads for old scripts.
-_PD_ONLY_THREADS_HELP = "no effect: this command uses the serial depth-only engine"
-
-
-def _add_common(sub, threads=True, char=True, threads_help="worker threads"):
+def _add_common(sub, threads=True, char=True):
     if char:
         sub.add_argument("--char", type=int, default=2, help="field characteristic")
     if threads:
-        sub.add_argument("--threads", type=int, default=None, help=threads_help)
+        sub.add_argument("--threads", type=int, default=None, help="worker threads")
 
 
 def _threads(args) -> int:
@@ -249,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("gprofile", help="normalized depth function g(1..nu)")
     p.add_argument("ideal")
-    _add_common(p, threads_help=_PD_ONLY_THREADS_HELP)
+    _add_common(p, threads=False)
     p.set_defaults(func=cmd_gprofile)
 
     p = subs.add_parser("minimal-primes", help="minimal primes / vertex covers")
@@ -263,12 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify-family", help="verify the theorem for a range of n")
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
-    _add_common(p, threads_help=_PD_ONLY_THREADS_HELP)
+    _add_common(p, threads=False)
     p.set_defaults(func=cmd_verify_family)
 
     p = subs.add_parser("graph-depth", help="tree depth formula vs homology engine")
     p.add_argument("graph")
-    _add_common(p, threads_help=_PD_ONLY_THREADS_HELP)
+    _add_common(p, threads=False)
     p.set_defaults(func=cmd_graph_depth)
 
     p = subs.add_parser("search", help="scan for increasing normalized depth functions")

@@ -88,8 +88,11 @@ def _supports(ambient_n: int, lo: int, hi: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def _pool(cfg: SearchConfig) -> tuple[int, ...]:
-    """The config's generator supports; built once, then shared by every sample."""
+def candidate_pool(cfg: SearchConfig) -> tuple[int, ...]:
+    """All allowed generator supports as masks, ascending (the sampling order).
+
+    Built once per (ambient_n, degree range) and shared by every sample.
+    """
     if cfg.edge_ideals_only:
         lo, hi = 2, 2
     else:
@@ -97,15 +100,10 @@ def _pool(cfg: SearchConfig) -> tuple[int, ...]:
     return _supports(cfg.ambient_n, lo, hi)
 
 
-def candidate_pool(cfg: SearchConfig) -> list[int]:
-    """All allowed generator supports as masks, ascending (the sampling order)."""
-    return list(_pool(cfg))
-
-
 def random_ideal(cfg: SearchConfig, index: int) -> Ideal:
     """The index-th sampled ideal: deterministic in (cfg.seed, index)."""
     rng = np.random.Generator(np.random.Philox(key=(cfg.seed << 64) | index))
-    pool = _pool(cfg)
+    pool = candidate_pool(cfg)
     for _ in range(_SAMPLE_RETRIES):
         if cfg.density is not None:
             coins = rng.random(len(pool))
@@ -201,7 +199,7 @@ def _index_stream(cfg: SearchConfig) -> list[int]:
     return list(range(1, space))
 
 
-def _ideal_for_index(cfg: SearchConfig, pool: list[int], index: int) -> Ideal:
+def _ideal_for_index(cfg: SearchConfig, pool: tuple[int, ...], index: int) -> Ideal:
     if not cfg.exhaustive:
         return random_ideal(cfg, index)
     chosen = [pool[i] for i in range(len(pool)) if index >> i & 1]
