@@ -17,10 +17,6 @@ import numpy as np
 from .errors import NotATree, ParseError
 from .ideals import Ideal
 
-# below this, enumerate maximal independent sets by filtering all 2^n subsets
-_EXHAUSTIVE_LIMIT = 20
-
-
 @dataclass(frozen=True)
 class Graph:
     """Simple graph on vertices 1..n_vertices with a frozenset of (a, b) edges, a < b."""
@@ -91,31 +87,6 @@ def edge_ideal(graph: Graph) -> Ideal:
     return Ideal.from_supports(list(graph.edges), graph.n_vertices)
 
 
-def _mis_exhaustive(adj: list[int], n: int) -> list[int]:
-    out = []
-    for s in range(1 << n):
-        ok = True
-        rem = s
-        while rem:
-            v = rem & -rem
-            if adj[v.bit_length() - 1] & s:
-                ok = False
-                break
-            rem ^= v
-        if not ok:
-            continue
-        rest = ((1 << n) - 1) & ~s
-        while rest:
-            v = rest & -rest
-            if not adj[v.bit_length() - 1] & s:
-                ok = False
-                break
-            rest ^= v
-        if ok:
-            out.append(s)
-    return out
-
-
 def _mis_branch(adj: list[int], n: int) -> list[int]:
     """Branch on the lowest undecided vertex; track excluded-but-undominated."""
     out: list[int] = []
@@ -147,11 +118,8 @@ def maximal_independent_sets(graph: Graph) -> list[frozenset[int]]:
     """All inclusion-maximal independent sets, sorted by support mask."""
     n = graph.n_vertices
     adj = graph.adjacency_masks()
-    masks = (
-        _mis_exhaustive(adj, n) if n <= _EXHAUSTIVE_LIMIT else _mis_branch(adj, n)
-    )
     return [
-        frozenset(i + 1 for i in range(n) if m >> i & 1) for m in masks
+        frozenset(i + 1 for i in range(n) if m >> i & 1) for m in _mis_branch(adj, n)
     ]
 
 

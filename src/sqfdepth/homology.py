@@ -1,10 +1,13 @@
-"""Reduced simplicial homology over small prime fields.
+"""Reduced simplicial homology over prime fields.
 
 Chain groups are indexed by face-support bitmasks in a fixed ascending
-order, so boundary matrices and hence ranks are deterministic.  The empty
-face lives in degree -1; its column is the augmentation map.  Over F_2 the
-elimination works on word-packed rows; other primes go through dense
-elimination in numpy.
+order, so coboundary matrices and hence ranks are deterministic.  The empty
+face lives in degree -1; its coboundary is the augmentation map.  Ranks come
+from one sparse pivot elimination over coboundaries, run bottom-up with
+clearing: a pivot found at face size s marks a row of size s + 1 that would
+reduce to zero, so that row is never built.  Over F_2 rows are packed into
+integers; every other prime uses dict rows of Python ints, which are exact
+for any p.
 """
 
 from __future__ import annotations
@@ -12,32 +15,38 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from .ideals import Ideal, _indices_from_mask, _mask_from_indices
+
+# Miller-Rabin with these bases is exact for every n < 3.3 * 10^24.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin primality test for p <= MAX_CHARACTERISTIC."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for q in _WITNESSES:
+        if p % q == 0:
+            return p == q
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
-# Every prime above this overflows int64 in the elimination products (p - 1)^2.
-MAX_CHARACTERISTIC = 3037000499
-
-
-def _check_characteristic(p: int) -> None:
-    if p > MAX_CHARACTERISTIC:
-        raise ValueError(
-            f"characteristic {p} is too large: exact ranks over F_p use int64 "
-            f"arithmetic, which needs p <= {MAX_CHARACTERISTIC}"
-        )
+# Ranks are exact for every p; primality is certified only up to here.
+MAX_CHARACTERISTIC = 2**64 - 1
 
 
 @dataclass(frozen=True)
@@ -47,15 +56,24 @@ class FieldSpec:
     characteristic: int = 2
 
     def __post_init__(self) -> None:
-        # size first: trial division of a huge number would not finish
-        _check_characteristic(self.characteristic)
-        if not _is_prime(self.characteristic):
-            raise ValueError(f"characteristic must be prime, got {self.characteristic}")
+        p = self.characteristic
+        if p > MAX_CHARACTERISTIC:
+            raise ValueError(
+                f"characteristic {p} is too large: primality is certified only "
+                f"up to 2^64 - 1 = {MAX_CHARACTERISTIC}"
+            )
+        if not _is_prime(p):
+            raise ValueError(f"characteristic must be prime, got {p}")
 
 
-def rank_gf2(packed_rows: Iterable[int]) -> int:
-    """Rank over F_2 of rows packed as integers (bit j = column j)."""
-    basis: dict[int, int] = {}
+def rank_gf2(packed_rows: list[int], basis: dict[int, int] | None = None) -> int:
+    """Rank over F_2 of rows packed as integers (bit j = column j).
+
+    Each row is reduced against the basis rows keyed by their leading
+    (highest) column.  Pass a dict as ``basis`` to receive those rows.
+    """
+    if basis is None:
+        basis = {}
     rank = 0
     for row in packed_rows:
         v = row
@@ -70,58 +88,84 @@ def rank_gf2(packed_rows: Iterable[int]) -> int:
     return rank
 
 
-def rank_mod_p(mat: np.ndarray, p: int) -> int:
-    """Rank of an integer matrix over F_p by dense Gaussian elimination."""
-    _check_characteristic(p)
-    a = np.atleast_2d(np.asarray(mat, dtype=np.int64)) % p
-    if a.size == 0:
-        return 0
-    rows, cols = a.shape
+def rank_mod_p(
+    rows: list[dict[int, int]], p: int, basis: dict[int, dict[int, int]] | None = None
+) -> int:
+    """Rank over F_p of sparse rows {column: value}, exact for any prime p.
+
+    The same elimination as ``rank_gf2``: each row is reduced against the
+    basis rows keyed by their leading (largest) column, and a new basis row
+    is scaled to leading coefficient 1.  Pass a dict as ``basis`` to receive
+    those rows.
+    """
+    if basis is None:
+        basis = {}
     rank = 0
-    for col in range(cols):
-        if rank == rows:
-            break
-        nz = np.nonzero(a[rank:, col])[0]
-        if nz.size == 0:
-            continue
-        piv = int(nz[0]) + rank
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        inv = pow(int(a[rank, col]), p - 2, p)
-        a[rank] = a[rank] * inv % p
-        rest = nz[1:] + rank
-        if rest.size:
-            a[rest] = (a[rest] - np.outer(a[rest, col], a[rank])) % p
-        rank += 1
+    for row in rows:
+        v = {c: x % p for c, x in row.items() if x % p}
+        while v:
+            h = max(v)
+            piv = basis.get(h)
+            if piv is None:
+                inv = pow(v[h], p - 2, p)
+                basis[h] = {c: x * inv % p for c, x in v.items()}
+                rank += 1
+                break
+            f = v[h]
+            for c, x in piv.items():
+                y = (v.get(c, 0) - f * x) % p
+                if y:
+                    v[c] = y
+                else:
+                    del v[c]
     return rank
 
 
-def _boundary_rank(lower: list[int], upper: list[int], p: int) -> int:
-    """Rank over F_p of the boundary map from faces `upper` to faces `lower`."""
-    if not lower or not upper:
-        return 0
-    index = {m: i for i, m in enumerate(lower)}
+def _coboundary_rank(
+    lower: list[int], upper: list[int], cleared: set[int], vertices: int, p: int
+) -> tuple[int, set[int]]:
+    """Rank over F_p of the coboundary from faces ``lower`` to faces ``upper``.
+
+    Rows of the faces in ``cleared`` are left out: they reduce to zero.
+    Returns the rank and the faces of ``upper`` that carry its pivots.  The
+    row of f has an entry at f | {v} for every vertex v outside f with that
+    union a face, of sign (-1)^|{u in f : u < v}|.
+    """
+    if not upper:
+        return 0, set()
+    index = {m: j for j, m in enumerate(upper)}
+    basis: dict = {}
     if p == 2:
         packed = []
-        for f in upper:
+        for f in lower:
+            if f in cleared:
+                continue
             row = 0
-            rem = f
-            while rem:
-                b = rem & -rem
-                row |= 1 << index[f ^ b]
-                rem ^= b
+            rest = vertices & ~f
+            while rest:
+                b = rest & -rest
+                j = index.get(f | b)
+                if j is not None:
+                    row |= 1 << j
+                rest ^= b
             packed.append(row)
-        return rank_gf2(packed)
-    mat = np.zeros((len(lower), len(upper)), dtype=np.int64)
-    for j, f in enumerate(upper):
-        rem = f
-        t = 0
-        while rem:
-            b = rem & -rem
-            mat[index[f ^ b], j] = 1 if t % 2 == 0 else p - 1
-            rem ^= b
-            t += 1
-    return rank_mod_p(mat, p)
+        rank = rank_gf2(packed, basis)
+    else:
+        rows = []
+        for f in lower:
+            if f in cleared:
+                continue
+            row = {}
+            rest = vertices & ~f
+            while rest:
+                b = rest & -rest
+                j = index.get(f | b)
+                if j is not None:
+                    row[j] = p - 1 if (f & (b - 1)).bit_count() & 1 else 1
+                rest ^= b
+            rows.append(row)
+        rank = rank_mod_p(rows, p, basis)
+    return rank, {upper[j] for j in basis}
 
 
 def iter_homology_dims(faces_by_size: list[list[int]], p: int) -> Iterator[int]:
@@ -129,14 +173,21 @@ def iter_homology_dims(faces_by_size: list[list[int]], p: int) -> Iterator[int]:
 
     ``faces_by_size[s]`` lists the masks of the s-element faces (so entry 0
     is ``[0]`` for the empty face).  The value for size s is the dim of
-    reduced homology in degree s - 1.  Yielding it ranks the boundary out of
-    size s + 1 and no higher one, so a consumer that stops early skips every
-    higher boundary.
+    reduced homology in degree s - 1.  Yielding it ranks the coboundary out
+    of size s and no higher one, so a consumer that stops early skips every
+    higher coboundary.  The faces carrying the pivots of one coboundary are
+    cleared from the next, since delta o delta = 0 makes their rows dependent.
     """
     top = len(faces_by_size) - 1
-    below = 0  # rank of the boundary out of size s
+    vertices = sum(faces_by_size[1]) if top else 0  # distinct single bits
+    below = 0  # rank of the coboundary into size s
+    cleared: set[int] = set()
     for s in range(top + 1):
-        above = _boundary_rank(faces_by_size[s], faces_by_size[s + 1], p) if s < top else 0
+        above = 0
+        if s < top:
+            above, cleared = _coboundary_rank(
+                faces_by_size[s], faces_by_size[s + 1], cleared, vertices, p
+            )
         yield len(faces_by_size[s]) - below - above
         below = above
 

@@ -217,8 +217,10 @@ def scan(cfg: SearchConfig, workers: int = 1, log_path: str | None = None) -> Sc
     """Evaluate the configured stream; collect, deduplicate and log findings.
 
     Injected ideals are evaluated first, at indices -1, -2, ...; the random
-    (or exhaustive) stream follows in index order.  Output is identical for
-    any ``workers``.
+    (or exhaustive) stream follows in index order.  Each block's new findings
+    are appended to the log as soon as the block's results arrive, still in
+    index order, so a scan that dies keeps what it had found.  Output is
+    identical for any ``workers``.
     """
     indices = _index_stream(cfg)
     pool = candidate_pool(cfg)
@@ -230,43 +232,22 @@ def scan(cfg: SearchConfig, workers: int = 1, log_path: str | None = None) -> Sc
     by_nu: dict[int, int] = {}
     max_gap: int | None = None
     evaluated = 0
-    raw_findings: list[Finding] = []
+    findings_total = 0
+    findings: list[Finding] = []
+    seen_keys: set = set()
+    dedup = cfg.ambient_n <= DEDUP_AMBIENT_LIMIT
 
-    def absorb(results) -> None:
-        nonlocal max_gap, evaluated
+    def absorb(results, log) -> None:
+        """Count one block's results and log its new findings as they arrive."""
+        nonlocal max_gap, evaluated, findings_total
         for nu, gap, finding in results:
             evaluated += 1
             by_nu[nu] = by_nu.get(nu, 0) + 1
             if gap is not None and (max_gap is None or gap > max_gap):
                 max_gap = gap
-            if finding is not None:
-                raw_findings.append(finding)
-
-    for prime in cfg.primes:
-        injected = [
-            _evaluate(cfg, prime, -(j + 1), ideal)
-            for j, ideal in enumerate(cfg.inject)
-        ]
-        absorb(injected)
-        if not indices:
-            continue
-        if workers > 1:
-            chunk = max(16, len(indices) // (workers * 8))
-            blocks = [
-                (prime, indices[i : i + chunk]) for i in range(0, len(indices), chunk)
-            ]
-            with ThreadPoolExecutor(max_workers=workers) as tp:
-                for results in tp.map(run_block, blocks):
-                    absorb(results)
-        else:
-            absorb(run_block((prime, indices)))
-
-    findings: list[Finding] = []
-    seen_keys: set = set()
-    dedup = cfg.ambient_n <= DEDUP_AMBIENT_LIMIT
-    log = open(log_path, "a", encoding="utf-8") if log_path else None
-    try:
-        for finding in raw_findings:
+            if finding is None:
+                continue
+            findings_total += 1
             if dedup:
                 key = (finding.field_char, canonical_relabeling_key(finding.ideal))
                 if key in seen_keys:
@@ -277,6 +258,26 @@ def scan(cfg: SearchConfig, workers: int = 1, log_path: str | None = None) -> Sc
                 log.write(json.dumps(finding.to_json_dict()) + "\n")
                 log.flush()
                 os.fsync(log.fileno())
+
+    log = open(log_path, "a", encoding="utf-8") if log_path else None
+    try:
+        for prime in cfg.primes:
+            injected = [
+                _evaluate(cfg, prime, -(j + 1), ideal)
+                for j, ideal in enumerate(cfg.inject)
+            ]
+            absorb(injected, log)
+            chunk = max(16, len(indices) // (max(workers, 1) * 8))
+            blocks = [
+                (prime, indices[i : i + chunk]) for i in range(0, len(indices), chunk)
+            ]
+            if workers > 1:
+                with ThreadPoolExecutor(max_workers=workers) as tp:
+                    for results in tp.map(run_block, blocks):
+                        absorb(results, log)
+            else:
+                for block in blocks:
+                    absorb(run_block(block), log)
     finally:
         if log is not None:
             log.close()
@@ -287,7 +288,7 @@ def scan(cfg: SearchConfig, workers: int = 1, log_path: str | None = None) -> Sc
         "field_chars": list(cfg.primes),
         "mode": "exhaustive" if cfg.exhaustive else "random",
         "evaluated": evaluated,
-        "findings_total": len(raw_findings),
+        "findings_total": findings_total,
         "findings_unique": len(findings),
         "dedup_by_relabeling": dedup,
         "by_nu": {str(k): by_nu[k] for k in sorted(by_nu)},

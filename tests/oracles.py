@@ -52,6 +52,36 @@ def minimal_transversals_brute(supports: list[frozenset[int]], n: int) -> set[fr
     return {s for s in hitting if not any(t < s for t in hitting)}
 
 
+def maximal_independent_sets_brute(adj: list[int], n: int) -> list[int]:
+    """Masks of all maximal independent sets, ascending, by filtering all 2^n subsets.
+
+    ``adj[v]`` is the neighbour mask of vertex v (0-based), as from
+    ``Graph.adjacency_masks``.
+    """
+    out = []
+    for s in range(1 << n):
+        ok = True
+        rem = s
+        while rem:
+            v = rem & -rem
+            if adj[v.bit_length() - 1] & s:
+                ok = False
+                break
+            rem ^= v
+        if not ok:
+            continue
+        rest = ((1 << n) - 1) & ~s
+        while rest:
+            v = rest & -rest
+            if not adj[v.bit_length() - 1] & s:
+                ok = False
+                break
+            rest ^= v
+        if ok:
+            out.append(s)
+    return out
+
+
 def max_matching_brute(supports: list[frozenset[int]]) -> int:
     """Maximum number of pairwise disjoint supports, by subset enumeration."""
     best = 0

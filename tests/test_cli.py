@@ -253,11 +253,16 @@ class TestExitCodes:
         assert code == 2 and "prime" in err
 
     def test_characteristic_too_large_for_exact_ranks(self, capsys, tmp_path):
-        # 4294967311 is prime; int64 elimination used to report depth 4 here
+        # 4294967311 is prime; int64 elimination used to report depth 4 here.
+        # 2^89 - 1 is prime too, but above the certified primality range.
         path = tmp_path / "family7.ideal"
         path.write_text(build_family(7).to_text())
+        code, out, _ = run(capsys, "depth", str(path), "--char", "4294967311")
+        assert code == 0 and json.loads(out)["depth"] == 3
+        code, out, _ = run(capsys, "gprofile", str(path), "--char", "4294967311")
+        assert code == 0 and [r["depth"] for r in json.loads(out)["profile"]] == [3, 6]
         for command in ("depth", "gprofile"):
-            code, out, err = run(capsys, command, str(path), "--char", "4294967311")
+            code, out, err = run(capsys, command, str(path), "--char", str(2**89 - 1))
             assert code == 2 and out == "" and "too large" in err
 
 

@@ -5,13 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import minimal_transversals_brute
+from oracles import maximal_independent_sets_brute, minimal_transversals_brute
 from sqfdepth.betti import depth
 from sqfdepth.errors import NotATree, ParseError
 from sqfdepth.graphs import (
     Graph,
     _mis_branch,
-    _mis_exhaustive,
     edge_ideal,
     independence_domination,
     is_tree,
@@ -115,7 +114,9 @@ class TestIndependentSets:
         for _ in range(30):
             g = random_graph(rng, int(rng.integers(1, 10)))
             adj = g.adjacency_masks()
-            assert _mis_branch(adj, g.n_vertices) == _mis_exhaustive(adj, g.n_vertices)
+            assert _mis_branch(adj, g.n_vertices) == maximal_independent_sets_brute(
+                adj, g.n_vertices
+            )
 
 
 class TestVertexCovers:

@@ -1,13 +1,18 @@
 """Induced subcomplexes, finite-field ranks, reduced homology."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from oracles import rank_mod_p_oracle
+from sqfdepth import homology
+from sqfdepth.family import build_family
 from sqfdepth.homology import (
     MAX_CHARACTERISTIC,
     FieldSpec,
     InducedComplex,
+    _is_prime,
     induced_faces,
     rank_gf2,
     rank_mod_p,
@@ -29,16 +34,32 @@ class TestFieldSpec:
             with pytest.raises(ValueError):
                 FieldSpec(bad)
 
-    def test_rejects_primes_that_overflow_int64(self):
-        # (p - 1)^2 must fit in int64 for the dense elimination to be exact;
-        # 3037000493 and 3037000507 are the primes on either side of the cap
-        assert (MAX_CHARACTERISTIC - 1) ** 2 < 2**63 <= (3037000507 - 1) ** 2
-        assert FieldSpec(3037000493).characteristic == 3037000493
-        for big in (3037000507, 4294967311, 2**89 - 1):
-            with pytest.raises(ValueError, match="too large"):
-                FieldSpec(big)
+    def test_accepts_primes_past_int64_and_rejects_above_cap(self):
+        # ranks are exact Python-int arithmetic for every p; the cap is where
+        # Miller-Rabin over bases 2..37 stops being a proof of primality
+        assert MAX_CHARACTERISTIC == 2**64 - 1
+        for big in (3037000507, 4294967311, 2**61 - 1, 18446744073709551557):
+            assert FieldSpec(big).characteristic == big
         with pytest.raises(ValueError, match="too large"):
-            rank_mod_p(np.eye(2, dtype=int), 4294967311)
+            FieldSpec(2**89 - 1)
+        # (p - 1)^2 > 2^63 here: int64 elimination ranked the first matrix 2
+        p = 4294967311
+        assert rank_mod_p([{0: 1, 1: p - 1}, {0: p - 1, 1: 1}], p) == 1
+        assert rank_mod_p([{0: p - 1, 1: 1}, {0: 1, 1: p - 1}], p) == 1
+        assert rank_mod_p([{0: p - 1, 1: p - 2}, {0: p - 2, 1: p - 1}], p) == 2
+
+    def test_primality_matches_trial_division(self):
+        for p in range(-2, 20000):
+            want = p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+            assert _is_prime(p) == want, p
+
+    def test_strong_pseudoprimes_rejected(self):
+        # 3215031751 passes Miller-Rabin to bases 2, 3, 5 and 7, 561 is a
+        # Carmichael number, 2^32 + 1 a base-2 Fermat pseudoprime, and the cap
+        # 2^64 - 1 itself is composite
+        for bad in (3215031751, 561, 2**32 + 1, 2**64 - 1):
+            with pytest.raises(ValueError, match="prime"):
+                FieldSpec(bad)
 
 
 class TestInducedFaces:
@@ -91,28 +112,56 @@ class TestReducedHomology:
         assert dims == [1, 0]
 
 
+class TestClearing:
+    def test_cleared_rows_are_never_built(self, monkeypatch):
+        # a pivot of the coboundary out of size s - 1 clears one row of size s,
+        # so exactly f_s - rank(delta_{s-1}) rows reach the elimination
+        built: list[int] = []
+
+        def recording(rank):
+            def wrapped(rows, *args):
+                built.append(len(rows))
+                return rank(rows, *args)
+
+            return wrapped
+
+        monkeypatch.setattr(homology, "rank_gf2", recording(homology.rank_gf2))
+        monkeypatch.setattr(homology, "rank_mod_p", recording(homology.rank_mod_p))
+        hollow = induced_faces(Ideal.from_supports([[1, 2, 3]], 3), [1, 2, 3])
+        family = build_family(7)
+        complexes = (hollow, induced_faces(family, range(1, 8)))
+        for cx, field in itertools.product(complexes, (F2, F3)):
+            built.clear()
+            faces = cx.faces_by_size()
+            dims = reduced_homology_dims(cx, field)
+            want, below = [], 0
+            for s in range(len(faces) - 1):
+                want.append(len(faces[s]) - below)
+                below = len(faces[s]) - below - dims[s]
+            assert built == want
+        assert reduced_homology_dims(hollow, F3) == [0, 0, 1, 0]
+
+
 class TestRanks:
     def test_rank_gf2_known(self):
         # rows 110, 011, 101 over F2: third is the sum of the first two
         assert rank_gf2([0b110, 0b011, 0b101]) == 2
 
     def test_rank_mod_p_known(self):
-        mat = np.array([[1, 2], [2, 4]])
-        assert rank_mod_p(mat, 5) == 1
-        assert rank_mod_p(np.eye(3, dtype=int), 3) == 3
+        assert rank_mod_p([{0: 1, 1: 2}, {0: 2, 1: 4}], 5) == 1
+        assert rank_mod_p([{0: 1}, {1: 1}, {2: 1}], 3) == 3
+        assert rank_mod_p([{}, {3: 3}, {0: -1}], 3) == 1
 
     def test_rank_against_oracle(self):
         rng = np.random.default_rng(5)
         for _ in range(40):
             rows = int(rng.integers(1, 8))
             cols = int(rng.integers(1, 8))
-            mat = rng.integers(0, 7, size=(rows, cols))
-            for p in (2, 3, 5):
-                want = rank_mod_p_oracle(mat.tolist(), p)
-                assert rank_mod_p(mat, p) == want
+            mat = rng.integers(0, 7, size=(rows, cols)).tolist()
+            dict_rows = [{c: x for c, x in enumerate(row) if x} for row in mat]
+            for p in (2, 3, 5, 4294967311, 2**61 - 1):
+                want = rank_mod_p_oracle(mat, p)
+                assert rank_mod_p(dict_rows, p) == want
                 if p == 2:
-                    packed = [
-                        int(sum((int(mat[r, c]) % 2) << c for c in range(cols)))
-                        for r in range(rows)
-                    ]
+                    packed = [sum((x % 2) << c for c, x in enumerate(row)) for row in mat]
                     assert rank_gf2(packed) == want

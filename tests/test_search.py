@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import random_test_ideal, relabel_ideal
+from sqfdepth import search
 from sqfdepth.betti import g_profile
 from sqfdepth.errors import DegenerateSample, SpaceTooLarge
 from sqfdepth.family import build_family
@@ -43,8 +44,9 @@ class TestConfig:
     def test_primes_validated(self):
         with pytest.raises(ValueError):
             base_cfg(primes=(4,))
+        assert base_cfg(primes=(2, 4294967311)).primes == (2, 4294967311)
         with pytest.raises(ValueError, match="too large"):
-            base_cfg(primes=(2, 4294967311))
+            base_cfg(primes=(2, 2**89 - 1))
 
     def test_injected_ambient_checked(self):
         with pytest.raises(ValueError):
@@ -168,6 +170,22 @@ class TestScan:
         lines = log.read_text().splitlines()
         assert len(lines) == len(result.findings) == 1
         assert json.loads(lines[0]) == result.findings[0].to_json_dict()
+
+    def test_log_keeps_findings_when_the_scan_dies(self, tmp_path, monkeypatch):
+        def boom(cfg, index):
+            raise RuntimeError(f"sample {index} killed")
+
+        monkeypatch.setattr(search, "random_ideal", boom)
+        cfg = SearchConfig(
+            ambient_n=8, seed=0, sample_count=40, gen_count=1, inject=(build_family(8),)
+        )
+        for workers in (1, 2):
+            log = tmp_path / f"findings-{workers}.jsonl"
+            with pytest.raises(RuntimeError, match="sample 0 killed"):
+                scan(cfg, workers=workers, log_path=str(log))
+            (line,) = log.read_text().splitlines()
+            assert json.loads(line)["index"] == -1
+            assert json.loads(line)["violations"] == [1]
 
     def test_exhaustive_small_edge_ideals_find_nothing(self):
         cfg = SearchConfig(
