@@ -4,13 +4,15 @@ Depth is computed from first principles: multigraded Betti numbers of S/I
 over a prime field via Hochster's formula, projective dimension as the top
 nonzero homological degree, and depth by Auslander-Buchsbaum.
 
-Two engines share the same sieves and exact ranks.  ``betti_table`` (and
-``depth_report``, ``regularity``, the ``depth`` and ``betti`` commands)
-builds the full table, threaded by ``--threads``.  ``proj_dim`` and
-``depth`` (and ``g_profile``, ``verify_theorem``, the ``gprofile``,
-``verify-family``, ``graph-depth`` and ``search`` commands) use a serial
-pd-only walk that stops at the first nonzero homology degree; ``search``
-still spreads samples over ``--threads`` workers.
+Two engines share one face sieve per ideal (``homology.FaceSieve``: the
+faces sorted by size, each face's coboundary row built once) and the exact
+ranks ``rank_gf2``, ``rank_gf3`` and ``rank_mod_p``, chosen by p.
+``betti_table`` (and ``depth_report``, ``regularity``, the ``depth`` and
+``betti`` commands) builds the full table.  ``proj_dim`` and ``depth`` (and
+``g_profile``, ``verify_theorem``, the ``gprofile``, ``verify-family``,
+``graph-depth`` and ``search`` commands) use a pd-only walk that stops at
+the first nonzero homology degree.  Both are serial; only ``search``
+spreads samples over ``--threads`` workers.
 """
 
 from .betti import (

@@ -9,18 +9,19 @@ degree; depth is ambient_n minus that (Auslander-Buchsbaum).
 
 ``betti_table`` computes every entry.  ``proj_dim`` and ``depth`` (and so
 ``g_profile``) need only the top degree and use a separate walk that skips
-most subsets and every homology degree above the first nonzero one.
+most subsets and every homology degree above the first nonzero one.  Both
+run every sigma of one call through the ideal's single ``FaceSieve``, so a
+face's coboundary row is built once per call, not once per sigma.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ZeroIdeal
-from .homology import FieldSpec, homology_dims_from_faces, iter_homology_dims
+from .homology import FaceSieve, FieldSpec
 from .ideals import Ideal
 
 # Hochster enumeration walks all 2^n multidegrees; refuse hopeless inputs.
@@ -68,84 +69,32 @@ def _survivors(n: int, gen_masks: tuple[int, ...]) -> np.ndarray:
     return arr[keep]
 
 
-def _global_faces(n: int, gen_masks: tuple[int, ...]) -> np.ndarray:
-    arr = np.arange(1 << n, dtype=np.uint32)
-    ok = np.ones(arr.shape, dtype=bool)
-    for g in gen_masks:
-        ok &= (arr & g) != g
-    return arr[ok]
-
-
-def _sieves(ideal: Ideal) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Survivor multidegrees, the global faces and their sizes, all ascending."""
+def _sieves(ideal: Ideal, p: int) -> tuple[np.ndarray, FaceSieve]:
+    """Survivor multidegrees (ascending) and the ideal's face sieve over F_p."""
     n = ideal.ambient_n
     if n > MAX_HOCHSTER_AMBIENT:
         raise ValueError(
             f"Hochster enumeration needs 2^n subsets; n={n} exceeds {MAX_HOCHSTER_AMBIENT}"
         )
     gen_masks = ideal.gen_masks()
-    faces = _global_faces(n, gen_masks)
-    return _survivors(n, gen_masks), faces, np.bitwise_count(faces)
+    return _survivors(n, gen_masks), FaceSieve(n, gen_masks, p)
 
 
-def _faces_by_size(
-    sigma: int, faces: np.ndarray, face_sizes: np.ndarray, max_size: int
-) -> list[list[int]]:
-    """Faces inside sigma with at most max_size vertices, grouped by size."""
-    inv = np.uint32(((1 << 32) - 1) ^ sigma)
-    sel = (faces & inv) == 0
-    if max_size < sigma.bit_count():
-        sel &= face_sizes <= max_size
-    groups: list[list[int]] = [[] for _ in range(max_size + 1)]
-    for m, s in zip(faces[sel].tolist(), face_sizes[sel].tolist()):
-        groups[s].append(m)
-    return groups
-
-
-def _sigma_entries(
-    sigma: int, faces: np.ndarray, face_sizes: np.ndarray, p: int
-) -> list[tuple[int, int, int]]:
-    width = sigma.bit_count()
-    dims = homology_dims_from_faces(_faces_by_size(sigma, faces, face_sizes, width), p)
-    out = []
-    for s, dim in enumerate(dims):
-        i = width - s
-        if dim > 0 and i >= 1:
-            out.append((i, sigma, dim))
-    return out
-
-
-def betti_table(ideal: Ideal, field: FieldSpec = FieldSpec(2), threads: int = 1) -> BettiTable:
+def betti_table(ideal: Ideal, field: FieldSpec = FieldSpec(2)) -> BettiTable:
     """All nonzero multigraded Betti numbers of S/I over F_p.
 
-    Subsets are processed in ascending mask order and merged positionally,
-    so the result is bit-identical for every thread count.
+    Every survivor sigma shares the one face sieve of the ideal, so each
+    face's coboundary row is built at most once per call.
     """
     if ideal.is_zero:
         raise ZeroIdeal("Betti table of S requested; the zero ideal has no table")
-    survivors, faces, face_sizes = _sieves(ideal)
-    p = field.characteristic
-    sigmas = survivors.tolist()
-
-    if threads > 1 and len(sigmas) > 1:
-        chunk = max(8, len(sigmas) // (threads * 4))
-        blocks = [sigmas[i : i + chunk] for i in range(0, len(sigmas), chunk)]
-
-        def run(block: list[int]) -> list[tuple[int, int, int]]:
-            found = []
-            for sigma in block:
-                found.extend(_sigma_entries(sigma, faces, face_sizes, p))
-            return found
-
-        entries: list[tuple[int, int, int]] = []
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for block_entries in pool.map(run, blocks):
-                entries.extend(block_entries)
-    else:
-        entries = []
-        for sigma in sigmas:
-            entries.extend(_sigma_entries(sigma, faces, face_sizes, p))
-
+    survivors, sieve = _sieves(ideal, field.characteristic)
+    entries = []
+    for sigma in survivors.tolist():
+        width = sigma.bit_count()
+        for s, dim in zip(range(width), sieve.homology_dims(sigma, width)):
+            if dim > 0:
+                entries.append((width - s, sigma, dim))
     entries.sort(key=lambda e: (e[0], e[1]))
     return BettiTable(ideal.ambient_n, field, tuple(entries))
 
@@ -164,19 +113,17 @@ def proj_dim(ideal: Ideal, field: FieldSpec = FieldSpec(2)) -> int:
     """
     if ideal.is_zero:
         raise ZeroIdeal("projective dimension of S requested")
-    survivors, faces, face_sizes = _sieves(ideal)
+    survivors, sieve = _sieves(ideal, field.characteristic)
     widths = np.bitwise_count(survivors).astype(np.int64)
     order = np.argsort(-widths, kind="stable")
-    p = field.characteristic
     best = 0
     for sigma, width in zip(survivors[order].tolist(), widths[order].tolist()):
         if width <= best:
             break
         limit = width - best
-        groups = _faces_by_size(sigma, faces, face_sizes, limit)
         # range first: zip stops before asking for the size-limit value,
-        # which would need the (omitted) faces of size limit + 1
-        for s, dim in zip(range(limit), iter_homology_dims(groups, p)):
+        # which would need the faces of size limit + 1
+        for s, dim in zip(range(limit), sieve.homology_dims(sigma, limit)):
             if dim:
                 best = width - s
                 break
@@ -190,11 +137,11 @@ def depth(ideal: Ideal, field: FieldSpec = FieldSpec(2)) -> int:
     return ideal.ambient_n - proj_dim(ideal, field)
 
 
-def regularity(ideal: Ideal, field: FieldSpec = FieldSpec(2), threads: int = 1) -> int:
+def regularity(ideal: Ideal, field: FieldSpec = FieldSpec(2)) -> int:
     """Castelnuovo-Mumford regularity: max(j - i) over nonzero beta_{i,j}."""
     if ideal.is_zero:
         raise ZeroIdeal("regularity of S requested")
-    return betti_table(ideal, field, threads).regularity()
+    return betti_table(ideal, field).regularity()
 
 
 @dataclass(frozen=True)
@@ -289,17 +236,16 @@ def depth_report(
     ideal: Ideal,
     field: FieldSpec = FieldSpec(2),
     both_primes: bool = False,
-    threads: int = 1,
 ) -> DepthReport:
     """DepthReport over ``field``; with both_primes, flag p=2 vs p=3 disagreement."""
     if ideal.is_zero:
         return DepthReport(ideal.ambient_n, field, ideal.ambient_n, 0, 0, ())
-    table = betti_table(ideal, field, threads)
+    table = betti_table(ideal, field)
     triples = _aggregated_triples(table)
     sensitive = False
     if both_primes:
         other = FieldSpec(3 if field.characteristic == 2 else 2)
-        other_table = betti_table(ideal, other, threads)
+        other_table = betti_table(ideal, other)
         sensitive = _aggregated_triples(other_table) != triples
     return DepthReport(
         ideal.ambient_n,

@@ -21,14 +21,20 @@ from .ideals import Ideal
 from .search import SearchConfig, scan
 
 
-def _default_threads() -> int:
-    env = os.environ.get("SQFD_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+def _threads(args) -> int:
+    """Worker threads for ``search``: --threads, else SQFD_THREADS, else every core."""
+    source, given = "--threads", args.threads
+    if given is None:
+        source, given = "SQFD_THREADS", os.environ.get("SQFD_THREADS", "")
+        if not given:
+            return os.cpu_count() or 1
+    try:
+        count = int(given)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"{source} must be a positive integer, got {given!r}")
+    return count
 
 
 def _read(path: str) -> str:
@@ -40,29 +46,20 @@ def _emit(obj) -> None:
     print(json.dumps(obj))
 
 
-def _add_common(sub, threads=True, char=True):
-    if char:
-        sub.add_argument("--char", type=int, default=2, help="field characteristic")
-    if threads:
-        sub.add_argument("--threads", type=int, default=None, help="worker threads")
-
-
-def _threads(args) -> int:
-    return max(1, args.threads) if args.threads else _default_threads()
+def _add_char(sub):
+    sub.add_argument("--char", type=int, default=2, help="field characteristic")
 
 
 def cmd_depth(args) -> int:
     ideal = Ideal.parse(_read(args.ideal))
-    report = depth_report(
-        ideal, FieldSpec(args.char), both_primes=args.both_primes, threads=_threads(args)
-    )
+    report = depth_report(ideal, FieldSpec(args.char), both_primes=args.both_primes)
     _emit(report.to_json_dict())
     return 0
 
 
 def cmd_betti(args) -> int:
     ideal = Ideal.parse(_read(args.ideal))
-    report = depth_report(ideal, FieldSpec(args.char), threads=_threads(args))
+    report = depth_report(ideal, FieldSpec(args.char))
     _emit(report.to_json_dict())
     return 0
 
@@ -228,13 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("depth", help="depth/Betti report of S/I from an ideal file")
     p.add_argument("ideal")
-    _add_common(p)
+    _add_char(p)
     p.add_argument("--both-primes", action="store_true", help="compare p=2 and p=3")
     p.set_defaults(func=cmd_depth)
 
     p = subs.add_parser("betti", help="Betti table report of S/I")
     p.add_argument("ideal")
-    _add_common(p)
+    _add_char(p)
     p.set_defaults(func=cmd_betti)
 
     p = subs.add_parser("power", help="k-th squarefree power, in ideal text format")
@@ -244,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("gprofile", help="normalized depth function g(1..nu)")
     p.add_argument("ideal")
-    _add_common(p, threads=False)
+    _add_char(p)
     p.set_defaults(func=cmd_gprofile)
 
     p = subs.add_parser("minimal-primes", help="minimal primes / vertex covers")
@@ -258,12 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify-family", help="verify the theorem for a range of n")
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
-    _add_common(p, threads=False)
+    _add_char(p)
     p.set_defaults(func=cmd_verify_family)
 
     p = subs.add_parser("graph-depth", help="tree depth formula vs homology engine")
     p.add_argument("graph")
-    _add_common(p, threads=False)
+    _add_char(p)
     p.set_defaults(func=cmd_graph_depth)
 
     p = subs.add_parser("search", help="scan for increasing normalized depth functions")
@@ -280,7 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive-cap", type=int, dest="exhaustive_cap")
     p.add_argument("--inject", action="append", help="ideal file to inject (repeatable)")
     p.add_argument("--log", help="append findings to this JSONL file")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument(
+        "--threads", type=int, help="worker threads (default: SQFD_THREADS, else every core)"
+    )
     p.set_defaults(func=cmd_search)
 
     return parser

@@ -1,19 +1,25 @@
 """Reduced simplicial homology over prime fields.
 
-Chain groups are indexed by face-support bitmasks in a fixed ascending
-order, so coboundary matrices and hence ranks are deterministic.  The empty
-face lives in degree -1; its coboundary is the augmentation map.  Ranks come
-from one sparse pivot elimination over coboundaries, run bottom-up with
-clearing: a pivot found at face size s marks a row of size s + 1 that would
-reduce to zero, so that row is never built.  Over F_2 rows are packed into
-integers; every other prime uses dict rows of Python ints, which are exact
-for any p.
+``FaceSieve`` holds the faces of one Stanley-Reisner complex sorted by
+(size, mask), so the faces of size s are one contiguous slice and a face's
+position within its slice is its column in the coboundary rows out of size
+s - 1.  Each face's coboundary row is built once, on first use, and every
+induced subcomplex reuses it by masking its columns to the faces inside
+sigma.  Ranks come from one sparse pivot elimination over coboundaries, run
+bottom-up with clearing: a pivot found at face size s marks a row of size
+s + 1 that would reduce to zero, so that row is never used.  Rows are packed
+integers over F_2 (``rank_gf2``), pairs of packed bit-planes over F_3
+(``rank_gf3``) and dict rows of Python ints for every other prime
+(``rank_mod_p``), so ranks are exact for any p.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .ideals import Ideal, _indices_from_mask, _mask_from_indices
 
@@ -88,6 +94,35 @@ def rank_gf2(packed_rows: list[int], basis: dict[int, int] | None = None) -> int
     return rank
 
 
+def rank_gf3(
+    rows: list[tuple[int, int]], basis: dict[int, tuple[int, int]] | None = None
+) -> int:
+    """Rank over F_3 of rows given as bit-planes (plus, minus).
+
+    Bit j of ``plus`` (of ``minus``) is set where column j holds 1 (holds
+    2 = -1); the two never share a bit.  The same elimination as
+    ``rank_gf2``: basis rows are keyed by their leading column and scaled to
+    leading coefficient 1, and a row is reduced by adding the basis row or
+    its negation (the planes swapped), a few whole-row AND/OR/XOR steps.
+    Pass a dict as ``basis`` to receive those rows.
+    """
+    if basis is None:
+        basis = {}
+    rank = 0
+    for vp, vm in rows:
+        while vp | vm:
+            h = (vp | vm).bit_length() - 1
+            piv = basis.get(h)
+            if piv is None:
+                basis[h] = (vp, vm) if vp >> h & 1 else (vm, vp)
+                rank += 1
+                break
+            # v - c * piv for the leading coefficient c of v, as v + w
+            wp, wm = piv if vm >> h & 1 else (piv[1], piv[0])
+            vp, vm = vm ^ ((vp ^ (vm | wp)) & ~wm), vp ^ ((vp | (vm ^ wm)) & ~wp)
+    return rank
+
+
 def rank_mod_p(
     rows: list[dict[int, int]], p: int, basis: dict[int, dict[int, int]] | None = None
 ) -> int:
@@ -121,84 +156,154 @@ def rank_mod_p(
     return rank
 
 
-def _coboundary_rank(
-    lower: list[int], upper: list[int], cleared: set[int], vertices: int, p: int
-) -> tuple[int, set[int]]:
-    """Rank over F_p of the coboundary from faces ``lower`` to faces ``upper``.
+class FaceSieve:
+    """The faces of one Stanley-Reisner complex and their coboundary rows over F_p.
 
-    Rows of the faces in ``cleared`` are left out: they reduce to zero.
-    Returns the rank and the faces of ``upper`` that carry its pivots.  The
-    row of f has an entry at f | {v} for every vertex v outside f with that
-    union a face, of sign (-1)^|{u in f : u < v}|.
+    The faces are the subsets of the ``n`` vertices (bits 0..n-1) that
+    contain no mask of ``nonfaces``, sorted by (size, mask): the faces of
+    size s are positions ``bounds[s]:bounds[s + 1]``.  The coboundary row of
+    the s-face f has an entry at f | {v} for every vertex v outside f with
+    that union a face, of sign (-1)^|{u in f : u < v}|, in the column given
+    by the position of f | {v} within size s + 1.  Each row is built on
+    first use and kept for the life of the sieve, so the induced
+    subcomplexes of one ideal share it: restricting a row to sigma masks its
+    columns with the (s + 1)-faces inside sigma.  Rows are packed
+    ints at p = 2 and (plus, minus) bit-plane pairs, the columns of the +1
+    and of the -1 entries, at every other p.
     """
-    if not upper:
-        return 0, set()
-    index = {m: j for j, m in enumerate(upper)}
-    basis: dict = {}
-    if p == 2:
-        packed = []
-        for f in lower:
-            if f in cleared:
+
+    def __init__(self, n: int, nonfaces: Iterable[int], p: int = 2) -> None:
+        arr = np.arange(1 << n, dtype=np.uint32)
+        ok = np.ones(arr.shape, dtype=bool)
+        for g in nonfaces:
+            ok &= (arr & g) != g
+        faces = arr[ok]
+        sizes = np.bitwise_count(faces)
+        counts = np.bincount(sizes, minlength=n + 2).tolist()
+        self._faces = faces[np.argsort(sizes, kind="stable")]
+        self.bounds = [0, *itertools.accumulate(counts)]
+        self._full = [(1 << c) - 1 for c in counts]
+        self.top = max(s for s, c in enumerate(counts) if c) if faces.size else 0
+        self.p = p
+        self._masks: dict[int, list[int]] = {}
+        self._vertices = self._faces[self.bounds[1] : self.bounds[2]].tolist()
+        self._index: dict[int, dict[int, int]] = {}
+        self._rows: dict[int, list] = {}
+
+    def faces(self, s: int) -> list[int]:
+        """Masks of the faces of size s, ascending."""
+        got = self._masks.get(s)
+        if got is None:
+            got = self._masks[s] = self._faces[self.bounds[s] : self.bounds[s + 1]].tolist()
+        return got
+
+    def row(self, s: int, j: int):
+        """The coboundary row of the s-face at position j of its size class."""
+        rows = self._cache(s)
+        got = rows[j]
+        if got is None:
+            got = rows[j] = self._build_row(s, j)
+        return got
+
+    def _cache(self, s: int) -> list:
+        """The row slots of the s-faces; None until a row is built."""
+        rows = self._rows.get(s)
+        if rows is None:
+            rows = self._rows[s] = [None] * (self.bounds[s + 1] - self.bounds[s])
+        return rows
+
+    def _build_row(self, s: int, j: int):
+        """The row of the j-th s-face f: one lookup of f | {v} per vertex v."""
+        f = self.faces(s)[j]
+        index = self._index.get(s + 1)
+        if index is None:
+            index = self._index[s + 1] = {m: c for c, m in enumerate(self.faces(s + 1))}
+        plus = 0
+        if self.p == 2:
+            for b in self._vertices:
+                c = index.get(f | b)
+                if c is not None:
+                    plus |= 1 << c
+            return plus
+        minus = 0
+        for b in self._vertices:
+            c = index.get(f | b)
+            if c is None:
                 continue
-            row = 0
-            rest = vertices & ~f
-            while rest:
-                b = rest & -rest
-                j = index.get(f | b)
-                if j is not None:
-                    row |= 1 << j
-                rest ^= b
-            packed.append(row)
-        rank = rank_gf2(packed, basis)
-    else:
+            if (f & (b - 1)).bit_count() & 1:  # sign (-1)^|{u in f : u < v}|
+                minus |= 1 << c
+            else:
+                plus |= 1 << c
+        return plus, minus
+
+    def _inside(self, sigma: int, top: int) -> int:
+        """Bit mask of the positions of the faces inside sigma with at most top vertices."""
+        end = self.bounds[min(top, self.top) + 1]
+        sel = (self._faces[:end] & np.uint32(0xFFFFFFFF ^ sigma)) == 0
+        return int.from_bytes(np.packbits(sel, bitorder="little").tobytes(), "little")
+
+    def homology_dims(self, sigma: int, top: int) -> Iterator[int]:
+        """Reduced homology dims of the complex induced on sigma, for face sizes 0..top.
+
+        The value for size s is the dim of reduced homology in degree s - 1.
+        Yielding it ranks the coboundary out of size s and no higher one, so
+        a consumer that stops early skips every higher coboundary.  The
+        faces carrying the pivots of one coboundary are cleared from the
+        next, since delta o delta = 0 makes their rows dependent.
+        """
+        sel = self._inside(sigma, top)
+        bounds, full = self.bounds, self._full
+        here = sel & full[0]
+        below = 0
+        cleared = 0  # positions, within size s, of the rows left out
+        for s in range(top + 1):
+            above = 0
+            upper = (sel >> bounds[s + 1]) & full[s + 1] if s < top else 0
+            if upper:
+                above, cleared = self._coboundary_rank(s, here & ~cleared, upper)
+            yield here.bit_count() - below - above
+            below = above
+            here = upper
+
+    def _coboundary_rank(self, s: int, live: int, upper: int) -> tuple[int, int]:
+        """Rank of the coboundary from the s-faces ``live`` into the (s+1)-faces ``upper``.
+
+        Both are bit masks of positions within their size class.  Returns
+        the rank and the mask of the pivot columns.
+        """
+        cache = self._cache(s)
         rows = []
-        for f in lower:
-            if f in cleared:
-                continue
-            row = {}
-            rest = vertices & ~f
-            while rest:
-                b = rest & -rest
-                j = index.get(f | b)
-                if j is not None:
-                    row[j] = p - 1 if (f & (b - 1)).bit_count() & 1 else 1
-                rest ^= b
+        while live:
+            b = live & -live
+            j = b.bit_length() - 1
+            row = cache[j]
+            if row is None:
+                row = cache[j] = self._build_row(s, j)
             rows.append(row)
-        rank = rank_mod_p(rows, p, basis)
-    return rank, {upper[j] for j in basis}
+            live ^= b
+        basis: dict = {}
+        p = self.p
+        if p == 2:
+            rank = rank_gf2([r & upper for r in rows], basis)
+        elif p == 3:
+            rank = rank_gf3([(r & upper, q & upper) for r, q in rows], basis)
+        else:
+            rank = rank_mod_p([_sparse(r & upper, q & upper, p) for r, q in rows], p, basis)
+        pivots = 0
+        for h in basis:
+            pivots |= 1 << h
+        return rank, pivots
 
 
-def iter_homology_dims(faces_by_size: list[list[int]], p: int) -> Iterator[int]:
-    """Reduced homology dimensions in ascending degree, computed lazily.
-
-    ``faces_by_size[s]`` lists the masks of the s-element faces (so entry 0
-    is ``[0]`` for the empty face).  The value for size s is the dim of
-    reduced homology in degree s - 1.  Yielding it ranks the coboundary out
-    of size s and no higher one, so a consumer that stops early skips every
-    higher coboundary.  The faces carrying the pivots of one coboundary are
-    cleared from the next, since delta o delta = 0 makes their rows dependent.
-    """
-    top = len(faces_by_size) - 1
-    vertices = sum(faces_by_size[1]) if top else 0  # distinct single bits
-    below = 0  # rank of the coboundary into size s
-    cleared: set[int] = set()
-    for s in range(top + 1):
-        above = 0
-        if s < top:
-            above, cleared = _coboundary_rank(
-                faces_by_size[s], faces_by_size[s + 1], cleared, vertices, p
-            )
-        yield len(faces_by_size[s]) - below - above
-        below = above
-
-
-def homology_dims_from_faces(faces_by_size: list[list[int]], p: int) -> list[int]:
-    """Reduced homology dimensions of a complex given its faces by cardinality.
-
-    Returns dims for degrees -1..top, i.e. entry ``d + 1`` is dim of reduced
-    homology in degree ``d``; see ``iter_homology_dims``.
-    """
-    return list(iter_homology_dims(faces_by_size, p))
+def _sparse(plus: int, minus: int, p: int) -> dict[int, int]:
+    """The sparse row over F_p with 1 at the bits of plus and p - 1 at those of minus."""
+    row = {}
+    for plane, x in ((plus, 1), (minus, p - 1)):
+        while plane:
+            b = plane & -plane
+            row[b.bit_length() - 1] = x
+            plane ^= b
+    return row
 
 
 @dataclass(frozen=True)
@@ -220,40 +325,39 @@ class InducedComplex:
     def is_face(self, vertices: Iterable[int]) -> bool:
         return self.is_face_mask(_mask_from_indices(vertices, 63))
 
+    def _sieve(self, p: int = 2) -> tuple[FaceSieve, list[int]]:
+        """A ``FaceSieve`` of this complex with sigma's vertices renumbered 0..k-1.
+
+        Also returns sigma's vertex bits in ascending order: bit i of a
+        sieve mask stands for the i-th of them.
+        """
+        bits = [1 << (i - 1) for i in _indices_from_mask(self.sigma)]
+        packed = [
+            sum(1 << i for i, b in enumerate(bits) if g & b)
+            for g in self.nonfaces
+            if not g & ~self.sigma
+        ]
+        return FaceSieve(len(bits), packed, p), bits
+
     def faces_by_size(self) -> list[list[int]]:
         """All face masks grouped by cardinality, each group ascending."""
-        groups: list[list[int]] = [[] for _ in range(self.sigma.bit_count() + 1)]
-        sub = self.sigma
-        while True:
-            if self.is_face_mask(sub):
-                groups[sub.bit_count()].append(sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & self.sigma
-        for g in groups:
-            g.sort()
-        while len(groups) > 1 and not groups[-1]:
-            groups.pop()
-        return groups
+        sieve, bits = self._sieve()
+        return [[_unpack(m, bits) for m in sieve.faces(s)] for s in range(sieve.top + 1)]
 
     def facets(self) -> list[frozenset[int]]:
-        """Inclusion-maximal faces."""
-        groups = self.faces_by_size()
-        all_faces = {m for g in groups for m in g}
-        out = []
-        for g in groups:
-            for m in g:
-                rest = self.sigma & ~m
-                maximal = True
-                while rest:
-                    v = rest & -rest
-                    if (m | v) in all_faces:
-                        maximal = False
-                        break
-                    rest ^= v
-                if maximal:
-                    out.append(frozenset(_indices_from_mask(m)))
-        return out
+        """Inclusion-maximal faces: those with an empty coboundary row."""
+        sieve, bits = self._sieve()
+        return [
+            frozenset(_indices_from_mask(_unpack(m, bits)))
+            for s in range(sieve.top + 1)
+            for j, m in enumerate(sieve.faces(s))
+            if not sieve.row(s, j)
+        ]
+
+
+def _unpack(m: int, bits: list[int]) -> int:
+    """The mask whose bit bits[i] is set for each set bit i of m."""
+    return sum(b for i, b in enumerate(bits) if m >> i & 1)
 
 
 def induced_faces(ideal: Ideal, sigma: Iterable[int]) -> InducedComplex:
@@ -265,6 +369,6 @@ def induced_faces(ideal: Ideal, sigma: Iterable[int]) -> InducedComplex:
 
 def reduced_homology_dims(complex_: InducedComplex, field: FieldSpec) -> list[int]:
     """Reduced homology dimensions over F_p for degrees -1..|sigma|-1."""
-    dims = homology_dims_from_faces(complex_.faces_by_size(), field.characteristic)
-    want = complex_.sigma.bit_count() + 1
-    return dims + [0] * (want - len(dims))
+    sieve, bits = complex_._sieve(field.characteristic)
+    k = len(bits)
+    return list(sieve.homology_dims((1 << k) - 1, k))

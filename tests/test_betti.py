@@ -22,7 +22,8 @@ from sqfdepth.betti import (
 )
 from sqfdepth.errors import ZeroIdeal
 from sqfdepth.family import build_family
-from sqfdepth.homology import FieldSpec
+from sqfdepth import homology
+from sqfdepth.homology import FieldSpec, induced_faces
 from sqfdepth.ideals import Ideal
 
 F2 = FieldSpec(2)
@@ -70,11 +71,25 @@ class TestBettiTable:
             for i, sigma, value in betti_table(ideal, F2).entries:
                 assert i >= 1 and value > 0 and sigma > 0
 
-    def test_thread_count_does_not_change_output(self):
+    def test_each_face_row_is_built_at_most_once(self, monkeypatch):
+        # every survivor sigma of one call shares the ideal's rows; a fresh
+        # call (another ideal, or another prime) builds its own
+        builds: list[tuple[int, int, int]] = []
+        build = homology.FaceSieve._build_row
+
+        def recording(sieve, s, j):
+            builds.append((id(sieve), s, j))
+            return build(sieve, s, j)
+
+        monkeypatch.setattr(homology.FaceSieve, "_build_row", recording)
         ideal = build_family(8)
-        serial = betti_table(ideal, F2, threads=1)
-        threaded = betti_table(ideal, F2, threads=4)
-        assert serial == threaded
+        n_faces = sum(len(g) for g in induced_faces(ideal, range(1, 9)).faces_by_size())
+        for p in (2, 3, 5):
+            builds.clear()
+            assert multigraded(ideal, FieldSpec(p)) == koszul_betti_table(ideal, p)
+            assert len(set(builds)) == len(builds)
+            assert len({sieve for sieve, _, _ in builds}) == 1
+            assert 0 < len(builds) <= n_faces
 
 
 class TestHochsterAgainstKoszul:

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import rank_mod_p_oracle
+from oracles import homology_of_faces, random_test_ideal, rank_mod_p_oracle
 from sqfdepth import homology
 from sqfdepth.family import build_family
 from sqfdepth.homology import (
@@ -15,6 +15,7 @@ from sqfdepth.homology import (
     _is_prime,
     induced_faces,
     rank_gf2,
+    rank_gf3,
     rank_mod_p,
     reduced_homology_dims,
 )
@@ -88,6 +89,37 @@ class TestInducedFaces:
         cx = induced_faces(ideal, [1])
         assert not cx.is_face([3])
 
+    def test_sieve_matches_subset_walk(self):
+        # faces, facets and homology of induced complexes, on vertex sets
+        # anywhere in a large ring, against enumeration of all subsets
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            n = int(rng.integers(6, 40))
+            small = random_test_ideal(rng, 6)
+            shift = sorted(int(v) for v in rng.choice(n, size=6, replace=False) + 1)
+            ideal = Ideal.from_supports([[shift[i - 1] for i in g.indices] for g in small.gens], n)
+            sigma = [v for v in shift if rng.random() < 0.8]
+            cx = induced_faces(ideal, sigma)
+            subsets = [
+                tuple(c) for r in range(len(sigma) + 1) for c in itertools.combinations(sigma, r)
+            ]
+            faces = [f for f in subsets if cx.is_face(f)]
+            masks = [sum(1 << (v - 1) for v in f) for f in faces]
+            want = [sorted(m for m in masks if m.bit_count() == s) for s in range(len(sigma) + 1)]
+            while len(want) > 1 and not want[-1]:
+                want.pop()
+            assert cx.faces_by_size() == want
+            face_set = {frozenset(f) for f in faces}
+            maximal = [
+                frozenset(f) for f in faces
+                if not any(frozenset(f) | {v} in face_set for v in sigma if v not in f)
+            ]
+            assert sorted(cx.facets(), key=sorted) == sorted(maximal, key=sorted)
+            for p in (2, 3, 5):
+                oracle = homology_of_faces(set(faces), p)
+                want_dims = [oracle.get(d, 0) for d in range(-1, len(sigma))]
+                assert reduced_homology_dims(cx, FieldSpec(p)) == want_dims
+
 
 class TestReducedHomology:
     def test_single_point_is_acyclic(self):
@@ -126,11 +158,12 @@ class TestClearing:
             return wrapped
 
         monkeypatch.setattr(homology, "rank_gf2", recording(homology.rank_gf2))
+        monkeypatch.setattr(homology, "rank_gf3", recording(homology.rank_gf3))
         monkeypatch.setattr(homology, "rank_mod_p", recording(homology.rank_mod_p))
         hollow = induced_faces(Ideal.from_supports([[1, 2, 3]], 3), [1, 2, 3])
         family = build_family(7)
         complexes = (hollow, induced_faces(family, range(1, 8)))
-        for cx, field in itertools.product(complexes, (F2, F3)):
+        for cx, field in itertools.product(complexes, (F2, F3, FieldSpec(5))):
             built.clear()
             faces = cx.faces_by_size()
             dims = reduced_homology_dims(cx, field)
@@ -146,6 +179,21 @@ class TestRanks:
     def test_rank_gf2_known(self):
         # rows 110, 011, 101 over F2: third is the sum of the first two
         assert rank_gf2([0b110, 0b011, 0b101]) == 2
+
+    def test_rank_gf3_known(self):
+        # (plus, minus) planes: (0b01, 0b10) is the row [1, 2] (column 0 first)
+        assert rank_gf3([(0b01, 0b10), (0b10, 0b01)]) == 1  # [2, 1] = 2 * [1, 2]
+        assert rank_gf3([(0b01, 0b10), (0b11, 0)]) == 2
+        # leading coefficient 2: [0, 0, 2] and, once reduced, [2, 0, 0] are
+        # scaled to leading 1 before they enter the basis
+        basis: dict = {}
+        assert rank_gf3([(0, 0b100), (0b100, 0b001), (0b001, 0)], basis) == 2
+        assert basis == {2: (0b100, 0), 0: (0b001, 0)}
+        assert rank_gf3([(0b011, 0), (0, 0b011)]) == 1  # [2, 2] = 2 * [1, 1]
+        # [2, 1] - [1, 1] is computed as [2, 1] + [2, 2]: needs 2 + 2 = 1
+        assert rank_gf3([(0b11, 0), (0b10, 0b01)]) == 2
+        # [1, 2, 0] + [0, 1, 2] = [1, 0, 2]
+        assert rank_gf3([(0b001, 0b010), (0b010, 0b100), (0b001, 0b100)]) == 2
 
     def test_rank_mod_p_known(self):
         assert rank_mod_p([{0: 1, 1: 2}, {0: 2, 1: 4}], 5) == 1
@@ -165,3 +213,12 @@ class TestRanks:
                 if p == 2:
                     packed = [sum((x % 2) << c for c, x in enumerate(row)) for row in mat]
                     assert rank_gf2(packed) == want
+                if p == 3:
+                    planes = [
+                        tuple(
+                            sum(1 << c for c, x in enumerate(row) if x % 3 == value)
+                            for value in (1, 2)
+                        )
+                        for row in mat
+                    ]
+                    assert rank_gf3(planes) == want
