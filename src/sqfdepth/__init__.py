@@ -11,8 +11,8 @@ ranks ``rank_gf2``, ``rank_gf3`` and ``rank_mod_p``, chosen by p.
 ``betti`` commands) builds the full table.  ``proj_dim`` and ``depth`` (and
 ``g_profile``, ``verify_theorem``, the ``gprofile``, ``verify-family``,
 ``graph-depth`` and ``search`` commands) use a pd-only walk that stops at
-the first nonzero homology degree.  Both are serial; only ``search``
-spreads samples over ``--threads`` workers.
+the first nonzero homology degree.  Everything is serial; ``search``
+computes each depth once per orbit of powers under relabeling.
 """
 
 from .betti import (

@@ -16,6 +16,7 @@ face's coboundary row is built once per call, not once per sigma.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,16 +178,26 @@ class GProfile:
         }
 
 
-def g_profile(ideal: Ideal, field: FieldSpec = FieldSpec(2)) -> GProfile:
-    """Normalized depth function of a nonzero squarefree ideal."""
+def g_profile(
+    ideal: Ideal,
+    field: FieldSpec = FieldSpec(2),
+    depth_fn: Callable[[Ideal, FieldSpec], int] | None = None,
+) -> GProfile:
+    """Normalized depth function of a nonzero squarefree ideal.
+
+    ``depth_fn(power, field)`` gives depth(S/I^[k]); it defaults to
+    ``depth``.  ``search.scan`` passes a memoised one.
+    """
     if ideal.is_zero:
         raise ZeroIdeal("g profile undefined for the zero ideal")
+    if depth_fn is None:
+        depth_fn = depth
     nu = ideal.nu()
     rows = []
     for k in range(1, nu + 1):
         power = ideal.squarefree_power(k)
         d_k = power.min_gen_degree()
-        depth_k = depth(power, field)
+        depth_k = depth_fn(power, field)
         rows.append(GRow(k, d_k, depth_k, depth_k - (d_k - 1)))
     return GProfile(nu, tuple(rows))
 

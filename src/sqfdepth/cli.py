@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .betti import depth, depth_report, g_profile
@@ -19,22 +18,6 @@ from .graphs import Graph, edge_ideal, independence_domination, is_tree, tree_de
 from .homology import FieldSpec
 from .ideals import Ideal
 from .search import SearchConfig, scan
-
-
-def _threads(args) -> int:
-    """Worker threads for ``search``: --threads, else SQFD_THREADS, else every core."""
-    source, given = "--threads", args.threads
-    if given is None:
-        source, given = "SQFD_THREADS", os.environ.get("SQFD_THREADS", "")
-        if not given:
-            return os.cpu_count() or 1
-    try:
-        count = int(given)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ValueError(f"{source} must be a positive integer, got {given!r}")
-    return count
 
 
 def _read(path: str) -> str:
@@ -206,7 +189,7 @@ def cmd_search(args) -> int:
     if args.inject:
         fields["inject"] = tuple(Ideal.parse(_read(path)) for path in args.inject)
     cfg = SearchConfig(**fields)
-    result = scan(cfg, workers=_threads(args), log_path=args.log)
+    result = scan(cfg, log_path=args.log)
     _emit(
         {
             "summary": result.summary,
@@ -277,9 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive-cap", type=int, dest="exhaustive_cap")
     p.add_argument("--inject", action="append", help="ideal file to inject (repeatable)")
     p.add_argument("--log", help="append findings to this JSONL file")
-    p.add_argument(
-        "--threads", type=int, help="worker threads (default: SQFD_THREADS, else every core)"
-    )
     p.set_defaults(func=cmd_search)
 
     return parser

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .betti import depth, g_profile
-from .errors import InvalidFamilyParameter
+from .errors import InvalidFamilyParameter, SqfdepthError
 from .graphs import Graph, edge_ideal, is_tree, tree_depth_via_lemma
 from .homology import FieldSpec
 from .ideals import Ideal
@@ -25,7 +25,8 @@ def build_family(n: int) -> Ideal:
     gens = [[1, 3, i + 4] for i in range(1, n - 3)]
     gens += [[1, 4, 5], [2, 3, 4], [2, 3, 6]]
     ideal = Ideal.from_supports(gens, n)
-    assert len(ideal.gens) == n - 1
+    if len(ideal.gens) != n - 1:
+        raise SqfdepthError(f"family member n={n} has {len(ideal.gens)} generators, not {n - 1}")
     return ideal
 
 

@@ -1,10 +1,12 @@
 """Seeded search for ideals whose normalized depth function increases.
 
 Samples are a pure function of (seed, index) through a counter-based
-Philox stream, so scans are reproducible for any worker count and any
-chunking.  Findings (profiles with some g(k+1) > g(k)) can be appended to
-a line-delimited JSON log with an fsync per record, and are deduplicated
-up to relabeling of the variables when the ambient is small enough.
+Philox stream, so a scan is reproducible and a prefix of it does not
+depend on where it stops.  Depth is memoised per prime and per orbit of
+the powers under relabeling of the variables, through an exact canonical
+form.  Findings (profiles with some g(k+1) > g(k)) are deduplicated up to
+relabeling with the same canonical form, and can be appended to a
+line-delimited JSON log with an fsync per record.
 """
 
 from __future__ import annotations
@@ -13,18 +15,19 @@ import functools
 import itertools
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .betti import GProfile, g_profile
+from .betti import GProfile, depth, g_profile
 from .errors import DegenerateSample, SpaceTooLarge
 from .homology import FieldSpec
 from .ideals import Ideal, Monomial, _minimal_masks
 
 MAX_SEARCH_AMBIENT = 14
-DEDUP_AMBIENT_LIMIT = 8
+# Entries kept by each of a scan's two memos; a full memo starts over, which
+# costs time but never changes a result, and keeps long scans in bounded memory.
+_MEMO_LIMIT = 1 << 16
 _SAMPLE_RETRIES = 16
 
 
@@ -144,59 +147,196 @@ class Finding:
         }
 
 
-def _perm_tables(n: int) -> np.ndarray:
-    """Row r = image of every n-bit mask under the r-th permutation of bits."""
-    perms = list(itertools.permutations(range(n)))
-    bits = (np.arange(1 << n, dtype=np.uint32)[:, None] >> np.arange(n)) & 1
-    table = np.empty((len(perms), 1 << n), dtype=np.uint16)
-    for r, perm in enumerate(perms):
-        table[r] = bits @ (np.uint32(1) << np.array(perm, dtype=np.uint32))
-    return table
+def _ranks(signatures: list) -> list[int]:
+    """Each signature's position among the distinct signatures, in sorted order."""
+    order = {s: r for r, s in enumerate(sorted(set(signatures)))}
+    return list(map(order.__getitem__, signatures))
 
 
-_PERM_TABLE_CACHE: dict[int, np.ndarray] = {}
+def _refine(colours: list, supports: list, incident: list) -> list[int]:
+    """Colour refinement of the variables on the variable-generator incidence graph.
+
+    A generator's colour is the multiset of its variables' colours; a
+    variable's new colour is its old colour with the multiset of its
+    generators' colours.  Repeats until no cell splits.  Colours are ranks
+    of signatures, so the result commutes with relabeling the variables.
+    A multiset of colours is encoded exactly as a sum of 1 << (colour *
+    width), with width bits enough for any count.
+    """
+    colours = _ranks(colours)
+    n, cells = len(colours), max(colours, default=-1) + 1
+    var_width = n.bit_length()
+    gen_width = len(supports).bit_length()
+    old_shift = len(supports) * gen_width  # the old colour sits above the multiset
+    while cells < n:
+        weight = [1 << (c * var_width) for c in colours].__getitem__
+        gen_colours = _ranks([sum(map(weight, sup)) for sup in supports])
+        weight = [1 << (c * gen_width) for c in gen_colours].__getitem__
+        colours = _ranks([
+            colours[v] << old_shift | sum(map(weight, inc)) for v, inc in enumerate(incident)
+        ])
+        count = max(colours) + 1
+        if count == cells:
+            break
+        cells = count
+    return colours
+
+
+def _is_swap_automorphism(masks, mask_set: frozenset, a: int, b: int) -> bool:
+    """Whether exchanging variables a and b maps the generators onto themselves."""
+    both = 1 << a | 1 << b
+    return all(m & both in (0, both) or m ^ both in mask_set for m in masks)
+
+
+def _orbit(seeds: list[int], generators: list, twins: list, fixed: set) -> set[int]:
+    """Orbit of ``seeds`` under ``generators`` and the transpositions of twins off ``fixed``."""
+    orbit: set[int] = set()
+    frontier = list(seeds)
+    while frontier:
+        x = frontier.pop()
+        if x not in orbit:
+            orbit.add(x)
+            frontier.extend(y for y in twins[x] if y not in fixed)
+            frontier.extend(g[x] for g in generators)
+    return orbit
 
 
 def canonical_relabeling_key(ideal: Ideal) -> tuple[int, ...]:
-    """Lexicographically least generator-mask tuple over all variable relabelings."""
+    """Canonical form of an ideal under relabeling of its variables.
+
+    Two ideals on the same ambient get equal keys exactly when some
+    permutation of the variables maps one onto the other.  The key is the
+    least sorted generator-mask tuple over the leaves of an individualisation-
+    refinement search (McKay & Piperno, "Practical graph isomorphism, II",
+    2014): refine colours on the variable-generator incidence graph, then
+    individualise each vertex of the first non-singleton cell in turn and
+    recurse.  Three prunings keep symmetric inputs cheap, each skipping
+    only subtrees that an automorphism maps onto one already searched:
+
+    - twins (variables whose transposition is an automorphism) are
+      interchangeable, so a cell made only of twins is split in label order
+      without branching, and a twin of a searched vertex is not branched on;
+    - a leaf equal to the first or the best leaf gives an automorphism,
+      whose orbits prune later branches that fix the same path;
+    - such a leaf also ends the branch back to where its path left the
+      matched leaf's path.
+    """
     n = ideal.ambient_n
-    if n > DEDUP_AMBIENT_LIMIT:
-        raise ValueError(f"relabeling canonicalization capped at n={DEDUP_AMBIENT_LIMIT}")
-    table = _PERM_TABLE_CACHE.get(n)
-    if table is None:
-        table = _perm_tables(n)
-        _PERM_TABLE_CACHE[n] = table
-    masks = np.array(ideal.gen_masks(), dtype=np.uint16)
-    remapped = table[:, masks]
-    remapped.sort(axis=1)
-    order = np.lexsort(remapped.T[::-1])
-    return tuple(int(x) for x in remapped[order[0]])
+    masks = ideal.gen_masks()
+    supports = [[v for v in range(m.bit_length()) if m >> v & 1] for m in masks]
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for j, sup in enumerate(supports):
+        for v in sup:
+            incident[v].append(j)
+
+    def relabeled(colours: list[int]) -> tuple[int, ...]:
+        return tuple(sorted([sum([1 << colours[v] for v in sup]) for sup in supports]))
+
+    root = _refine([len(inc) for inc in incident], supports, incident)
+    root_cells: dict[int, list[int]] = {}
+    for v, c in enumerate(root):
+        root_cells.setdefault(c, []).append(v)
+    if len(root_cells) == n:
+        return relabeled(root)
+    # twins lie in one root cell, and twinship is an equivalence relation
+    mask_set = frozenset(masks)
+    twins = [[v] for v in range(n)]
+    for cell in root_cells.values():
+        reps: list[int] = []
+        for v in cell:
+            for r in reps:
+                if _is_swap_automorphism(masks, mask_set, r, v):
+                    twins[r].append(v)
+                    twins[v] = twins[r]
+                    break
+            else:
+                reps.append(v)
+    automorphisms: list[list[int]] = []
+    first = best = None
+
+    def leaf(colours: list[int], path: list[int]) -> int | None:
+        """Record a leaf; on a match, the path length to return to."""
+        nonlocal first, best
+        form = relabeled(colours)
+        if first is None:
+            first = best = (form, colours, path)
+            return None
+        for ref_form, ref_colours, ref_path in (first, best):
+            if form == ref_form:
+                vertex_at = [0] * n
+                for v, c in enumerate(ref_colours):
+                    vertex_at[c] = v
+                automorphisms.append([vertex_at[c] for c in colours])
+                common = 0
+                while path[common] == ref_path[common]:
+                    common += 1
+                return common
+        if form < best[0]:
+            best = (form, colours, path)
+        return None
+
+    def visit(colours: list[int], path: list[int]) -> int | None:
+        """Search below a stable colouring; ``path`` lists the individualised vertices."""
+        while True:
+            cells: dict[int, list[int]] = {}
+            for v, c in enumerate(colours):
+                cells.setdefault(c, []).append(v)
+            if len(cells) == n:
+                return leaf(colours, path)
+            twin_cells = [
+                cell for cell in cells.values()
+                if len(cell) > 1 and all(twins[v] is twins[cell[0]] for v in cell)
+            ]
+            if not twin_cells:
+                break
+            split = {v: i for cell in twin_cells for i, v in enumerate(cell)}
+            path = path + [v for cell in twin_cells for v in cell]
+            colours = _refine(
+                [(c, split.get(v, 0)) for v, c in enumerate(colours)], supports, incident
+            )
+        target = cells[min(c for c, cell in cells.items() if len(cell) > 1)]
+        fixed = set(path)
+        searched: list[int] = []
+        for v in target:
+            if searched:
+                stabiliser = [g for g in automorphisms if all(g[u] == u for u in path)]
+                if v in _orbit(searched, stabiliser, twins, fixed):
+                    continue
+            child = _refine([(c, u != v) for u, c in enumerate(colours)], supports, incident)
+            back_to = visit(child, path + [v])
+            if back_to is not None and back_to < len(path):
+                return back_to
+            searched.append(v)
+        return None
+
+    visit(root, [])
+    return best[0]
 
 
 def _evaluate(
-    cfg: SearchConfig, prime: int, index: int, ideal: Ideal
+    cfg: SearchConfig, field: FieldSpec, index: int, ideal: Ideal, depth_fn
 ) -> tuple[int, int | None, Finding | None]:
     """(nu, max g-gap or None, Finding or None) for one ideal at one prime."""
-    profile = g_profile(ideal, FieldSpec(prime))
+    profile = g_profile(ideal, field, depth_fn)
     g = profile.g_values
     gap = max((g[k] - g[k - 1] for k in range(1, len(g))), default=None)
     violations = tuple(profile.violations())
     finding = None
     if violations:
-        finding = Finding(ideal, profile, violations, prime, cfg.seed, index)
+        finding = Finding(ideal, profile, violations, field.characteristic, cfg.seed, index)
     return profile.nu, gap, finding
 
 
-def _index_stream(cfg: SearchConfig) -> list[int]:
+def _index_stream(cfg: SearchConfig) -> range:
     if not cfg.exhaustive:
-        return list(range(cfg.sample_count))
+        return range(cfg.sample_count)
     pool = candidate_pool(cfg)
     space = 1 << len(pool)
     if space > cfg.exhaustive_cap:
         raise SpaceTooLarge(
             f"exhaustive space 2^{len(pool)} exceeds cap {cfg.exhaustive_cap}"
         )
-    return list(range(1, space))
+    return range(1, space)
 
 
 def _ideal_for_index(cfg: SearchConfig, pool: tuple[int, ...], index: int) -> Ideal:
@@ -207,27 +347,50 @@ def _ideal_for_index(cfg: SearchConfig, pool: tuple[int, ...], index: int) -> Id
     return Ideal(cfg.ambient_n, gens)
 
 
+def _memo_key(power: Ideal, p: int, known: dict) -> tuple:
+    """Depth memo key: equal exactly for relabelings of one power over one F_p.
+
+    ``known`` maps generator masks to canonical keys already computed, since
+    a scan meets many powers more than once with the same labels.
+    """
+    masks = power.gen_masks()
+    key = known.get(masks)
+    if key is None:
+        if len(known) >= _MEMO_LIMIT:
+            known.clear()
+        key = known[masks] = canonical_relabeling_key(power)
+    return p, key
+
+
 @dataclass
 class ScanResult:
     findings: list[Finding]
     summary: dict
 
 
-def scan(cfg: SearchConfig, workers: int = 1, log_path: str | None = None) -> ScanResult:
+def scan(cfg: SearchConfig, log_path: str | None = None) -> ScanResult:
     """Evaluate the configured stream; collect, deduplicate and log findings.
 
     Injected ideals are evaluated first, at indices -1, -2, ...; the random
-    (or exhaustive) stream follows in index order.  Each block's new findings
-    are appended to the log as soon as the block's results arrive, still in
-    index order, so a scan that dies keeps what it had found.  Output is
-    identical for any ``workers``.
+    (or exhaustive) stream follows in index order.  depth(S/I^[k]) does not
+    change when the variables are relabeled, so it is computed once per
+    prime and orbit of powers for the whole scan.  Each new finding is
+    appended to the log and fsynced as soon as it is found, so a scan that
+    dies keeps what it had found.
     """
     indices = _index_stream(cfg)
     pool = candidate_pool(cfg)
+    memo: dict = {}
+    known: dict = {}
 
-    def run_block(args: tuple[int, list[int]]) -> list[tuple[int, int | None, Finding | None]]:
-        prime, block = args
-        return [_evaluate(cfg, prime, i, _ideal_for_index(cfg, pool, i)) for i in block]
+    def orbit_depth(power: Ideal, field: FieldSpec) -> int:
+        key = _memo_key(power, field.characteristic, known)
+        value = memo.get(key)
+        if value is None:
+            if len(memo) >= _MEMO_LIMIT:
+                memo.clear()
+            value = memo[key] = depth(power, field)
+        return value
 
     by_nu: dict[int, int] = {}
     max_gap: int | None = None
@@ -235,49 +398,33 @@ def scan(cfg: SearchConfig, workers: int = 1, log_path: str | None = None) -> Sc
     findings_total = 0
     findings: list[Finding] = []
     seen_keys: set = set()
-    dedup = cfg.ambient_n <= DEDUP_AMBIENT_LIMIT
-
-    def absorb(results, log) -> None:
-        """Count one block's results and log its new findings as they arrive."""
-        nonlocal max_gap, evaluated, findings_total
-        for nu, gap, finding in results:
-            evaluated += 1
-            by_nu[nu] = by_nu.get(nu, 0) + 1
-            if gap is not None and (max_gap is None or gap > max_gap):
-                max_gap = gap
-            if finding is None:
-                continue
-            findings_total += 1
-            if dedup:
-                key = (finding.field_char, canonical_relabeling_key(finding.ideal))
-                if key in seen_keys:
-                    continue
-                seen_keys.add(key)
-            findings.append(finding)
-            if log is not None:
-                log.write(json.dumps(finding.to_json_dict()) + "\n")
-                log.flush()
-                os.fsync(log.fileno())
 
     log = open(log_path, "a", encoding="utf-8") if log_path else None
     try:
         for prime in cfg.primes:
-            injected = [
-                _evaluate(cfg, prime, -(j + 1), ideal)
-                for j, ideal in enumerate(cfg.inject)
-            ]
-            absorb(injected, log)
-            chunk = max(16, len(indices) // (max(workers, 1) * 8))
-            blocks = [
-                (prime, indices[i : i + chunk]) for i in range(0, len(indices), chunk)
-            ]
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as tp:
-                    for results in tp.map(run_block, blocks):
-                        absorb(results, log)
-            else:
-                for block in blocks:
-                    absorb(run_block(block), log)
+            field = FieldSpec(prime)
+            stream = itertools.chain(
+                ((-(j + 1), ideal) for j, ideal in enumerate(cfg.inject)),
+                ((i, _ideal_for_index(cfg, pool, i)) for i in indices),
+            )
+            for index, ideal in stream:
+                nu, gap, finding = _evaluate(cfg, field, index, ideal, orbit_depth)
+                evaluated += 1
+                by_nu[nu] = by_nu.get(nu, 0) + 1
+                if gap is not None and (max_gap is None or gap > max_gap):
+                    max_gap = gap
+                if finding is None:
+                    continue
+                findings_total += 1
+                key = (prime, canonical_relabeling_key(ideal))
+                if key in seen_keys:
+                    continue
+                seen_keys.add(key)
+                findings.append(finding)
+                if log is not None:
+                    log.write(json.dumps(finding.to_json_dict()) + "\n")
+                    log.flush()
+                    os.fsync(log.fileno())
     finally:
         if log is not None:
             log.close()
@@ -290,7 +437,7 @@ def scan(cfg: SearchConfig, workers: int = 1, log_path: str | None = None) -> Sc
         "evaluated": evaluated,
         "findings_total": findings_total,
         "findings_unique": len(findings),
-        "dedup_by_relabeling": dedup,
+        "dedup_by_relabeling": True,
         "by_nu": {str(k): by_nu[k] for k in sorted(by_nu)},
         "max_gap": max_gap,
     }

@@ -183,7 +183,6 @@ class TestSearchCommand:
             "--gen-degree", "3",
             "--gen-count", "5",
             "--inject", family8_file,
-            "--threads", "2",
         )
         assert code == 0
         payload = json.loads(out)
@@ -266,37 +265,25 @@ class TestExitCodes:
             assert code == 2 and out == "" and "too large" in err
 
 
-SEARCH = ("search", "--ambient-n", "6", "--seed", "3", "--samples", "12", "--gen-count", "4")
-
-
 class TestThreadsEnv:
-    def test_env_fallback_keeps_output_stable(self, capsys, monkeypatch):
-        monkeypatch.delenv("SQFD_THREADS", raising=False)
-        _, baseline, _ = run(capsys, *SEARCH)
-        monkeypatch.setenv("SQFD_THREADS", "3")
-        _, with_env, _ = run(capsys, *SEARCH)
-        assert with_env == baseline
-
-    def test_bad_thread_counts_refused(self, capsys, monkeypatch):
-        monkeypatch.delenv("SQFD_THREADS", raising=False)
-        for count in ("0", "-2"):
-            code, out, err = run(capsys, *SEARCH, "--threads", count)
-            assert code == 2 and out == ""
-            assert f"--threads must be a positive integer, got {count}" in err
-        for env in ("abc", "0", "-1", "2.5"):
-            monkeypatch.setenv("SQFD_THREADS", env)
-            code, out, err = run(capsys, *SEARCH)
-            assert code == 2 and out == ""
-            assert f"SQFD_THREADS must be a positive integer, got '{env}'" in err
-        # a good flag overrides a bad environment value
-        code, _, _ = run(capsys, *SEARCH, "--threads", "1")
-        assert code == 0
-
-    def test_table_commands_take_no_thread_count(self, capsys, family6_file, monkeypatch):
-        monkeypatch.setenv("SQFD_THREADS", "abc")
-        for command in ("depth", "betti"):
-            code, out, _ = run(capsys, command, family6_file)
-            assert code == 0 and json.loads(out)["depth"] == 3
+    def test_no_command_takes_a_thread_count(self, capsys, tmp_path, family6_file):
+        graph = tmp_path / "p3.graph"
+        graph.write_text("v=3\n1 2\n2 3\n")
+        commands = [
+            ["depth", family6_file],
+            ["betti", family6_file],
+            ["power", family6_file, "-k", "2"],
+            ["gprofile", family6_file],
+            ["minimal-primes", family6_file],
+            ["family", "--n", "6"],
+            ["verify-family", "--n-min", "6", "--n-max", "6"],
+            ["graph-depth", str(graph)],
+            ["search", "--ambient-n", "6", "--seed", "3", "--samples", "12", "--gen-count", "4"],
+        ]
+        for argv in commands:
+            code, _, _ = run(capsys, *argv)
+            assert code == 0, argv
             with pytest.raises(SystemExit) as exc:
-                main([command, family6_file, "--threads", "2"])
-            assert exc.value.code == 2
+                main(argv + ["--threads", "2"])
+            assert exc.value.code == 2, argv
+            assert "unrecognized arguments: --threads" in capsys.readouterr().err

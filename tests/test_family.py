@@ -2,7 +2,8 @@
 
 import pytest
 
-from sqfdepth.errors import InvalidFamilyParameter
+from sqfdepth import family
+from sqfdepth.errors import InvalidFamilyParameter, SqfdepthError
 from sqfdepth.family import FamilyReport, build_family, colon_tree, verify_theorem
 from sqfdepth.graphs import edge_ideal
 from sqfdepth.homology import FieldSpec
@@ -32,6 +33,17 @@ class TestBuildFamily:
     def test_generator_count(self):
         for n in range(6, 13):
             assert len(build_family(n).gens) == n - 1
+
+    def test_lost_generator_is_an_error(self, monkeypatch):
+        # an explicit raise, so the check survives python -O
+        original = Ideal.from_supports
+
+        def one_short(supports, n):
+            return original(list(supports)[1:], n)
+
+        monkeypatch.setattr(family.Ideal, "from_supports", one_short)
+        with pytest.raises(SqfdepthError, match="has 6 generators, not 7"):
+            build_family(8)
 
     def test_too_small_rejected(self):
         with pytest.raises(InvalidFamilyParameter):

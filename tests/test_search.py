@@ -8,7 +8,7 @@ import pytest
 
 from oracles import random_test_ideal, relabel_ideal
 from sqfdepth import search
-from sqfdepth.betti import g_profile
+from sqfdepth.betti import depth, g_profile
 from sqfdepth.errors import DegenerateSample, SpaceTooLarge
 from sqfdepth.family import build_family
 from sqfdepth.homology import FieldSpec
@@ -92,14 +92,22 @@ class TestScan:
         assert result.summary["by_nu"] == {}
         assert result.summary["max_gap"] is None
 
-    def test_worker_count_is_invisible(self):
-        cfg = base_cfg(sample_count=60, primes=(2,))
-        one = scan(cfg, workers=1)
-        many = scan(cfg, workers=7)
-        assert [f.to_json_dict() for f in one.findings] == [
-            f.to_json_dict() for f in many.findings
-        ]
-        assert one.summary == many.summary
+    def test_summary_matches_direct_profiles(self):
+        cfg = base_cfg(sample_count=60, primes=(2, 3))
+        result = scan(cfg)
+        by_nu, gaps, violating = {}, [], []
+        for prime in cfg.primes:
+            for i in range(cfg.sample_count):
+                profile = g_profile(random_ideal(cfg, i), FieldSpec(prime))
+                by_nu[str(profile.nu)] = by_nu.get(str(profile.nu), 0) + 1
+                g = profile.g_values
+                gaps += [g[k] - g[k - 1] for k in range(1, len(g))]
+                if profile.violations():
+                    violating.append((prime, i))
+        assert result.summary["by_nu"] == dict(sorted(by_nu.items()))
+        assert result.summary["max_gap"] == max(gaps, default=None)
+        assert result.summary["findings_total"] == len(violating)
+        assert {(f.field_char, f.index) for f in result.findings} <= set(violating)
 
     def test_injected_family_is_found(self):
         for n in (8, 10, 12):
@@ -161,6 +169,21 @@ class TestScan:
         assert result.summary["findings_unique"] == 1
         assert len(result.findings) == 1
 
+    def test_relabeled_duplicates_collapse_above_eight_variables(self):
+        fam = build_family(12)
+        perm = {i: i for i in range(1, 13)}
+        perm[1], perm[2], perm[5], perm[11] = 2, 1, 11, 5
+        twin = relabel_ideal(fam, perm)
+        assert twin != fam
+        cfg = SearchConfig(
+            ambient_n=12, seed=0, sample_count=0, gen_count=1, inject=(fam, twin)
+        )
+        result = scan(cfg)
+        assert result.summary["dedup_by_relabeling"] is True
+        assert result.summary["findings_total"] == 2
+        assert result.summary["findings_unique"] == 1
+        assert [f.index for f in result.findings] == [-1]
+
     def test_log_file_written_with_one_json_per_line(self, tmp_path):
         log = tmp_path / "findings.jsonl"
         cfg = SearchConfig(
@@ -179,19 +202,18 @@ class TestScan:
         cfg = SearchConfig(
             ambient_n=8, seed=0, sample_count=40, gen_count=1, inject=(build_family(8),)
         )
-        for workers in (1, 2):
-            log = tmp_path / f"findings-{workers}.jsonl"
-            with pytest.raises(RuntimeError, match="sample 0 killed"):
-                scan(cfg, workers=workers, log_path=str(log))
-            (line,) = log.read_text().splitlines()
-            assert json.loads(line)["index"] == -1
-            assert json.loads(line)["violations"] == [1]
+        log = tmp_path / "findings.jsonl"
+        with pytest.raises(RuntimeError, match="sample 0 killed"):
+            scan(cfg, log_path=str(log))
+        (line,) = log.read_text().splitlines()
+        assert json.loads(line)["index"] == -1
+        assert json.loads(line)["violations"] == [1]
 
     def test_exhaustive_small_edge_ideals_find_nothing(self):
         cfg = SearchConfig(
             ambient_n=5, seed=0, exhaustive=True, edge_ideals_only=True
         )
-        result = scan(cfg, workers=4)
+        result = scan(cfg)
         assert result.summary["evaluated"] == (1 << 10) - 1
         assert result.summary["findings_total"] == 0
 
@@ -200,7 +222,7 @@ class TestScan:
         cfg = SearchConfig(
             ambient_n=6, seed=0, exhaustive=True, edge_ideals_only=True
         )
-        result = scan(cfg, workers=8)
+        result = scan(cfg)
         assert result.summary["evaluated"] == (1 << 15) - 1
         assert result.summary["findings_total"] == 0
         assert result.summary["max_gap"] == 0
@@ -221,6 +243,67 @@ class TestScan:
         result = scan(cfg)
         assert sum(result.summary["by_nu"].values()) == 40
         assert result.summary["evaluated"] == 40
+
+
+def count_depth_calls(monkeypatch) -> list:
+    """Record (power, p) for every depth the scan computes."""
+    calls = []
+
+    def counted(power, field):
+        calls.append((power, field.characteristic))
+        return depth(power, field)
+
+    monkeypatch.setattr(search, "depth", counted)
+    return calls
+
+
+class TestOrbitMemo:
+    def test_memoised_scan_equals_from_scratch_scan(self, tmp_path, monkeypatch):
+        # seed 99 has organic findings, so the log and the dedup are exercised
+        cfg = SearchConfig(
+            ambient_n=8,
+            seed=99,
+            sample_count=200,
+            gen_degree=3,
+            gen_count=7,
+            primes=(2, 3),
+            inject=(build_family(8),),
+        )
+        calls = count_depth_calls(monkeypatch)
+        runs = {}
+        for name, patches in (
+            ("memo", {}),
+            # memos that start over every few entries
+            ("small", {"_MEMO_LIMIT": 5}),
+            # a key that never repeats: every power is computed from scratch
+            ("scratch", {"_memo_key": lambda power, p, known: object()}),
+        ):
+            for attr, value in patches.items():
+                monkeypatch.setattr(search, attr, value)
+            del calls[:]
+            log = tmp_path / f"{name}.jsonl"
+            result = scan(cfg, log_path=str(log))
+            findings = json.dumps([f.to_json_dict() for f in result.findings])
+            runs[name] = (len(calls), findings, json.dumps(result.summary), log.read_bytes())
+        assert runs["memo"][0] < runs["small"][0] < runs["scratch"][0]
+        assert runs["memo"][1:] == runs["small"][1:] == runs["scratch"][1:]
+        assert len(json.loads(runs["memo"][1])) >= 3
+
+    def test_relabeled_twin_reuses_every_depth(self, monkeypatch):
+        fam = build_family(8)
+        twin = relabel_ideal(fam, {1: 4, 4: 1, 2: 7, 7: 2, 3: 3, 5: 8, 8: 5, 6: 6})
+        assert twin != fam
+        cfg = SearchConfig(
+            ambient_n=8, seed=0, sample_count=0, gen_count=1, primes=(2, 3),
+            inject=(fam, twin),
+        )
+        calls = count_depth_calls(monkeypatch)
+        result = scan(cfg)
+        powers = [fam.squarefree_power(k) for k in range(1, fam.nu() + 1)]
+        assert calls == [(power, p) for p in (2, 3) for power in powers]
+        assert result.summary["evaluated"] == 4
+        assert result.summary["findings_total"] == 4
+        assert result.summary["findings_unique"] == 2
 
 
 class TestCanonicalKey:
