@@ -266,6 +266,42 @@ class TestExitCodes:
 
 
 class TestThreadsEnv:
+    SEARCH = ["search", "--ambient-n", "6", "--seed", "3", "--samples", "12", "--gen-count", "4"]
+
+    def test_env_fallback_keeps_output_stable(self, capsys, monkeypatch):
+        monkeypatch.delenv("SQFD_THREADS", raising=False)
+        _, baseline, _ = run(capsys, *self.SEARCH)
+        monkeypatch.setenv("SQFD_THREADS", "3")
+        _, with_env, _ = run(capsys, *self.SEARCH)
+        assert with_env == baseline
+
+    def test_bad_thread_counts_refused(self, capsys, monkeypatch):
+        monkeypatch.delenv("SQFD_THREADS", raising=False)
+        _, baseline, _ = run(capsys, *self.SEARCH)
+        # every thread count is refused now, good or bad
+        for count in ("0", "-2", "1"):
+            with pytest.raises(SystemExit) as exc:
+                main(self.SEARCH + ["--threads", count])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "unrecognized arguments: --threads" in captured.err
+        # SQFD_THREADS is no longer read, so a bad value changes nothing
+        for env in ("abc", "0", "-1", "2.5"):
+            monkeypatch.setenv("SQFD_THREADS", env)
+            code, out, err = run(capsys, *self.SEARCH)
+            assert code == 0 and out == baseline
+            assert "SQFD_THREADS" not in err
+
+    def test_table_commands_take_no_thread_count(self, capsys, family6_file, monkeypatch):
+        monkeypatch.setenv("SQFD_THREADS", "abc")
+        for command in ("depth", "betti"):
+            code, out, _ = run(capsys, command, family6_file)
+            assert code == 0 and json.loads(out)["depth"] == 3
+            with pytest.raises(SystemExit) as exc:
+                main([command, family6_file, "--threads", "2"])
+            assert exc.value.code == 2
+
     def test_no_command_takes_a_thread_count(self, capsys, tmp_path, family6_file):
         graph = tmp_path / "p3.graph"
         graph.write_text("v=3\n1 2\n2 3\n")
