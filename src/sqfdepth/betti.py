@@ -12,10 +12,18 @@ degree; depth is ambient_n minus that (Auslander-Buchsbaum).
 most subsets and every homology degree above the first nonzero one.  Both
 run every sigma of one call through the ideal's single ``FaceSieve``, so a
 face's coboundary row is built once per call, not once per sigma.
+
+Permuting twin variables (``Ideal.twin_classes``) is an automorphism of the
+complex, so it maps each induced subcomplex onto an isomorphic one and
+leaves the Betti numbers alone over every field.  Both walks therefore
+compute homology only for one representative per orbit of survivors:
+within each twin class, sigma's members are replaced by the class's first
+members, as many as sigma has.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -70,30 +78,53 @@ def _survivors(n: int, gen_masks: tuple[int, ...]) -> np.ndarray:
     return arr[keep]
 
 
-def _sieves(ideal: Ideal, p: int) -> tuple[np.ndarray, FaceSieve]:
-    """Survivor multidegrees (ascending) and the ideal's face sieve over F_p."""
+def _representatives(ideal: Ideal, survivors: np.ndarray) -> np.ndarray:
+    """Each survivor's representative in its orbit under the twin permutations.
+
+    Within every twin class C, sigma & C becomes the first |sigma & C|
+    members of C.  The result is again a survivor, and it has the same width
+    and the same homology as sigma.
+    """
+    reps = survivors
+    for cls in ideal.twin_classes():
+        bits = [1 << (v - 1) for v in cls]
+        prefix = np.array([0, *itertools.accumulate(bits)], dtype=np.uint32)
+        cmask = np.uint32(sum(bits))
+        reps = (reps & ~cmask) | prefix[np.bitwise_count(survivors & cmask)]
+    return reps
+
+
+def _sieves(ideal: Ideal, p: int) -> tuple[np.ndarray, np.ndarray, FaceSieve]:
+    """Survivor multidegrees (ascending), their representatives, and the face sieve over F_p."""
     n = ideal.ambient_n
     if n > MAX_HOCHSTER_AMBIENT:
         raise ValueError(
             f"Hochster enumeration needs 2^n subsets; n={n} exceeds {MAX_HOCHSTER_AMBIENT}"
         )
     gen_masks = ideal.gen_masks()
-    return _survivors(n, gen_masks), FaceSieve(n, gen_masks, p)
+    survivors = _survivors(n, gen_masks)
+    return survivors, _representatives(ideal, survivors), FaceSieve(n, gen_masks, p)
 
 
 def betti_table(ideal: Ideal, field: FieldSpec = FieldSpec(2)) -> BettiTable:
     """All nonzero multigraded Betti numbers of S/I over F_p.
 
     Every survivor sigma shares the one face sieve of the ideal, so each
-    face's coboundary row is built at most once per call.
+    face's coboundary row is built at most once per call.  Homology is
+    computed once per orbit representative and reused for the whole orbit.
     """
     if ideal.is_zero:
         raise ZeroIdeal("Betti table of S requested; the zero ideal has no table")
-    survivors, sieve = _sieves(ideal, field.characteristic)
+    survivors, reps, sieve = _sieves(ideal, field.characteristic)
+    known: dict[int, list[int]] = {}
     entries = []
-    for sigma in survivors.tolist():
+    for sigma, rep in zip(survivors.tolist(), reps.tolist()):
         width = sigma.bit_count()
-        for s, dim in zip(range(width), sieve.homology_dims(sigma, width)):
+        dims = known.get(rep)
+        if dims is None:
+            # sigma contains a generator, so no face has all width vertices
+            dims = known[rep] = list(sieve.homology_dims(rep, width - 1))
+        for s, dim in enumerate(dims):
             if dim > 0:
                 entries.append((width - s, sigma, dim))
     entries.sort(key=lambda e: (e[0], e[1]))
@@ -109,12 +140,15 @@ def proj_dim(ideal: Ideal, field: FieldSpec = FieldSpec(2)) -> int:
     mask.  Once a best value is known, a sigma can beat it only through face
     sizes s < |sigma| - best, so the walk stops at the first sigma with
     |sigma| <= best, and each sigma's homology is computed bottom-up only
-    until its first nonzero degree or that size limit.  The ranks are the
-    same exact ranks ``betti_table`` uses.
+    until its first nonzero degree or that size limit.  Only survivors that
+    are their own orbit representative are visited, since every member of an
+    orbit has the same width and homology.  The ranks are the same exact
+    ranks ``betti_table`` uses.
     """
     if ideal.is_zero:
         raise ZeroIdeal("projective dimension of S requested")
-    survivors, sieve = _sieves(ideal, field.characteristic)
+    survivors, reps, sieve = _sieves(ideal, field.characteristic)
+    survivors = survivors[reps == survivors]
     widths = np.bitwise_count(survivors).astype(np.int64)
     order = np.argsort(-widths, kind="stable")
     best = 0
@@ -248,7 +282,12 @@ def depth_report(
     field: FieldSpec = FieldSpec(2),
     both_primes: bool = False,
 ) -> DepthReport:
-    """DepthReport over ``field``; with both_primes, flag p=2 vs p=3 disagreement."""
+    """DepthReport over ``field``.
+
+    With both_primes the Betti table is recomputed over a second field, F_3
+    when ``field`` is F_2 and F_2 otherwise, and ``field_sensitive`` records
+    whether the aggregated tables differ.
+    """
     if ideal.is_zero:
         return DepthReport(ideal.ambient_n, field, ideal.ambient_n, 0, 0, ())
     table = betti_table(ideal, field)

@@ -209,7 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("depth", help="depth/Betti report of S/I from an ideal file")
     p.add_argument("ideal")
     _add_char(p)
-    p.add_argument("--both-primes", action="store_true", help="compare p=2 and p=3")
+    p.add_argument(
+        "--both-primes",
+        action="store_true",
+        help="recompute at p=3 (at p=2 when --char is not 2) and flag a difference",
+    )
     p.set_defaults(func=cmd_depth)
 
     p = subs.add_parser("betti", help="Betti table report of S/I")

@@ -161,6 +161,39 @@ class Ideal:
             )
         return any(g.mask & m.mask == g.mask for g in self.gens)
 
+    def twin_classes(self) -> list[tuple[int, ...]]:
+        """Classes of twin variables with at least two members, each ascending.
+
+        Variables are twins when exchanging them maps the generators onto
+        themselves.  That is an equivalence relation, and every permutation
+        inside a class is an automorphism of the ideal.  Twins occur in
+        equally many generators, so a variable is tested only against the
+        first member of each class of its degree.  The swap of a and b fixes
+        the ideal when each generator with a but not b, moved to b, is a
+        generator: with equal degrees that injection is onto.
+        """
+        masks = self.gen_masks()
+        mask_set = set(masks)
+        # per degree: (members, bit of the first member, its generators)
+        by_degree: dict[int, list[tuple[list[int], int, list[int]]]] = {}
+        for v in range(1, self.ambient_n + 1):
+            bit = 1 << (v - 1)
+            incident = [m for m in masks if m & bit]
+            classes = by_degree.setdefault(len(incident), [])
+            for members, first, first_incident in classes:
+                both = first | bit
+                if all(m & both == both or m ^ both in mask_set for m in first_incident):
+                    members.append(v)
+                    break
+            else:
+                classes.append(([v], bit, incident))
+        return sorted(
+            tuple(members)
+            for classes in by_degree.values()
+            for members, _, _ in classes
+            if len(members) > 1
+        )
+
     def min_gen_degree(self) -> int:
         """Minimum degree of a monomial in the ideal (= of a minimal generator)."""
         if not self.gens:

@@ -70,6 +70,8 @@ class SearchConfig:
             raise ValueError("primes must be a nonempty tuple of primes")
         for p in self.primes:
             FieldSpec(p)  # rejects non-primes and primes too large for exact ranks
+        if len(set(self.primes)) != len(self.primes):
+            raise ValueError(f"primes must be distinct, got {list(self.primes)}")
         if not self.exhaustive and self.density is None and self.gen_count is None:
             raise ValueError("need density or gen_count for random sampling")
         for ideal in self.inject:
@@ -182,12 +184,6 @@ def _refine(colours: list, supports: list, incident: list) -> list[int]:
     return colours
 
 
-def _is_swap_automorphism(masks, mask_set: frozenset, a: int, b: int) -> bool:
-    """Whether exchanging variables a and b maps the generators onto themselves."""
-    both = 1 << a | 1 << b
-    return all(m & both in (0, both) or m ^ both in mask_set for m in masks)
-
-
 def _orbit(seeds: list[int], generators: list, twins: list, fixed: set) -> set[int]:
     """Orbit of ``seeds`` under ``generators`` and the transpositions of twins off ``fixed``."""
     orbit: set[int] = set()
@@ -233,24 +229,14 @@ def canonical_relabeling_key(ideal: Ideal) -> tuple[int, ...]:
         return tuple(sorted([sum([1 << colours[v] for v in sup]) for sup in supports]))
 
     root = _refine([len(inc) for inc in incident], supports, incident)
-    root_cells: dict[int, list[int]] = {}
-    for v, c in enumerate(root):
-        root_cells.setdefault(c, []).append(v)
-    if len(root_cells) == n:
+    if len(set(root)) == n:
         return relabeled(root)
-    # twins lie in one root cell, and twinship is an equivalence relation
-    mask_set = frozenset(masks)
+    # the members of one twin class share one list, which ``visit`` tests with ``is``
     twins = [[v] for v in range(n)]
-    for cell in root_cells.values():
-        reps: list[int] = []
-        for v in cell:
-            for r in reps:
-                if _is_swap_automorphism(masks, mask_set, r, v):
-                    twins[r].append(v)
-                    twins[v] = twins[r]
-                    break
-            else:
-                reps.append(v)
+    for cls in ideal.twin_classes():
+        members = [v - 1 for v in cls]
+        for v in members:
+            twins[v] = members
     automorphisms: list[list[int]] = []
     first = best = None
 

@@ -2,13 +2,19 @@
 
 import itertools
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from sqfdepth.betti import depth_report
 from sqfdepth.cli import main
 from sqfdepth.family import build_family
 from sqfdepth.graphs import Graph
+from sqfdepth.homology import FieldSpec
 from sqfdepth.ideals import Ideal
+
+ROOT = Path(__file__).resolve().parent.parent
 
 GOLDEN_DEPTH_FAMILY6 = (
     '{"n": 6, "field_char": 2, "betti": [{"i": 1, "j": 3, "value": 5}, '
@@ -35,6 +41,16 @@ def family8_file(tmp_path):
     path = tmp_path / "family8.ideal"
     path.write_text(build_family(8).to_text())
     return str(path)
+
+
+def rp2_ideal() -> Ideal:
+    """Stanley-Reisner ideal of the 6-vertex projective plane: the 10 non-faces."""
+    facets = {
+        (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
+        (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6),
+    }
+    missing = sorted(set(itertools.combinations(range(1, 7), 3)) - facets)
+    return Ideal.from_supports(missing, 6)
 
 
 def run(capsys, *argv):
@@ -91,6 +107,34 @@ class TestGoldenOutputs:
         assert first == second
 
 
+class TestFamilyGoldens:
+    """``sqfd depth`` on family members, byte for byte against recorded outputs.
+
+    The benchmark's goldens cover n = 10..13.  The n = 16 files were recorded
+    with an engine that computed the homology of every survivor, so they
+    check the twin-orbit reduction against the full walk.
+    """
+
+    GOLDENS = sorted(
+        [*(ROOT / "bench" / "golden").glob("depth-n*-p*.json"),
+         *(ROOT / "tests" / "golden").glob("depth-n*-p*.json")]
+    )
+
+    def test_goldens_present(self):
+        names = {path.name for path in self.GOLDENS}
+        assert {"depth-n13-p2.json", "depth-n12-p3.json"} <= names
+        assert {"depth-n16-p2.json", "depth-n16-p3.json"} <= names
+
+    @pytest.mark.parametrize("golden", GOLDENS, ids=lambda path: path.stem)
+    def test_depth_reproduces_golden(self, capsys, tmp_path, golden):
+        n, p = re.fullmatch(r"depth-n(\d+)-p(\d+)", golden.stem).groups()
+        path = tmp_path / "family.ideal"
+        path.write_text(build_family(int(n)).to_text())
+        code, out, _ = run(capsys, "depth", str(path), "--char", p)
+        assert code == 0
+        assert out == golden.read_text(encoding="utf-8")
+
+
 class TestIdealCommands:
     def test_power_one_round_trips_bytes(self, capsys, family6_file, tmp_path):
         code, out, _ = run(capsys, "power", family6_file, "-k", "1")
@@ -126,13 +170,8 @@ class TestIdealCommands:
         assert out == GOLDEN_DEPTH_FAMILY6
 
     def test_both_primes_flags_projective_plane(self, capsys, tmp_path):
-        facets = {
-            (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
-            (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6),
-        }
-        missing = sorted(set(itertools.combinations(range(1, 7), 3)) - facets)
         path = tmp_path / "rp2.ideal"
-        path.write_text(Ideal.from_supports(missing, 6).to_text())
+        path.write_text(rp2_ideal().to_text())
         code, out, _ = run(capsys, "depth", str(path), "--both-primes")
         payload = json.loads(out)
         assert code == 0
@@ -142,6 +181,19 @@ class TestIdealCommands:
         payload = json.loads(out)
         assert payload["depth"] == 3
         assert payload["field_sensitive"] is True
+
+    def test_both_primes_compares_against_two_unless_char_is_two(self, capsys, tmp_path):
+        # the projective plane's torsion is 2-torsion only: p = 3 and p = 5
+        # agree, so a flag at --char 5 means the second table was p = 2
+        path = tmp_path / "rp2.ideal"
+        path.write_text(rp2_ideal().to_text())
+        code, out, _ = run(capsys, "depth", str(path), "--char", "5", "--both-primes")
+        payload = json.loads(out)
+        assert (code, payload["field_char"], payload["depth"]) == (0, 5, 3)
+        assert payload["field_sensitive"] is True
+        report = depth_report(rp2_ideal(), FieldSpec(5), both_primes=True)
+        assert report.betti == depth_report(rp2_ideal(), FieldSpec(3)).betti
+        assert report.betti != depth_report(rp2_ideal(), FieldSpec(2)).betti
 
 
 class TestGraphCommands:
@@ -217,6 +269,19 @@ class TestSearchCommand:
         cfgfile.write_text("ambient = 5\n")
         code, _, err = run(capsys, "search", "--config", str(cfgfile))
         assert code == 2
+
+    def test_repeated_prime_refused(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "search", "--ambient-n", "6", "--samples", "5", "--gen-count", "3",
+            "--char", "2", "--char", "2",
+        )
+        assert (code, out) == (2, "")
+        assert "distinct" in err
+        cfgfile = tmp_path / "scan.cfg"
+        cfgfile.write_text("ambient_n = 6\nsample_count = 5\ngen_count = 3\nprimes = 2, 2\n")
+        code, out, err = run(capsys, "search", "--config", str(cfgfile))
+        assert (code, out) == (2, "")
+        assert "distinct" in err
 
 
 class TestExitCodes:

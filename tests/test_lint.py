@@ -1,0 +1,20 @@
+"""Source checks that need no import of the package."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "sqfdepth").glob("*.py"))
+
+
+def test_sources_found():
+    assert any(path.name == "betti.py" for path in SOURCES)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_assert_statements(path):
+    # python -O strips asserts, so an invariant the package relies on must raise
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name}: assert at lines {lines}"

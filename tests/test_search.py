@@ -48,6 +48,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="too large"):
             base_cfg(primes=(2, 2**89 - 1))
 
+    def test_repeated_primes_refused(self):
+        with pytest.raises(ValueError, match="distinct"):
+            base_cfg(primes=(2, 3, 2))
+        assert base_cfg(primes=(3, 2)).primes == (3, 2)
+
     def test_injected_ambient_checked(self):
         with pytest.raises(ValueError):
             base_cfg(inject=(build_family(7),))

@@ -1,0 +1,184 @@
+"""Twin variables and the orbit reduction of the Hochster walks.
+
+``Ideal.twin_classes`` is checked against a search over every
+transposition, and ``betti_table`` and ``proj_dim``, which compute homology
+once per orbit of survivors under the twin permutations, are checked
+against the same walks with no twins and against the Koszul and link
+oracles.  The inputs have planted twins: blown-up variables, complete
+multipartite graphs, K_n, free variables and the paper's family.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from oracles import depth_via_links, koszul_betti_table, random_test_ideal
+from sqfdepth import homology, search
+from sqfdepth.betti import _sieves, betti_table, proj_dim
+from sqfdepth.family import build_family
+from sqfdepth.homology import FieldSpec
+from sqfdepth.ideals import Ideal
+
+PRIMES = (2, 3, 5)
+
+
+def twin_classes_brute(ideal: Ideal) -> list[tuple[int, ...]]:
+    """Classes of the relation 'swapping the two variables fixes the generator set'."""
+    n = ideal.ambient_n
+    gens = {frozenset(g.indices) for g in ideal.gens}
+
+    def swap_fixes(a: int, b: int) -> bool:
+        move = {a: b, b: a}
+        return {frozenset(move.get(v, v) for v in g) for g in gens} == gens
+
+    classes: list[list[int]] = []
+    for v in range(1, n + 1):
+        for cls in classes:
+            if all(swap_fixes(u, v) for u in cls):
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    # twinship must be an equivalence relation: no pair across classes swaps
+    for a, b in itertools.combinations(range(1, n + 1), 2):
+        same = any(a in cls and b in cls for cls in classes)
+        assert swap_fixes(a, b) == same
+    return sorted(tuple(cls) for cls in classes if len(cls) > 1)
+
+
+def blow_up(ideal: Ideal, v: int, copies: int) -> Ideal:
+    """Replace variable v by v and ``copies - 1`` new variables in every generator."""
+    n = ideal.ambient_n
+    clones = [v, *range(n + 1, n + copies)]
+    supports = []
+    for g in ideal.gens:
+        if v in g.indices:
+            rest = [u for u in g.indices if u != v]
+            supports.extend(rest + [c] for c in clones)
+        else:
+            supports.append(list(g.indices))
+    return Ideal.from_supports(supports, n + copies - 1)
+
+
+def complete_multipartite(parts: list[int]) -> Ideal:
+    labels = iter(range(1, sum(parts) + 1))
+    blocks = [[next(labels) for _ in range(size)] for size in parts]
+    edges = [
+        [a, b] for x, y in itertools.combinations(blocks, 2) for a in x for b in y
+    ]
+    return Ideal.from_supports(edges, sum(parts))
+
+
+def planted_ideals() -> list[Ideal]:
+    rng = np.random.default_rng(2026)
+    out = []
+    for _ in range(14):
+        base = random_test_ideal(rng, int(rng.integers(2, 6)))
+        v = int(rng.integers(1, base.ambient_n + 1))
+        out.append(blow_up(base, v, int(rng.integers(2, 4))))
+    out += [complete_multipartite(parts) for parts in ([2, 3], [1, 2, 2], [3, 3], [2, 2, 2])]
+    out += [Ideal.from_supports(itertools.combinations(range(1, n + 1), 2), n) for n in (3, 5)]
+    # free variables are twins of each other
+    out.append(Ideal.from_supports([[1, 2], [2, 3]], 6))
+    out.append(Ideal.from_supports([[1, 2, 3], [3, 4]], 7))
+    out += [build_family(n) for n in (8, 9, 10)]
+    return out
+
+
+PLANTED = planted_ideals()
+# the Koszul oracle enumerates every strand; keep it to nine variables
+SMALL = [ideal for ideal in PLANTED if ideal.ambient_n <= 9]
+
+
+class TestTwinClasses:
+    def test_planted_ideals_have_twins(self):
+        assert all(ideal.twin_classes() for ideal in PLANTED)
+
+    @pytest.mark.parametrize("index", range(len(PLANTED)))
+    def test_matches_brute_force_on_planted_twins(self, index):
+        ideal = PLANTED[index]
+        assert ideal.twin_classes() == twin_classes_brute(ideal)
+
+    def test_matches_brute_force_on_random_ideals(self):
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            n = int(rng.integers(1, 9))
+            ideal = random_test_ideal(rng, n, max_degree=4, max_gens=8)
+            assert ideal.twin_classes() == twin_classes_brute(ideal)
+
+    def test_family_twins_are_the_tail_variables(self):
+        for n in (8, 12, 20):
+            assert build_family(n).twin_classes() == [tuple(range(7, n + 1))]
+        assert build_family(6).twin_classes() == build_family(7).twin_classes() == []
+
+    def test_examples(self):
+        assert Ideal.zero(4).twin_classes() == [(1, 2, 3, 4)]
+        # x1 and x4 of the path share a degree, but only a relabeling that also
+        # exchanges x2 and x3 maps them onto each other
+        assert Ideal.from_supports([[1, 2], [2, 3], [3, 4]], 4).twin_classes() == []
+        assert Ideal.from_supports([[1, 2], [3, 4]], 4).twin_classes() == [(1, 2), (3, 4)]
+
+
+class TestOrbitReduction:
+    @pytest.mark.parametrize("index", range(len(PLANTED)))
+    def test_reduction_matches_the_walk_without_twins(self, index, monkeypatch):
+        ideal = PLANTED[index]
+        fast = {}
+        for p in PRIMES:
+            field = FieldSpec(p)
+            fast[p] = (betti_table(ideal, field), proj_dim(ideal, field))
+        monkeypatch.setattr(Ideal, "twin_classes", lambda self: [])
+        for p in PRIMES:
+            field = FieldSpec(p)
+            assert fast[p] == (betti_table(ideal, field), proj_dim(ideal, field))
+
+    @pytest.mark.parametrize("index", range(len(SMALL)))
+    def test_reduction_matches_the_oracles(self, index):
+        ideal = SMALL[index]
+        for p in PRIMES:
+            field = FieldSpec(p)
+            table = {(i, s): v for i, s, v in betti_table(ideal, field).entries}
+            assert table == koszul_betti_table(ideal, p)
+            assert ideal.ambient_n - proj_dim(ideal, field) == depth_via_links(ideal, p)
+
+    def test_representatives_are_survivors_of_the_same_width(self):
+        for ideal in PLANTED:
+            survivors, reps, _ = _sieves(ideal, 2)
+            assert set(reps.tolist()) <= set(survivors.tolist())
+            assert np.array_equal(np.bitwise_count(reps), np.bitwise_count(survivors))
+
+    def test_one_homology_computation_per_orbit(self, monkeypatch):
+        calls: list[int] = []
+        dims = homology.FaceSieve.homology_dims
+
+        def counting(sieve, sigma, top):
+            calls.append(sigma)
+            return dims(sieve, sigma, top)
+
+        monkeypatch.setattr(homology.FaceSieve, "homology_dims", counting)
+        ideal = build_family(12)
+        survivors, reps, _ = _sieves(ideal, 2)
+        assert len(survivors) == 770
+        for p in (2, 3):
+            calls.clear()
+            betti_table(ideal, FieldSpec(p))
+            assert len(calls) == len(set(calls)) == 86
+            assert set(calls) == set(reps.tolist())
+
+
+def test_canonical_key_splits_twin_cells_without_branching(monkeypatch):
+    # a cell made only of twins is split in label order: after the root
+    # colouring, one refinement gives a leaf and nothing is branched on
+    refinements: list[int] = []
+    refine = search._refine
+
+    def counting(*args):
+        refinements.append(1)
+        return refine(*args)
+
+    monkeypatch.setattr(search, "_refine", counting)
+    for ideal in (build_family(14), Ideal.from_supports([[1, 2]], 10)):
+        refinements.clear()
+        search.canonical_relabeling_key(ideal)
+        assert len(refinements) == 2
