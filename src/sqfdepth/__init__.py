@@ -12,7 +12,8 @@ ranks ``rank_gf2``, ``rank_gf3`` and ``rank_mod_p``, chosen by p.
 ``g_profile``, ``verify_theorem``, the ``gprofile``, ``verify-family``,
 ``graph-depth`` and ``search`` commands) use a pd-only walk that stops at
 the first nonzero homology degree.  Everything is serial; ``search``
-computes each depth once per orbit of powers under relabeling.
+computes each g-profile once per orbit of ideals under relabeling, and
+each depth once per orbit of powers.
 """
 
 from .betti import (

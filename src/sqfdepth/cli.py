@@ -146,7 +146,10 @@ def _parse_config_file(path: str) -> dict:
         if kind == "span":
             out[key] = _parse_span(value, key)
         elif kind == "intlist":
-            out[key] = tuple(int(t) for t in value.replace(",", " ").split())
+            try:
+                out[key] = tuple(int(t) for t in value.replace(",", " ").split())
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: bad value for {key}") from None
         elif kind == "bool":
             if value.lower() not in ("true", "false"):
                 raise ParseError(f"{path}:{lineno}: expected true/false for {key}")

@@ -2,11 +2,12 @@
 
 Samples are a pure function of (seed, index) through a counter-based
 Philox stream, so a scan is reproducible and a prefix of it does not
-depend on where it stops.  Depth is memoised per prime and per orbit of
-the powers under relabeling of the variables, through an exact canonical
-form.  Findings (profiles with some g(k+1) > g(k)) are deduplicated up to
-relabeling with the same canonical form, and can be appended to a
-line-delimited JSON log with an fsync per record.
+depend on where it stops.  Through an exact canonical form, the g-profile
+is memoised per prime and per orbit of the ideals under relabeling of the
+variables, and depth per prime and per orbit of the powers.  Findings
+(profiles with some g(k+1) > g(k)) are deduplicated up to relabeling with
+the same canonical form, and can be appended to a line-delimited JSON log
+with an fsync per record.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from .homology import FieldSpec
 from .ideals import Ideal, Monomial, _minimal_masks
 
 MAX_SEARCH_AMBIENT = 14
-# Entries kept by each of a scan's two memos; a full memo starts over, which
-# costs time but never changes a result, and keeps long scans in bounded memory.
+# Entries kept by each of a scan's memos (canonical keys, profiles, depths); a
+# full memo starts over, which costs time but never changes a result, and keeps
+# long scans in bounded memory.
 _MEMO_LIMIT = 1 << 16
 _SAMPLE_RETRIES = 16
 
@@ -77,6 +79,8 @@ class SearchConfig:
         for ideal in self.inject:
             if ideal.ambient_n != self.ambient_n:
                 raise ValueError("injected ideal ambient differs from config ambient")
+            if ideal.is_zero:
+                raise ValueError("injected ideal is zero, and g is undefined for it")
 
 
 @functools.lru_cache(maxsize=16)
@@ -300,17 +304,16 @@ def canonical_relabeling_key(ideal: Ideal) -> tuple[int, ...]:
 
 
 def _evaluate(
-    cfg: SearchConfig, field: FieldSpec, index: int, ideal: Ideal, depth_fn
-) -> tuple[int, int | None, Finding | None]:
-    """(nu, max g-gap or None, Finding or None) for one ideal at one prime."""
-    profile = g_profile(ideal, field, depth_fn)
+    cfg: SearchConfig, field: FieldSpec, index: int, ideal: Ideal, profile: GProfile
+) -> tuple[int | None, Finding | None]:
+    """(max g-gap or None, Finding or None) for one ideal with its profile at one prime."""
     g = profile.g_values
     gap = max((g[k] - g[k - 1] for k in range(1, len(g))), default=None)
     violations = tuple(profile.violations())
     finding = None
     if violations:
         finding = Finding(ideal, profile, violations, field.characteristic, cfg.seed, index)
-    return profile.nu, gap, finding
+    return gap, finding
 
 
 def _index_stream(cfg: SearchConfig) -> range:
@@ -333,19 +336,32 @@ def _ideal_for_index(cfg: SearchConfig, pool: tuple[int, ...], index: int) -> Id
     return Ideal(cfg.ambient_n, gens)
 
 
-def _memo_key(power: Ideal, p: int, known: dict) -> tuple:
-    """Depth memo key: equal exactly for relabelings of one power over one F_p.
+def _remember(memo: dict, key, compute):
+    """``memo[key]``, computed by ``compute()`` on a miss; a full memo starts over."""
+    value = memo.get(key)
+    if value is None:
+        if len(memo) >= _MEMO_LIMIT:
+            memo.clear()
+        value = memo[key] = compute()
+    return value
+
+
+def _canonical_key(ideal: Ideal, known: dict) -> tuple[int, ...]:
+    """``canonical_relabeling_key(ideal)``, looked up first in ``known``.
 
     ``known`` maps generator masks to canonical keys already computed, since
-    a scan meets many powers more than once with the same labels.
+    a scan meets many ideals and powers more than once with the same labels.
     """
-    masks = power.gen_masks()
-    key = known.get(masks)
-    if key is None:
-        if len(known) >= _MEMO_LIMIT:
-            known.clear()
-        key = known[masks] = canonical_relabeling_key(power)
-    return p, key
+    return _remember(known, ideal.gen_masks(), lambda: canonical_relabeling_key(ideal))
+
+
+def _memo_key(ideal: Ideal, p: int, known: dict) -> tuple:
+    """Memo key: equal exactly for relabelings of one ideal over one F_p.
+
+    It keys both the profile memo (sampled ideals) and the depth memo (their
+    squarefree powers) of a scan.
+    """
+    return p, _canonical_key(ideal, known)
 
 
 @dataclass
@@ -358,25 +374,22 @@ def scan(cfg: SearchConfig, log_path: str | None = None) -> ScanResult:
     """Evaluate the configured stream; collect, deduplicate and log findings.
 
     Injected ideals are evaluated first, at indices -1, -2, ...; the random
-    (or exhaustive) stream follows in index order.  depth(S/I^[k]) does not
-    change when the variables are relabeled, so it is computed once per
-    prime and orbit of powers for the whole scan.  Each new finding is
-    appended to the log and fsynced as soon as it is found, so a scan that
-    dies keeps what it had found.
+    (or exhaustive) stream follows in index order.  Relabeling the variables
+    of I relabels each I^[k] along with it, which changes neither nu, d_k
+    nor depth(S/I^[k]); so the g-profile is computed once per prime and
+    orbit of ideals, and depth once per prime and orbit of powers, for the
+    whole scan.  Each new finding is appended to the log and fsynced as soon
+    as it is found, so a scan that dies keeps what it had found.
     """
     indices = _index_stream(cfg)
     pool = candidate_pool(cfg)
-    memo: dict = {}
+    profiles: dict = {}
+    depths: dict = {}
     known: dict = {}
 
     def orbit_depth(power: Ideal, field: FieldSpec) -> int:
         key = _memo_key(power, field.characteristic, known)
-        value = memo.get(key)
-        if value is None:
-            if len(memo) >= _MEMO_LIMIT:
-                memo.clear()
-            value = memo[key] = depth(power, field)
-        return value
+        return _remember(depths, key, lambda: depth(power, field))
 
     by_nu: dict[int, int] = {}
     max_gap: int | None = None
@@ -394,15 +407,21 @@ def scan(cfg: SearchConfig, log_path: str | None = None) -> ScanResult:
                 ((i, _ideal_for_index(cfg, pool, i)) for i in indices),
             )
             for index, ideal in stream:
-                nu, gap, finding = _evaluate(cfg, field, index, ideal, orbit_depth)
+                profile = _remember(
+                    profiles,
+                    _memo_key(ideal, prime, known),
+                    lambda: g_profile(ideal, field, orbit_depth),
+                )
+                gap, finding = _evaluate(cfg, field, index, ideal, profile)
                 evaluated += 1
-                by_nu[nu] = by_nu.get(nu, 0) + 1
+                by_nu[profile.nu] = by_nu.get(profile.nu, 0) + 1
                 if gap is not None and (max_gap is None or gap > max_gap):
                     max_gap = gap
                 if finding is None:
                     continue
                 findings_total += 1
-                key = (prime, canonical_relabeling_key(ideal))
+                # by canonical form, not _memo_key: dedup must not depend on the memo keys
+                key = (prime, _canonical_key(ideal, known))
                 if key in seen_keys:
                     continue
                 seen_keys.add(key)

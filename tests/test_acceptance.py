@@ -217,7 +217,7 @@ def test_criterion_9_search_determinism_and_soundness(monkeypatch):
         inject=(build_family(8),),
     )
     memoised = scan(cfg)
-    # a memo key that never repeats makes every depth a from-scratch computation
+    # a memo key that never repeats makes every profile and depth a from-scratch computation
     monkeypatch.setattr(search, "_memo_key", lambda power, p, known: object())
     scratch = scan(cfg)
     memoised_bytes = json.dumps([f.to_json_dict() for f in memoised.findings])

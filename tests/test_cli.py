@@ -135,6 +135,27 @@ class TestFamilyGoldens:
         assert out == golden.read_text(encoding="utf-8")
 
 
+class TestSearchGoldens:
+    """``sqfd search`` on n = 8 cubics, stdout and log byte for byte.
+
+    Recorded with a scan that memoised depth per orbit of powers only, so
+    they check the per-orbit profile memo against that path.
+    """
+
+    @pytest.mark.parametrize("p, samples, seed", [(2, 200, 101), (3, 100, 102)])
+    def test_search_reproduces_golden(self, capsys, tmp_path, family8_file, p, samples, seed):
+        stem = ROOT / "tests" / "golden" / f"search-n8-p{p}-seed{seed}"
+        log = tmp_path / "findings.jsonl"
+        code, out, _ = run(
+            capsys, "search", "--ambient-n", "8", "--seed", str(seed),
+            "--samples", str(samples), "--gen-degree", "3", "--gen-count", "5",
+            "--char", str(p), "--inject", family8_file, "--log", str(log),
+        )
+        assert code == 0
+        assert out == stem.with_suffix(".json").read_text(encoding="utf-8")
+        assert log.read_bytes() == stem.with_suffix(".jsonl").read_bytes()
+
+
 class TestIdealCommands:
     def test_power_one_round_trips_bytes(self, capsys, family6_file, tmp_path):
         code, out, _ = run(capsys, "power", family6_file, "-k", "1")
@@ -282,6 +303,25 @@ class TestSearchCommand:
         code, out, err = run(capsys, "search", "--config", str(cfgfile))
         assert (code, out) == (2, "")
         assert "distinct" in err
+
+    def test_bad_prime_in_config_names_its_line(self, capsys, tmp_path):
+        cfgfile = tmp_path / "scan.cfg"
+        cfgfile.write_text("ambient_n = 6\ngen_count = 3\nprimes = 2, x\n")
+        code, out, err = run(capsys, "search", "--config", str(cfgfile))
+        assert (code, out) == (2, "")
+        assert f"{cfgfile}:3: bad value for primes" in err
+
+    def test_zero_injected_ideal_refused_before_scanning(self, capsys, tmp_path, family8_file):
+        empty = tmp_path / "empty.ideal"
+        empty.write_text("n=8\n")
+        log = tmp_path / "findings.jsonl"
+        code, out, err = run(
+            capsys, "search", "--ambient-n", "8", "--samples", "0", "--gen-count", "2",
+            "--inject", family8_file, "--inject", str(empty), "--log", str(log),
+        )
+        assert (code, out) == (2, "")
+        assert "zero" in err
+        assert not log.exists()
 
 
 class TestExitCodes:

@@ -57,6 +57,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             base_cfg(inject=(build_family(7),))
 
+    def test_zero_injected_ideal_refused(self):
+        with pytest.raises(ValueError, match="zero"):
+            base_cfg(ambient_n=8, inject=(build_family(8), Ideal(8, ())))
+
 
 class TestRandomIdeal:
     def test_deterministic_in_seed_and_index(self):
@@ -250,6 +254,11 @@ class TestScan:
         assert result.summary["evaluated"] == 40
 
 
+def never_repeating_key(ideal, p, known):
+    """A stand-in for ``_memo_key``: every profile and depth is computed anew."""
+    return object()
+
+
 def count_depth_calls(monkeypatch) -> list:
     """Record (power, p) for every depth the scan computes."""
     calls = []
@@ -280,8 +289,7 @@ class TestOrbitMemo:
             ("memo", {}),
             # memos that start over every few entries
             ("small", {"_MEMO_LIMIT": 5}),
-            # a key that never repeats: every power is computed from scratch
-            ("scratch", {"_memo_key": lambda power, p, known: object()}),
+            ("scratch", {"_memo_key": never_repeating_key}),
         ):
             for attr, value in patches.items():
                 monkeypatch.setattr(search, attr, value)
@@ -309,6 +317,37 @@ class TestOrbitMemo:
         assert result.summary["evaluated"] == 4
         assert result.summary["findings_total"] == 4
         assert result.summary["findings_unique"] == 2
+
+    def test_one_profile_per_graph_class(self, monkeypatch):
+        # 34 graphs on 5 vertices up to isomorphism (OEIS A000088), less the empty one
+        calls = []
+
+        def counted(ideal, field, depth_fn):
+            calls.append(field.characteristic)
+            return g_profile(ideal, field, depth_fn)
+
+        cfg = SearchConfig(
+            ambient_n=5, seed=0, exhaustive=True, edge_ideals_only=True, primes=(2, 3)
+        )
+        monkeypatch.setattr(search, "g_profile", counted)
+        memoised = scan(cfg)
+        assert calls == [2] * 33 + [3] * 33
+        monkeypatch.setattr(search, "_memo_key", never_repeating_key)
+        scratch = scan(cfg)
+        assert len(calls) == 66 + 2 * ((1 << 10) - 1)
+        assert memoised.summary == scratch.summary
+
+    def test_dedup_does_not_depend_on_the_memo_key(self, monkeypatch):
+        fam = build_family(8)
+        twin = relabel_ideal(fam, {1: 2, 2: 1, 3: 3, 4: 4, 5: 6, 6: 5, 7: 7, 8: 8})
+        assert twin != fam
+        monkeypatch.setattr(search, "_memo_key", never_repeating_key)
+        result = scan(SearchConfig(
+            ambient_n=8, seed=0, sample_count=0, gen_count=1, primes=(2, 3),
+            inject=(fam, twin),
+        ))
+        assert result.summary["findings_total"] == 4
+        assert [(f.field_char, f.index) for f in result.findings] == [(2, -1), (3, -1)]
 
 
 class TestCanonicalKey:
