@@ -11,7 +11,12 @@ ranks ``rank_gf2``, ``rank_gf3`` and ``rank_mod_p``, chosen by p.
 ``betti`` commands) builds the full table.  ``proj_dim`` and ``depth`` (and
 ``g_profile``, ``verify_theorem``, the ``gprofile``, ``verify-family``,
 ``graph-depth`` and ``search`` commands) use a pd-only walk that stops at
-the first nonzero homology degree.  Everything is serial; ``search``
+the first nonzero homology degree.  It evaluates each multidegree sigma on
+the smaller of two complexes with the same Betti numbers: Hochster's on
+the |sigma| variables, through the ideal's face sieve, or, when fewer
+generators divide x^sigma than sigma has variables, a complex on those
+generators (Gasharov-Peeva-Welker's lcm lattice, by Alexander duality),
+with a face sieve of its own.  Everything is serial; ``search``
 computes each g-profile once per orbit of ideals under relabeling, and
 each depth once per orbit of powers.
 """

@@ -7,11 +7,28 @@ are skipped: sigma survives only if it is the union of the generator
 supports it contains.  Projective dimension is the top nonzero homological
 degree; depth is ambient_n minus that (Auslander-Buchsbaum).
 
-``betti_table`` computes every entry.  ``proj_dim`` and ``depth`` (and so
-``g_profile``) need only the top degree and use a separate walk that skips
-most subsets and every homology degree above the first nonzero one.  Both
-run every sigma of one call through the ideal's single ``FaceSieve``, so a
-face's coboundary row is built once per call, not once per sigma.
+The same numbers come from a complex on the generators.  Let G_sigma be
+the generators dividing x^sigma, and K_sigma the Stanley-Reisner complex
+on the vertex set G_sigma whose minimal nonfaces are C_v = {g in G_sigma :
+v in g}, one for each v in sigma (Hochster's formula for the transposed
+incidence of variables and generators).  Then
+
+    beta_{i,sigma}(S/I) = dim H~_{|G_sigma| - i - 1}(K_sigma).
+
+This follows from Gasharov, Peeva and Welker, "The lcm-lattice in monomial
+resolutions" (Math. Res. Lett. 6, 1999): beta_{i,sigma} is the homology
+of the open interval below x^sigma in the lcm lattice, the crosscut
+theorem turns that interval into the complex of the sets of generators
+whose lcm is not x^sigma, and K_sigma is its Alexander dual.
+
+``betti_table`` computes every entry on the induced complexes.
+``proj_dim`` and ``depth`` (and so ``g_profile``) need only the top degree
+and use a separate walk that skips most subsets and every homology degree
+above the first nonzero one.  It evaluates each sigma on the smaller of its
+two complexes: K_sigma when |G_sigma| < |sigma|, and otherwise the induced
+complex.  The induced complexes of one call all go through the ideal's
+single ``FaceSieve``, so a face's coboundary row is built once per call,
+not once per sigma.
 
 Permuting twin variables (``Ideal.twin_classes``) is an automorphism of the
 complex, so it maps each induced subcomplex onto an isomorphic one and
@@ -94,16 +111,39 @@ def _representatives(ideal: Ideal, survivors: np.ndarray) -> np.ndarray:
     return reps
 
 
-def _sieves(ideal: Ideal, p: int) -> tuple[np.ndarray, np.ndarray, FaceSieve]:
-    """Survivor multidegrees (ascending), their representatives, and the face sieve over F_p."""
+def _orbits(ideal: Ideal) -> tuple[np.ndarray, np.ndarray]:
+    """Survivor multidegrees (ascending) and their orbit representatives."""
     n = ideal.ambient_n
     if n > MAX_HOCHSTER_AMBIENT:
         raise ValueError(
             f"Hochster enumeration needs 2^n subsets; n={n} exceeds {MAX_HOCHSTER_AMBIENT}"
         )
-    gen_masks = ideal.gen_masks()
-    survivors = _survivors(n, gen_masks)
-    return survivors, _representatives(ideal, survivors), FaceSieve(n, gen_masks, p)
+    survivors = _survivors(n, ideal.gen_masks())
+    return survivors, _representatives(ideal, survivors)
+
+
+def _sieves(ideal: Ideal, p: int) -> tuple[np.ndarray, np.ndarray, FaceSieve]:
+    """Survivor multidegrees (ascending), their representatives, and the face sieve over F_p."""
+    survivors, reps = _orbits(ideal)
+    return survivors, reps, FaceSieve(ideal.ambient_n, ideal.gen_masks(), p)
+
+
+def _generator_nonfaces(gen_masks: tuple[int, ...], sigma: int) -> tuple[int, list[int]]:
+    """The complex K_sigma: its vertex count |G_sigma| and its minimal nonfaces.
+
+    The vertices are the generators dividing x^sigma, numbered 0..m-1 in
+    the order of ``gen_masks``.  There is one minimal nonface C_v per
+    variable v of sigma, ascending: bit j of C_v is set when the j-th of
+    those generators contains v.
+    """
+    inside = [g for g in gen_masks if g & sigma == g]
+    nonfaces = []
+    rest = sigma
+    while rest:
+        b = rest & -rest
+        nonfaces.append(sum(1 << j for j, g in enumerate(inside) if g & b))
+        rest ^= b
+    return len(inside), nonfaces
 
 
 def betti_table(ideal: Ideal, field: FieldSpec = FieldSpec(2)) -> BettiTable:
@@ -134,33 +174,55 @@ def betti_table(ideal: Ideal, field: FieldSpec = FieldSpec(2)) -> BettiTable:
 def proj_dim(ideal: Ideal, field: FieldSpec = FieldSpec(2)) -> int:
     """Projective dimension of S/I, without building the Betti table.
 
-    pd is the largest |sigma| - s over survivors sigma, where s is the least
-    face size at which the induced complex on sigma has nonzero reduced
-    homology.  Survivors are visited by descending size, ties by ascending
-    mask.  Once a best value is known, a sigma can beat it only through face
-    sizes s < |sigma| - best, so the walk stops at the first sigma with
-    |sigma| <= best, and each sigma's homology is computed bottom-up only
-    until its first nonzero degree or that size limit.  Only survivors that
-    are their own orbit representative are visited, since every member of an
-    orbit has the same width and homology.  The ranks are the same exact
-    ranks ``betti_table`` uses.
+    pd is the largest i with beta_{i,sigma} nonzero for some survivor
+    sigma, and each sigma has two complexes that give it.  Hochster's
+    Delta_sigma on the |sigma| variables gives
+    beta_{i,sigma} = dim H~_{|sigma|-i-1}(Delta_sigma).  K_sigma on the
+    |G_sigma| generators dividing x^sigma (``_generator_nonfaces``) gives
+    beta_{i,sigma} = dim H~_{|G_sigma|-i-1}(K_sigma), the identity in the
+    module docstring.  Both bound i by their vertex count, so survivors are
+    visited by descending w = min(|sigma|, |G_sigma|), ties by ascending
+    mask, and the walk stops at the first sigma with w <= best.  Each sigma
+    is evaluated on the complex with w vertices: K_sigma, built for sigma
+    alone, when |G_sigma| < |sigma|, and otherwise Delta_sigma through the
+    ideal's face sieve, built on first need.  Its homology is computed
+    bottom-up only until its first nonzero degree or face size w - best,
+    since no larger size can beat best.  Only survivors that are their own
+    orbit representative are visited, since every member of an orbit has
+    the same homology.  The ranks are the same exact ranks ``betti_table``
+    uses.
     """
     if ideal.is_zero:
         raise ZeroIdeal("projective dimension of S requested")
-    survivors, reps, sieve = _sieves(ideal, field.characteristic)
+    survivors, reps = _orbits(ideal)
     survivors = survivors[reps == survivors]
-    widths = np.bitwise_count(survivors).astype(np.int64)
-    order = np.argsort(-widths, kind="stable")
+    gen_masks = ideal.gen_masks()
+    gens_inside = np.zeros(survivors.shape, dtype=np.int64)
+    for g in gen_masks:
+        gens_inside += (survivors & np.uint32(g)) == g
+    weights = np.minimum(np.bitwise_count(survivors), gens_inside)
+    order = np.argsort(-weights, kind="stable")
+    p = field.characteristic
+    sieve = None
     best = 0
-    for sigma, width in zip(survivors[order].tolist(), widths[order].tolist()):
-        if width <= best:
+    for sigma, w, m in zip(
+        survivors[order].tolist(), weights[order].tolist(), gens_inside[order].tolist()
+    ):
+        if w <= best:
             break
-        limit = width - best
+        limit = w - best
+        if m < sigma.bit_count():
+            complex_ = FaceSieve(*_generator_nonfaces(gen_masks, sigma), p)
+            dims = complex_.homology_dims((1 << m) - 1, limit)
+        else:
+            if sieve is None:
+                sieve = FaceSieve(ideal.ambient_n, gen_masks, p)
+            dims = sieve.homology_dims(sigma, limit)
         # range first: zip stops before asking for the size-limit value,
         # which would need the faces of size limit + 1
-        for s, dim in zip(range(limit), sieve.homology_dims(sigma, limit)):
+        for s, dim in zip(range(limit), dims):
             if dim:
-                best = width - s
+                best = w - s
                 break
     return best
 

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .betti import depth, depth_report, g_profile
+from .betti import MAX_HOCHSTER_AMBIENT, depth, depth_report, g_profile
 from .errors import ParseError, SqfdepthError
 from .family import build_family, verify_theorem
 from .graphs import Graph, edge_ideal, independence_domination, is_tree, tree_depth_via_lemma
@@ -76,6 +76,13 @@ def cmd_family(args) -> int:
 def cmd_verify_family(args) -> int:
     if args.n_min < 6 or args.n_min > args.n_max:
         print("verify-family: need 6 <= n-min <= n-max", file=sys.stderr)
+        return 2
+    if args.n_max > MAX_HOCHSTER_AMBIENT:
+        print(
+            f"verify-family: n-max {args.n_max} exceeds {MAX_HOCHSTER_AMBIENT}, "
+            "the largest ambient the Hochster enumeration takes",
+            file=sys.stderr,
+        )
         return 2
     reports = [
         verify_theorem(n, FieldSpec(args.char))

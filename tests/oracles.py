@@ -244,6 +244,16 @@ def random_test_ideal(rng: np.random.Generator, n: int, max_degree: int = 3,
             return ideal
 
 
+def complete_multipartite(parts: list[int]) -> Ideal:
+    """Edge ideal of the complete multipartite graph; [1] * n gives K_n."""
+    labels = iter(range(1, sum(parts) + 1))
+    blocks = [[next(labels) for _ in range(size)] for size in parts]
+    edges = [
+        [a, b] for x, y in itertools.combinations(blocks, 2) for a in x for b in y
+    ]
+    return Ideal.from_supports(edges, sum(parts))
+
+
 def relabel_ideal(ideal: Ideal, perm: dict[int, int]) -> Ideal:
     """Apply a variable permutation (1-based mapping) to an ideal."""
     supports = [[perm[i] for i in g.indices] for g in ideal.gens]

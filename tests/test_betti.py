@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    complete_multipartite,
     depth_via_links,
     homology_of_facet_complex,
     koszul_betti_table,
@@ -13,6 +14,8 @@ from oracles import (
 )
 from sqfdepth.betti import (
     DepthReport,
+    _generator_nonfaces,
+    _orbits,
     betti_table,
     depth,
     depth_report,
@@ -25,6 +28,7 @@ from sqfdepth.family import build_family
 from sqfdepth import homology
 from sqfdepth.homology import FieldSpec, induced_faces
 from sqfdepth.ideals import Ideal
+from sqfdepth.search import SearchConfig, random_ideal
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -218,6 +222,106 @@ class TestDepthOnlyEngine:
         for ideal in ideals:
             for p in (2, 3):
                 assert depth(ideal, FieldSpec(p)) == depth_via_links(ideal, p)
+
+
+def generator_complex_table(ideal, p):
+    """Multigraded Betti numbers from K_sigma on the generators, sigma by sigma."""
+    survivors, _ = _orbits(ideal)
+    table = {}
+    for sigma in survivors.tolist():
+        m, nonfaces = _generator_nonfaces(ideal.gen_masks(), sigma)
+        dims = homology.FaceSieve(m, nonfaces, p).homology_dims((1 << m) - 1, m)
+        for s, dim in enumerate(dims):
+            if dim:
+                table[(m - s, sigma)] = dim
+    return table
+
+
+class TestGeneratorComplex:
+    """beta_{i,sigma} = dim H~_{|G_sigma|-i-1}(K_sigma), the fast path of proj_dim.
+
+    K_sigma has the generators dividing x^sigma as vertices and, for each
+    variable v of sigma, the generators containing v as a minimal nonface.
+    """
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(97)
+        out = [
+            (random_test_ideal(rng, int(rng.integers(1, 9)), max_degree=4, max_gens=8), (2, 3, 5))
+            for _ in range(40)
+        ]
+        out.append((rp2_ideal(), (2, 3)))
+        out += [(build_family(n), (2, 3)) for n in range(6, 11)]
+        out += [
+            (complete_multipartite(parts), (2, 3))
+            for parts in ([1] * 5, [2, 3], [1, 2, 2], [2, 2, 2])
+        ]
+        out += [
+            (Ideal.from_supports([[1], [2, 3]], 3), (2, 3)),  # a degree-one generator
+            (Ideal.from_supports([[1], [2], [3]], 5), (2, 3)),  # plus free variables
+            (Ideal.from_supports([[1, 2], [2, 3]], 6), (2, 3)),
+            (Ideal.from_supports([[1, 2, 3], [4]], 7), (2, 3, 5)),
+        ]
+        return out
+
+    def test_reproduces_every_betti_entry(self):
+        for ideal, primes in self.cases():
+            for p in primes:
+                assert generator_complex_table(ideal, p) == multigraded(ideal, FieldSpec(p))
+
+    def test_proj_dim_matches_table_and_link_oracle(self):
+        for ideal, primes in self.cases():
+            for p in primes:
+                pd = proj_dim(ideal, FieldSpec(p))
+                assert pd == betti_table(ideal, FieldSpec(p)).proj_dim()
+                assert pd == ideal.ambient_n - depth_via_links(ideal, p)
+
+    def test_nonfaces_of_one_sigma(self):
+        # x1x2, x2x3, x3x4 inside sigma = {1, 2, 3}: generators 0 and 1
+        gens = Ideal.from_supports([[1, 2], [2, 3], [3, 4]], 4).gen_masks()
+        assert _generator_nonfaces(gens, 0b0111) == (2, [0b01, 0b11, 0b10])
+
+
+class TestSmallerComplexWalk:
+    """proj_dim evaluates each sigma on its smaller complex; pin the work."""
+
+    @staticmethod
+    def recording(monkeypatch):
+        calls, sizes = [], []
+        dims, init = homology.FaceSieve.homology_dims, homology.FaceSieve.__init__
+
+        def recording_dims(sieve, sigma, top):
+            calls.append(sigma)
+            return dims(sieve, sigma, top)
+
+        def recording_init(sieve, n, nonfaces, p=2):
+            sizes.append(n)
+            init(sieve, n, nonfaces, p)
+
+        monkeypatch.setattr(homology.FaceSieve, "homology_dims", recording_dims)
+        monkeypatch.setattr(homology.FaceSieve, "__init__", recording_init)
+        return calls, sizes
+
+    def test_family_needs_two_homology_walks(self, monkeypatch):
+        calls, sizes = self.recording(monkeypatch)
+        for n in (8, 12, 16):
+            for p in (2, 3):
+                calls.clear()
+                sizes.clear()
+                assert proj_dim(build_family(n), FieldSpec(p)) == n - 3
+                assert len(calls) == 2
+                # both on generator complexes; the 2^n face sieve is never built
+                assert sizes == [n - 1, n - 2]
+
+    def test_cubic_samples_never_sieve_all_eight_variables(self, monkeypatch):
+        cfg = SearchConfig(ambient_n=8, seed=1, gen_degree=3, gen_count=5)
+        ideals = [random_ideal(cfg, i) for i in range(100)]
+        calls, sizes = self.recording(monkeypatch)
+        for p in (2, 3):
+            for ideal in ideals:
+                proj_dim(ideal, FieldSpec(p))
+        assert calls and max(sizes) <= 5
 
 
 class TestRegularity:

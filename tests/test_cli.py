@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from sqfdepth.betti import depth_report
+from sqfdepth import cli
 from sqfdepth.cli import main
 from sqfdepth.family import build_family
 from sqfdepth.graphs import Graph
@@ -351,6 +352,15 @@ class TestExitCodes:
     def test_verify_family_usage_error(self, capsys):
         code, _, err = run(capsys, "verify-family", "--n-min", "5", "--n-max", "7")
         assert code == 2 and err
+
+    def test_verify_family_refuses_large_n_max_before_computing(self, capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("verify_theorem called")
+
+        monkeypatch.setattr(cli, "verify_theorem", fail)
+        code, out, err = run(capsys, "verify-family", "--n-min", "22", "--n-max", "25")
+        assert code == 2 and out == ""
+        assert "25 exceeds 24" in err
 
     def test_bad_characteristic(self, capsys, family6_file):
         code, _, err = run(capsys, "depth", family6_file, "--char", "4")

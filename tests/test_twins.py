@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import depth_via_links, koszul_betti_table, random_test_ideal
+from oracles import complete_multipartite, depth_via_links, koszul_betti_table, random_test_ideal
 from sqfdepth import homology, search
 from sqfdepth.betti import _sieves, betti_table, proj_dim
 from sqfdepth.family import build_family
@@ -59,15 +59,6 @@ def blow_up(ideal: Ideal, v: int, copies: int) -> Ideal:
         else:
             supports.append(list(g.indices))
     return Ideal.from_supports(supports, n + copies - 1)
-
-
-def complete_multipartite(parts: list[int]) -> Ideal:
-    labels = iter(range(1, sum(parts) + 1))
-    blocks = [[next(labels) for _ in range(size)] for size in parts]
-    edges = [
-        [a, b] for x, y in itertools.combinations(blocks, 2) for a in x for b in y
-    ]
-    return Ideal.from_supports(edges, sum(parts))
 
 
 def planted_ideals() -> list[Ideal]:
