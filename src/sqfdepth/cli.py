@@ -40,13 +40,6 @@ def cmd_depth(args) -> int:
     return 0
 
 
-def cmd_betti(args) -> int:
-    ideal = Ideal.parse(_read(args.ideal))
-    report = depth_report(ideal, FieldSpec(args.char))
-    _emit(report.to_json_dict())
-    return 0
-
-
 def cmd_power(args) -> int:
     ideal = Ideal.parse(_read(args.ideal))
     sys.stdout.write(ideal.squarefree_power(args.k).to_text())
@@ -112,29 +105,37 @@ def cmd_graph_depth(args) -> int:
     return 0
 
 
-def _parse_span(text: str, name: str):
-    parts = text.split("-")
-    try:
-        if len(parts) == 1:
-            return int(parts[0])
-        if len(parts) == 2:
-            return (int(parts[0]), int(parts[1]))
-    except ValueError:
-        pass
-    raise ParseError(f"bad {name} value {text!r}, expected N or LO-HI")
+def _span(text: str):
+    """``N`` or ``LO-HI``."""
+    bounds = tuple(int(part) for part in text.split("-"))
+    if len(bounds) > 2:
+        raise ValueError(text)
+    return bounds if len(bounds) == 2 else bounds[0]
 
 
-_CONFIG_KEYS = {
-    "ambient_n": int,
-    "seed": int,
-    "sample_count": int,
-    "gen_degree": "span",
-    "gen_count": "span",
-    "density": float,
-    "primes": "intlist",
-    "edge_ideals_only": "bool",
-    "exhaustive": "bool",
-    "exhaustive_cap": int,
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in text.replace(",", " ").split())
+
+
+def _true_or_false(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(text)
+    return text.lower() == "true"
+
+
+# Every SearchConfig field but ``inject``: its flag, the converter that both the
+# flag and the config key of the same name go through, and the flag's help.
+_SEARCH_FIELDS = {
+    "ambient_n": ("--ambient-n", int, None),
+    "seed": ("--seed", int, None),
+    "sample_count": ("--samples", int, None),
+    "gen_degree": ("--gen-degree", _span, "degree d or range lo-hi"),
+    "gen_count": ("--gen-count", _span, "count c or range lo-hi"),
+    "density": ("--density", float, None),
+    "primes": ("--char", _int_list, "field characteristic (repeatable)"),
+    "edge_ideals_only": ("--edge-ideals-only", _true_or_false, None),
+    "exhaustive": ("--exhaustive", _true_or_false, None),
+    "exhaustive_cap": ("--exhaustive-cap", int, None),
 }
 
 
@@ -147,52 +148,21 @@ def _parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise ParseError(f"{path}:{lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
-        kind = _CONFIG_KEYS.get(key)
-        if kind is None:
+        if key not in _SEARCH_FIELDS:
             raise ParseError(f"{path}:{lineno}: unknown key {key!r}")
-        if kind == "span":
-            out[key] = _parse_span(value, key)
-        elif kind == "intlist":
-            try:
-                out[key] = tuple(int(t) for t in value.replace(",", " ").split())
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad value for {key}") from None
-        elif kind == "bool":
-            if value.lower() not in ("true", "false"):
-                raise ParseError(f"{path}:{lineno}: expected true/false for {key}")
-            out[key] = value.lower() == "true"
-        else:
-            try:
-                out[key] = kind(value)
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad value for {key}") from None
+        try:
+            out[key] = _SEARCH_FIELDS[key][1](value)
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: bad value for {key}") from None
     return out
 
 
 def cmd_search(args) -> int:
-    fields: dict = {}
-    if args.config:
-        fields.update(_parse_config_file(args.config))
-    if args.ambient_n is not None:
-        fields["ambient_n"] = args.ambient_n
-    if args.seed is not None:
-        fields["seed"] = args.seed
-    if args.samples is not None:
-        fields["sample_count"] = args.samples
-    if args.gen_degree is not None:
-        fields["gen_degree"] = _parse_span(args.gen_degree, "gen-degree")
-    if args.gen_count is not None:
-        fields["gen_count"] = _parse_span(args.gen_count, "gen-count")
-    if args.density is not None:
-        fields["density"] = args.density
-    if args.char:
-        fields["primes"] = tuple(args.char)
-    if args.edge_ideals_only:
-        fields["edge_ideals_only"] = True
-    if args.exhaustive:
-        fields["exhaustive"] = True
-    if args.exhaustive_cap is not None:
-        fields["exhaustive_cap"] = args.exhaustive_cap
+    fields = _parse_config_file(args.config) if args.config else {}
+    for name in _SEARCH_FIELDS:
+        value = getattr(args, name)
+        if value is not None:  # a flag that was given wins over the config file
+            fields[name] = tuple(value) if isinstance(value, list) else value
     if "ambient_n" not in fields:
         print("search: --ambient-n (or a config file) is required", file=sys.stderr)
         return 2
@@ -229,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("betti", help="Betti table report of S/I")
     p.add_argument("ideal")
     _add_char(p)
-    p.set_defaults(func=cmd_betti)
+    p.set_defaults(func=cmd_depth, both_primes=False)
 
     p = subs.add_parser("power", help="k-th squarefree power, in ideal text format")
     p.add_argument("ideal")
@@ -262,16 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("search", help="scan for increasing normalized depth functions")
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--ambient-n", type=int, dest="ambient_n")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--gen-degree", dest="gen_degree", help="degree d or range lo-hi")
-    p.add_argument("--gen-count", dest="gen_count", help="count c or range lo-hi")
-    p.add_argument("--density", type=float)
-    p.add_argument("--char", type=int, action="append", help="field characteristic (repeatable)")
-    p.add_argument("--edge-ideals-only", action="store_true")
-    p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--exhaustive-cap", type=int, dest="exhaustive_cap")
+    for name, (flag, convert, help_text) in _SEARCH_FIELDS.items():
+        if convert is _true_or_false:
+            p.add_argument(flag, dest=name, action="store_true", default=None)
+        else:
+            # --char repeats: extend collects each use's tuple into one list
+            action = "extend" if convert is _int_list else "store"
+            p.add_argument(flag, dest=name, type=convert, action=action, help=help_text)
     p.add_argument("--inject", action="append", help="ideal file to inject (repeatable)")
     p.add_argument("--log", help="append findings to this JSONL file")
     p.set_defaults(func=cmd_search)

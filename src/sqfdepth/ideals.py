@@ -363,11 +363,13 @@ class Ideal:
                 if not 1 <= ambient_n <= MAX_AMBIENT:
                     raise ParseError(f"line {lineno}: ambient_n must be in 1..{MAX_AMBIENT}")
                 continue
-            tokens = line.split()
             try:
-                supports.append([int(t) for t in tokens])
+                indices = [int(t) for t in line.split()]
             except ValueError:
                 raise ParseError(f"line {lineno}: bad variable index in {line!r}") from None
+            if len(set(indices)) < len(indices):
+                raise ParseError(f"line {lineno}: repeated variable index in {line!r}")
+            supports.append(indices)
         if ambient_n is None:
             raise ParseError("missing 'n=<count>' header")
         try:

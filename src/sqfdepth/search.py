@@ -2,12 +2,12 @@
 
 Samples are a pure function of (seed, index) through a counter-based
 Philox stream, so a scan is reproducible and a prefix of it does not
-depend on where it stops.  Through an exact canonical form, the g-profile
-is memoised per prime and per orbit of the ideals under relabeling of the
-variables, and depth per prime and per orbit of the powers.  Findings
-(profiles with some g(k+1) > g(k)) are deduplicated up to relabeling with
-the same canonical form, and can be appended to a line-delimited JSON log
-with an fsync per record.
+depend on where it stops.  Each sample and each power is keyed once by an
+exact canonical form under relabeling of the variables.  That one key
+memoises the g-profile per prime and per orbit of the ideals, depth per
+prime and per orbit of the powers, and deduplicates findings (profiles
+with some g(k+1) > g(k)), which can be appended to a line-delimited JSON
+log with an fsync per record.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import functools
 import itertools
 import json
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ from .homology import FieldSpec
 from .ideals import Ideal, Monomial, _minimal_masks
 
 MAX_SEARCH_AMBIENT = 14
-# Entries kept by each of a scan's memos (canonical keys, profiles, depths); a
+# Entries kept by each of a scan's memos (canonical forms, profiles, depths); a
 # full memo starts over, which costs time but never changes a result, and keeps
 # long scans in bounded memory.
 _MEMO_LIMIT = 1 << 16
@@ -63,7 +64,11 @@ class SearchConfig:
             raise ValueError("seed must fit in 64 bits")
         if self.sample_count < 0:
             raise ValueError("sample_count must be nonnegative")
-        _normalize_range(self.gen_degree, "gen_degree", 1, self.ambient_n)
+        if self.edge_ideals_only:  # edges have degree 2 whatever gen_degree says
+            if self.ambient_n < 2:
+                raise ValueError("edge_ideals_only needs ambient_n >= 2")
+        else:
+            _normalize_range(self.gen_degree, "gen_degree", 1, self.ambient_n)
         if self.gen_count is not None:
             _normalize_range(self.gen_count, "gen_count", 1, 1 << 20)
         if self.density is not None and not 0.0 <= self.density <= 1.0:
@@ -76,6 +81,8 @@ class SearchConfig:
             raise ValueError(f"primes must be distinct, got {list(self.primes)}")
         if not self.exhaustive and self.density is None and self.gen_count is None:
             raise ValueError("need density or gen_count for random sampling")
+        if self.exhaustive_cap < 1:
+            raise ValueError("exhaustive_cap must be at least 1")
         for ideal in self.inject:
             if ideal.ambient_n != self.ambient_n:
                 raise ValueError("injected ideal ambient differs from config ambient")
@@ -109,6 +116,11 @@ def candidate_pool(cfg: SearchConfig) -> tuple[int, ...]:
     return _supports(cfg.ambient_n, lo, hi)
 
 
+def _ideal_from_masks(cfg: SearchConfig, masks: list[int]) -> Ideal:
+    gens = tuple(Monomial(m, cfg.ambient_n) for m in _minimal_masks(masks))
+    return Ideal(cfg.ambient_n, gens)
+
+
 def random_ideal(cfg: SearchConfig, index: int) -> Ideal:
     """The index-th sampled ideal: deterministic in (cfg.seed, index)."""
     rng = np.random.Generator(np.random.Philox(key=(cfg.seed << 64) | index))
@@ -124,8 +136,7 @@ def random_ideal(cfg: SearchConfig, index: int) -> Ideal:
             picks = sorted(rng.choice(len(pool), size=count, replace=False).tolist())
             chosen = [pool[i] for i in picks]
         if chosen:
-            gens = tuple(Monomial(m, cfg.ambient_n) for m in _minimal_masks(chosen))
-            return Ideal(cfg.ambient_n, gens)
+            return _ideal_from_masks(cfg, chosen)
     raise DegenerateSample(
         f"sample {index} stayed zero after {_SAMPLE_RETRIES} attempts"
     )
@@ -303,37 +314,28 @@ def canonical_relabeling_key(ideal: Ideal) -> tuple[int, ...]:
     return best[0]
 
 
-def _evaluate(
-    cfg: SearchConfig, field: FieldSpec, index: int, ideal: Ideal, profile: GProfile
-) -> tuple[int | None, Finding | None]:
-    """(max g-gap or None, Finding or None) for one ideal with its profile at one prime."""
-    g = profile.g_values
-    gap = max((g[k] - g[k - 1] for k in range(1, len(g))), default=None)
-    violations = tuple(profile.violations())
-    finding = None
-    if violations:
-        finding = Finding(ideal, profile, violations, field.characteristic, cfg.seed, index)
-    return gap, finding
+def _samples(cfg: SearchConfig) -> Iterator[tuple[int, Ideal]]:
+    """The (index, ideal) pairs of one pass: injected ideals at -1, -2, ...,
+    then the random or exhaustive stream in index order.
 
-
-def _index_stream(cfg: SearchConfig) -> range:
+    An exhaustive space over the cap raises ``SpaceTooLarge`` here, on the
+    call, not on the first pair.
+    """
+    injected = ((-(j + 1), ideal) for j, ideal in enumerate(cfg.inject))
     if not cfg.exhaustive:
-        return range(cfg.sample_count)
+        drawn = ((i, random_ideal(cfg, i)) for i in range(cfg.sample_count))
+        return itertools.chain(injected, drawn)
     pool = candidate_pool(cfg)
     space = 1 << len(pool)
     if space > cfg.exhaustive_cap:
         raise SpaceTooLarge(
             f"exhaustive space 2^{len(pool)} exceeds cap {cfg.exhaustive_cap}"
         )
-    return range(1, space)
-
-
-def _ideal_for_index(cfg: SearchConfig, pool: tuple[int, ...], index: int) -> Ideal:
-    if not cfg.exhaustive:
-        return random_ideal(cfg, index)
-    chosen = [pool[i] for i in range(len(pool)) if index >> i & 1]
-    gens = tuple(Monomial(m, cfg.ambient_n) for m in _minimal_masks(chosen))
-    return Ideal(cfg.ambient_n, gens)
+    subsets = (
+        (i, _ideal_from_masks(cfg, [m for j, m in enumerate(pool) if i >> j & 1]))
+        for i in range(1, space)
+    )
+    return itertools.chain(injected, subsets)
 
 
 def _remember(memo: dict, key, compute):
@@ -346,24 +348,6 @@ def _remember(memo: dict, key, compute):
     return value
 
 
-def _canonical_key(ideal: Ideal, known: dict) -> tuple[int, ...]:
-    """``canonical_relabeling_key(ideal)``, looked up first in ``known``.
-
-    ``known`` maps generator masks to canonical keys already computed, since
-    a scan meets many ideals and powers more than once with the same labels.
-    """
-    return _remember(known, ideal.gen_masks(), lambda: canonical_relabeling_key(ideal))
-
-
-def _memo_key(ideal: Ideal, p: int, known: dict) -> tuple:
-    """Memo key: equal exactly for relabelings of one ideal over one F_p.
-
-    It keys both the profile memo (sampled ideals) and the depth memo (their
-    squarefree powers) of a scan.
-    """
-    return p, _canonical_key(ideal, known)
-
-
 @dataclass
 class ScanResult:
     findings: list[Finding]
@@ -373,58 +357,57 @@ class ScanResult:
 def scan(cfg: SearchConfig, log_path: str | None = None) -> ScanResult:
     """Evaluate the configured stream; collect, deduplicate and log findings.
 
-    Injected ideals are evaluated first, at indices -1, -2, ...; the random
-    (or exhaustive) stream follows in index order.  Relabeling the variables
-    of I relabels each I^[k] along with it, which changes neither nu, d_k
-    nor depth(S/I^[k]); so the g-profile is computed once per prime and
-    orbit of ideals, and depth once per prime and orbit of powers, for the
+    Each prime makes one pass over ``_samples(cfg)``.  Relabeling the
+    variables of I relabels each I^[k] along with it, which changes neither
+    nu, d_k nor depth(S/I^[k]); so each sample's canonical form, computed
+    once, keys the pass's profile memo and its finding dedup, and the form
+    of each power keys the pass's depth memo.  The forms are cached for the
     whole scan.  Each new finding is appended to the log and fsynced as soon
     as it is found, so a scan that dies keeps what it had found.
     """
-    indices = _index_stream(cfg)
-    pool = candidate_pool(cfg)
-    profiles: dict = {}
-    depths: dict = {}
-    known: dict = {}
+    # every pass's stream is checked (SpaceTooLarge) before the log is opened
+    passes = [(FieldSpec(p), _samples(cfg)) for p in cfg.primes]
+    forms: dict = {}
 
-    def orbit_depth(power: Ideal, field: FieldSpec) -> int:
-        key = _memo_key(power, field.characteristic, known)
-        return _remember(depths, key, lambda: depth(power, field))
+    def form(ideal: Ideal) -> tuple[int, ...]:
+        """The canonical form, cached by labelled generator masks for all primes."""
+        return _remember(forms, ideal.gen_masks(), lambda: canonical_relabeling_key(ideal))
 
     by_nu: dict[int, int] = {}
     max_gap: int | None = None
     evaluated = 0
     findings_total = 0
     findings: list[Finding] = []
-    seen_keys: set = set()
 
     log = open(log_path, "a", encoding="utf-8") if log_path else None
     try:
-        for prime in cfg.primes:
-            field = FieldSpec(prime)
-            stream = itertools.chain(
-                ((-(j + 1), ideal) for j, ideal in enumerate(cfg.inject)),
-                ((i, _ideal_for_index(cfg, pool, i)) for i in indices),
-            )
-            for index, ideal in stream:
-                profile = _remember(
-                    profiles,
-                    _memo_key(ideal, prime, known),
-                    lambda: g_profile(ideal, field, orbit_depth),
-                )
-                gap, finding = _evaluate(cfg, field, index, ideal, profile)
+        for field, samples in passes:
+            profiles: dict = {}
+            depths: dict = {}
+            seen: set = set()
+
+            def orbit_depth(power: Ideal, field: FieldSpec) -> int:
+                return _remember(depths, form(power), lambda: depth(power, field))
+
+            for index, ideal in samples:
+                key = form(ideal)
+                profile = _remember(profiles, key, lambda: g_profile(ideal, field, orbit_depth))
                 evaluated += 1
                 by_nu[profile.nu] = by_nu.get(profile.nu, 0) + 1
+                g = profile.g_values
+                gap = max((g[k] - g[k - 1] for k in range(1, len(g))), default=None)
                 if gap is not None and (max_gap is None or gap > max_gap):
                     max_gap = gap
-                if finding is None:
+                violations = tuple(profile.violations())
+                if not violations:
                     continue
                 findings_total += 1
-                # by canonical form, not _memo_key: dedup must not depend on the memo keys
-                key = (prime, _canonical_key(ideal, known))
-                if key in seen_keys:
+                if key in seen:
                     continue
-                seen_keys.add(key)
+                seen.add(key)
+                finding = Finding(
+                    ideal, profile, violations, field.characteristic, cfg.seed, index
+                )
                 findings.append(finding)
                 if log is not None:
                     log.write(json.dumps(finding.to_json_dict()) + "\n")

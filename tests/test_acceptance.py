@@ -217,8 +217,8 @@ def test_criterion_9_search_determinism_and_soundness(monkeypatch):
         inject=(build_family(8),),
     )
     memoised = scan(cfg)
-    # a memo key that never repeats makes every profile and depth a from-scratch computation
-    monkeypatch.setattr(search, "_memo_key", lambda power, p, known: object())
+    # memos that never remember make every profile and depth a from-scratch computation
+    monkeypatch.setattr(search, "_remember", lambda memo, key, compute: compute())
     scratch = scan(cfg)
     memoised_bytes = json.dumps([f.to_json_dict() for f in memoised.findings])
     scratch_bytes = json.dumps([f.to_json_dict() for f in scratch.findings])

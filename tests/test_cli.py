@@ -1,5 +1,6 @@
 """Command-line surface: golden outputs, formats, exit codes."""
 
+import dataclasses
 import itertools
 import json
 import re
@@ -14,6 +15,7 @@ from sqfdepth.family import build_family
 from sqfdepth.graphs import Graph
 from sqfdepth.homology import FieldSpec
 from sqfdepth.ideals import Ideal
+from sqfdepth.search import SearchConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -191,6 +193,14 @@ class TestIdealCommands:
         assert code == 0
         assert out == GOLDEN_DEPTH_FAMILY6
 
+    def test_betti_prints_what_depth_prints(self, capsys, tmp_path):
+        path = tmp_path / "rp2.ideal"
+        path.write_text(rp2_ideal().to_text())
+        for extra in ([], ["--char", "3"]):
+            betti = run(capsys, "betti", str(path), *extra)
+            assert betti == run(capsys, "depth", str(path), *extra)
+            assert betti[0] == 0 and json.loads(betti[1])["field_sensitive"] is False
+
     def test_both_primes_flags_projective_plane(self, capsys, tmp_path):
         path = tmp_path / "rp2.ideal"
         path.write_text(rp2_ideal().to_text())
@@ -312,6 +322,64 @@ class TestSearchCommand:
         assert (code, out) == (2, "")
         assert f"{cfgfile}:3: bad value for primes" in err
 
+    def test_every_field_has_one_flag_and_one_config_key(self, tmp_path):
+        fields = {f.name for f in dataclasses.fields(SearchConfig)} - {"inject"}
+        assert set(cli._SEARCH_FIELDS) == fields
+        values = {
+            "ambient_n": "5", "seed": "7", "sample_count": "3", "gen_degree": "2-3",
+            "gen_count": "4", "density": "0.5", "primes": "3", "edge_ideals_only": "true",
+            "exhaustive": "true", "exhaustive_cap": "64",
+        }
+        parser = cli.build_parser()
+        for name, (flag, convert, _) in cli._SEARCH_FIELDS.items():
+            cfgfile = tmp_path / f"{name}.cfg"
+            cfgfile.write_text(f"{name} = {values[name]}\n")
+            from_config = cli._parse_config_file(str(cfgfile))[name]
+            argv = ["search", flag] if from_config is True else ["search", flag, values[name]]
+            from_flag = getattr(parser.parse_args(argv), name)
+            assert from_config == convert(values[name]), name
+            assert (tuple(from_flag) if isinstance(from_flag, list) else from_flag) == from_config
+
+    def test_config_scan_equals_flag_scan(self, capsys, tmp_path, family8_file):
+        cfgfile = tmp_path / "scan.cfg"
+        cfgfile.write_text(
+            "ambient_n = 8\nseed = 3\nsample_count = 20\ngen_degree = 2-3\n"
+            "gen_count = 3-5\nprimes = 2, 3\nexhaustive_cap = 9\n"
+        )
+        inject = ["--inject", family8_file]
+        by_config = run(capsys, "search", "--config", str(cfgfile), *inject)
+        by_flags = run(
+            capsys, "search", "--ambient-n", "8", "--seed", "3", "--samples", "20",
+            "--gen-degree", "2-3", "--gen-count", "3-5", "--char", "2", "--char", "3",
+            "--exhaustive-cap", "9", *inject,
+        )
+        assert by_config == by_flags
+        assert by_config[0] == 0 and json.loads(by_config[1])["findings"]
+
+    def test_bad_span_flag_names_the_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--ambient-n", "5", "--gen-count", "2", "--gen-degree", "3-x"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "--gen-degree" in captured.err
+
+    def test_edge_mode_on_two_variables(self, capsys):
+        code, out, err = run(
+            capsys, "search", "--ambient-n", "2", "--edge-ideals-only", "--exhaustive"
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["summary"]["evaluated"] == 1
+
+    def test_exhaustive_cap_below_one_is_a_usage_error(self, capsys, tmp_path):
+        log = tmp_path / "findings.jsonl"
+        code, out, err = run(
+            capsys, "search", "--ambient-n", "4", "--exhaustive", "--edge-ideals-only",
+            "--exhaustive-cap", "-1", "--log", str(log),
+        )
+        assert (code, out) == (2, "")
+        assert "exhaustive_cap" in err
+        assert not log.exists()
+
     def test_zero_injected_ideal_refused_before_scanning(self, capsys, tmp_path, family8_file):
         empty = tmp_path / "empty.ideal"
         empty.write_text("n=8\n")
@@ -335,6 +403,19 @@ class TestExitCodes:
         path.write_text("n=3\n1 x\n")
         code, out, err = run(capsys, "depth", str(path))
         assert code == 2 and out == "" and "line 2" in err
+
+    def test_repeated_variable_index_refused(self, capsys, tmp_path):
+        # "1 1 2" would be x1^2 x2, which is not squarefree
+        path = tmp_path / "bad.ideal"
+        path.write_text("n=3\n1 2\n1 1 2\n")
+        for argv in (["depth", path], ["gprofile", path], ["power", path, "-k", "1"]):
+            code, out, err = run(capsys, *map(str, argv))
+            assert code == 2 and out == "" and "line 3" in err and "repeated" in err
+        code, out, err = run(
+            capsys, "search", "--ambient-n", "3", "--samples", "1", "--gen-count", "1",
+            "--inject", str(path),
+        )
+        assert code == 2 and out == "" and "line 3" in err
 
     def test_zero_ideal_where_disallowed(self, capsys, tmp_path):
         path = tmp_path / "zero.ideal"

@@ -354,6 +354,12 @@ class TestTextFormat:
         with pytest.raises(ParseError):
             Ideal.parse("n=3\n1 4\n")
 
+    def test_repeated_index_refused(self):
+        with pytest.raises(ParseError, match="line 2: repeated"):
+            Ideal.parse("n=3\n1 1 2\n")
+        # from_supports takes a support as a set of indices
+        assert Ideal.from_supports([[1, 1, 2]], 3) == Ideal.parse("n=3\n1 2\n")
+
     def test_bad_header_value(self):
         with pytest.raises(ParseError):
             Ideal.parse("n=0\n")

@@ -61,6 +61,21 @@ class TestConfig:
         with pytest.raises(ValueError, match="zero"):
             base_cfg(ambient_n=8, inject=(build_family(8), Ideal(8, ())))
 
+    def test_edge_mode_ignores_gen_degree(self):
+        # the default gen_degree 3 exceeds two variables, but edge mode never uses it
+        cfg = SearchConfig(ambient_n=2, edge_ideals_only=True, exhaustive=True)
+        assert scan(cfg).summary["evaluated"] == 1
+        with pytest.raises(ValueError, match="ambient_n >= 2"):
+            SearchConfig(ambient_n=1, edge_ideals_only=True, exhaustive=True)
+        with pytest.raises(ValueError, match="gen_degree"):
+            SearchConfig(ambient_n=2, exhaustive=True)
+
+    def test_exhaustive_cap_below_one_refused(self):
+        for cap in (0, -1):
+            with pytest.raises(ValueError, match="exhaustive_cap"):
+                SearchConfig(ambient_n=4, exhaustive=True, exhaustive_cap=cap)
+        assert SearchConfig(ambient_n=4, exhaustive=True, exhaustive_cap=1).exhaustive_cap == 1
+
 
 class TestRandomIdeal:
     def test_deterministic_in_seed_and_index(self):
@@ -236,16 +251,19 @@ class TestScan:
         assert result.summary["findings_total"] == 0
         assert result.summary["max_gap"] == 0
 
-    def test_exhaustive_cap_enforced(self):
+    def test_exhaustive_cap_enforced(self, tmp_path):
         cfg = SearchConfig(
             ambient_n=6,
             seed=0,
             exhaustive=True,
             edge_ideals_only=True,
             exhaustive_cap=1 << 10,
+            inject=(Ideal.from_supports([[1, 2]], 6),),
         )
+        log = tmp_path / "findings.jsonl"
         with pytest.raises(SpaceTooLarge):
-            scan(cfg)
+            scan(cfg, log_path=str(log))
+        assert not log.exists()
 
     def test_summary_counts_by_nu(self):
         cfg = base_cfg(sample_count=40)
@@ -254,9 +272,9 @@ class TestScan:
         assert result.summary["evaluated"] == 40
 
 
-def never_repeating_key(ideal, p, known):
-    """A stand-in for ``_memo_key``: every profile and depth is computed anew."""
-    return object()
+def never_remember(memo, key, compute):
+    """A stand-in for ``_remember``: every form, profile and depth is computed anew."""
+    return compute()
 
 
 def count_depth_calls(monkeypatch) -> list:
@@ -289,7 +307,7 @@ class TestOrbitMemo:
             ("memo", {}),
             # memos that start over every few entries
             ("small", {"_MEMO_LIMIT": 5}),
-            ("scratch", {"_memo_key": never_repeating_key}),
+            ("scratch", {"_remember": never_remember}),
         ):
             for attr, value in patches.items():
                 monkeypatch.setattr(search, attr, value)
@@ -332,7 +350,7 @@ class TestOrbitMemo:
         monkeypatch.setattr(search, "g_profile", counted)
         memoised = scan(cfg)
         assert calls == [2] * 33 + [3] * 33
-        monkeypatch.setattr(search, "_memo_key", never_repeating_key)
+        monkeypatch.setattr(search, "_remember", never_remember)
         scratch = scan(cfg)
         assert len(calls) == 66 + 2 * ((1 << 10) - 1)
         assert memoised.summary == scratch.summary
@@ -341,7 +359,7 @@ class TestOrbitMemo:
         fam = build_family(8)
         twin = relabel_ideal(fam, {1: 2, 2: 1, 3: 3, 4: 4, 5: 6, 6: 5, 7: 7, 8: 8})
         assert twin != fam
-        monkeypatch.setattr(search, "_memo_key", never_repeating_key)
+        monkeypatch.setattr(search, "_remember", never_remember)
         result = scan(SearchConfig(
             ambient_n=8, seed=0, sample_count=0, gen_count=1, primes=(2, 3),
             inject=(fam, twin),
