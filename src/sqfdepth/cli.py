@@ -57,7 +57,8 @@ def cmd_minimal_primes(args) -> int:
     ideal = Ideal.parse(_read(args.ideal))
     primes = [sorted(c) for c in ideal.minimal_primes()]
     primes.sort()
-    _emit({"n": ideal.ambient_n, "primes": primes, "krull_dim": ideal.krull_dim()})
+    krull_dim = ideal.ambient_n - min(map(len, primes))  # ideal.krull_dim() would search again
+    _emit({"n": ideal.ambient_n, "primes": primes, "krull_dim": krull_dim})
     return 0
 
 

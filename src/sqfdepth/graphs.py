@@ -1,5 +1,9 @@
 """Simple graphs, edge ideals, and independence/cover combinatorics.
 
+A vertex cover is a transversal of the edges, so the minimal vertex covers
+are the minimal primes of the edge ideal and the maximal independent sets
+are their complements; both come from the one minimal-transversal search in
+:mod:`sqfdepth.ideals`, run on the edge masks without building an ideal.
 The depth of a tree's edge ideal equals the minimum size of a maximal
 independent set, so this module also carries that formula plus uniform
 random labeled trees via Prufer sequences for stress tests.
@@ -15,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import NotATree, ParseError
-from .ideals import Ideal
+from .ideals import Ideal, _indices_from_mask, _minimal_transversals
 
 @dataclass(frozen=True)
 class Graph:
@@ -87,40 +91,18 @@ def edge_ideal(graph: Graph) -> Ideal:
     return Ideal.from_supports(list(graph.edges), graph.n_vertices)
 
 
-def _mis_branch(adj: list[int], n: int) -> list[int]:
-    """Branch on the lowest undecided vertex; track excluded-but-undominated."""
-    out: list[int] = []
-
-    def rec(undecided: int, chosen: int, pending: int) -> None:
-        rem = pending
-        while rem:
-            v = rem & -rem
-            if not adj[v.bit_length() - 1] & undecided:
-                return  # can never be dominated
-            rem ^= v
-        if undecided == 0:
-            out.append(chosen)
-            return
-        v = undecided & -undecided
-        nb = adj[v.bit_length() - 1]
-        rec(undecided & ~(v | nb), chosen | v, pending & ~nb)
-        if nb & chosen:
-            rec(undecided & ~v, chosen, pending)
-        elif nb & undecided & ~v:
-            rec(undecided & ~v, chosen, pending | v)
-
-    rec((1 << n) - 1, 0, 0)
-    out.sort()
-    return out
+def _mis_masks(graph: Graph) -> list[int]:
+    """Masks of the maximal independent sets, ascending: the complements of
+    the minimal vertex covers, which are the minimal transversals of the edges."""
+    full = (1 << graph.n_vertices) - 1
+    edges = sorted(1 << (a - 1) | 1 << (b - 1) for a, b in graph.edges)
+    # covers ascend, so their complements descend
+    return [full ^ c for c in reversed(_minimal_transversals(edges, graph.n_vertices))]
 
 
 def maximal_independent_sets(graph: Graph) -> list[frozenset[int]]:
     """All inclusion-maximal independent sets, sorted by support mask."""
-    n = graph.n_vertices
-    adj = graph.adjacency_masks()
-    return [
-        frozenset(i + 1 for i in range(n) if m >> i & 1) for m in _mis_branch(adj, n)
-    ]
+    return [frozenset(_indices_from_mask(m)) for m in _mis_masks(graph)]
 
 
 def minimal_vertex_covers(graph: Graph) -> list[frozenset[int]]:
@@ -149,7 +131,7 @@ def is_tree(graph: Graph) -> bool:
 
 def independence_domination(graph: Graph) -> int:
     """Minimum size of a maximal independent set."""
-    return min(len(u) for u in maximal_independent_sets(graph))
+    return min(m.bit_count() for m in _mis_masks(graph))
 
 
 def tree_depth_via_lemma(tree: Graph, free_vars: int = 0) -> int:

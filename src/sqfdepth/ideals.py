@@ -9,6 +9,7 @@ here is immutable and safe to share across threads.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -26,7 +27,11 @@ MAX_AMBIENT = 63  # supports fit a single machine word
 
 def _mask_from_indices(indices: Iterable[int], ambient_n: int) -> int:
     mask = 0
-    for i in indices:
+    for raw in indices:
+        try:
+            i = operator.index(raw)
+        except TypeError:
+            raise InvalidGenerator(f"variable index {raw!r} is not an integer") from None
         if not 1 <= i <= ambient_n:
             raise InvalidGenerator(f"variable index {i} out of range 1..{ambient_n}")
         mask |= 1 << (i - 1)
@@ -97,6 +102,61 @@ def _minimal_masks(masks: Iterable[int]) -> list[int]:
     return kept
 
 
+def _minimal_transversals(masks: Sequence[int], n: int) -> list[int]:
+    """The minimal transversals of an antichain of nonzero masks, ascending;
+    [0] when there are no masks.  The search is described under
+    :meth:`Ideal.minimal_primes`."""
+    # by variable index: the variables sharing a generator with it, the other
+    # ends of its quadratic generators, and its larger links (generator minus it)
+    near = [0] * (n + 1)
+    pair = [0] * (n + 1)
+    links: dict[int, list[int]] = {}
+    for g in masks:
+        rest = g
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            u = bit.bit_length()
+            link = g ^ bit
+            near[u] |= link
+            if link & (link - 1):
+                links.setdefault(u, []).append(link)
+            else:
+                pair[u] |= link
+    out: list[int] = []
+    count = len(masks)
+
+    def extend(cover: int, excluded: int, i: int) -> None:
+        while i < count and masks[i] & cover:
+            i += 1
+        if i == count:
+            out.append(cover)
+            return
+        choices = masks[i] & ~excluded
+        tried = 0
+        while choices:
+            v = choices & -choices
+            choices ^= v
+            grown = cover | v
+            # only a cover variable sharing a generator with v can lose one
+            rest = cover & near[v.bit_length()]
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                u = bit.bit_length()
+                if not pair[u] & ~grown and (
+                    u not in links or all(link & grown for link in links[u])
+                ):
+                    break
+            else:
+                extend(grown, excluded | tried, i + 1)
+            tried |= v
+
+    extend(0, 0, 0)
+    out.sort()
+    return out
+
+
 @dataclass(frozen=True)
 class Ideal:
     """A squarefree monomial ideal in canonical form.
@@ -118,6 +178,10 @@ class Ideal:
                 raise AmbientMismatch("generator ambient differs from ideal ambient")
             if g.mask == 0:
                 raise InvalidGenerator("constant generator: unit ideal is not representable")
+            if g.mask >> self.ambient_n:
+                raise InvalidGenerator(
+                    f"generator {g} has a variable outside 1..{self.ambient_n}"
+                )
             if g.mask <= prev:
                 raise InvalidGenerator("generators not in canonical ascending order")
             prev = g.mask
@@ -138,6 +202,11 @@ class Ideal:
             if m == 0:
                 raise InvalidGenerator("empty support: generators must be nonconstant")
             masks.append(m)
+        return cls._from_masks(ambient_n, masks)
+
+    @classmethod
+    def _from_masks(cls, ambient_n: int, masks: Iterable[int]) -> "Ideal":
+        """The ideal generated by nonzero support masks, minimized to an antichain."""
         return cls(ambient_n, tuple(Monomial(m, ambient_n) for m in _minimal_masks(masks)))
 
     @classmethod
@@ -228,10 +297,7 @@ class Ideal:
         extend(0, 0, 0)
         if not products:
             return Ideal.zero(self.ambient_n)
-        return Ideal(
-            self.ambient_n,
-            tuple(Monomial(m, self.ambient_n) for m in _minimal_masks(products)),
-        )
+        return Ideal._from_masks(self.ambient_n, products)
 
     def nu(self) -> int:
         """Largest k with a nonzero k-th squarefree power.
@@ -275,10 +341,7 @@ class Ideal:
             raise InvalidGenerator(
                 f"(I : x{j}) is the unit ideal, which is not representable"
             )
-        return Ideal(
-            self.ambient_n,
-            tuple(Monomial(m, self.ambient_n) for m in _minimal_masks(masks)),
-        )
+        return Ideal._from_masks(self.ambient_n, masks)
 
     def add_variable(self, j: int) -> "Ideal":
         """The sum ideal (I, x_j)."""
@@ -286,10 +349,7 @@ class Ideal:
             raise InvalidGenerator(f"variable index {j} out of range 1..{self.ambient_n}")
         bit = 1 << (j - 1)
         masks = list(self.gen_masks()) + [bit]
-        return Ideal(
-            self.ambient_n,
-            tuple(Monomial(m, self.ambient_n) for m in _minimal_masks(masks)),
-        )
+        return Ideal._from_masks(self.ambient_n, masks)
 
     # -- primes and duality ---------------------------------------------------
 
@@ -297,34 +357,22 @@ class Ideal:
         """All minimal monomial primes, as the variable sets generating them.
 
         These are the inclusion-minimal transversals of the generator
-        supports, enumerated by branching on the variables of an uncovered
-        generator.  For an edge ideal they are the minimal vertex covers.
+        supports, by ascending mask; for an edge ideal, the minimal vertex
+        covers.  The search branches on the variables of the first generator
+        the partial cover misses.  A variable enters only if every variable
+        already in the cover keeps a *private* generator, one that meets the
+        cover in that variable alone; the missed generator is private to the
+        one entering.  A transversal is minimal exactly when each of its
+        variables has a private generator, and a variable that loses its last
+        one never regains it as the cover grows, so every leaf is a minimal
+        prime and no minimal prime is cut off.  Branch j excludes the
+        variables tried before it, so the branches are disjoint and each
+        prime is found once.
         """
         if not self.gens:
             raise ZeroIdeal("minimal_primes undefined for the zero ideal")
-        gen_masks = self.gen_masks()
-        leaves: set[int] = set()
-
-        def extend(cover: int, excluded: int) -> None:
-            uncovered = 0
-            for g in gen_masks:
-                if not g & cover:
-                    uncovered = g
-                    break
-            else:
-                leaves.add(cover)
-                return
-            choices = uncovered & ~excluded
-            tried = 0
-            while choices:
-                v = choices & -choices
-                choices ^= v
-                extend(cover | v, excluded | tried)
-                tried |= v
-
-        extend(0, 0)
-        minimal = _minimal_masks(leaves)
-        return [frozenset(_indices_from_mask(m)) for m in minimal]
+        covers = _minimal_transversals(self.gen_masks(), self.ambient_n)
+        return [frozenset(_indices_from_mask(m)) for m in covers]
 
     def krull_dim(self) -> int:
         """Dimension of the quotient ring: ambient_n minus minimum cover size."""

@@ -24,7 +24,7 @@ import numpy as np
 from .betti import GProfile, depth, g_profile
 from .errors import DegenerateSample, SpaceTooLarge
 from .homology import FieldSpec
-from .ideals import Ideal, Monomial, _minimal_masks
+from .ideals import Ideal
 
 MAX_SEARCH_AMBIENT = 14
 # Entries kept by each of a scan's memos (canonical forms, profiles, depths); a
@@ -116,11 +116,6 @@ def candidate_pool(cfg: SearchConfig) -> tuple[int, ...]:
     return _supports(cfg.ambient_n, lo, hi)
 
 
-def _ideal_from_masks(cfg: SearchConfig, masks: list[int]) -> Ideal:
-    gens = tuple(Monomial(m, cfg.ambient_n) for m in _minimal_masks(masks))
-    return Ideal(cfg.ambient_n, gens)
-
-
 def random_ideal(cfg: SearchConfig, index: int) -> Ideal:
     """The index-th sampled ideal: deterministic in (cfg.seed, index)."""
     rng = np.random.Generator(np.random.Philox(key=(cfg.seed << 64) | index))
@@ -136,7 +131,7 @@ def random_ideal(cfg: SearchConfig, index: int) -> Ideal:
             picks = sorted(rng.choice(len(pool), size=count, replace=False).tolist())
             chosen = [pool[i] for i in picks]
         if chosen:
-            return _ideal_from_masks(cfg, chosen)
+            return Ideal._from_masks(cfg.ambient_n, chosen)
     raise DegenerateSample(
         f"sample {index} stayed zero after {_SAMPLE_RETRIES} attempts"
     )
@@ -332,7 +327,7 @@ def _samples(cfg: SearchConfig) -> Iterator[tuple[int, Ideal]]:
             f"exhaustive space 2^{len(pool)} exceeds cap {cfg.exhaustive_cap}"
         )
     subsets = (
-        (i, _ideal_from_masks(cfg, [m for j, m in enumerate(pool) if i >> j & 1]))
+        (i, Ideal._from_masks(cfg.ambient_n, [m for j, m in enumerate(pool) if i >> j & 1]))
         for i in range(1, space)
     )
     return itertools.chain(injected, subsets)

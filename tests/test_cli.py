@@ -183,6 +183,15 @@ class TestIdealCommands:
         assert [4, 5, 6] in payload["primes"]
         assert payload["primes"] == sorted(payload["primes"])
 
+    def test_minimal_primes_path_forty(self, capsys, tmp_path):
+        path = tmp_path / "path40.ideal"
+        path.write_text(Ideal.from_supports([[i, i + 1] for i in range(1, 40)], 40).to_text())
+        code, out, _ = run(capsys, "minimal-primes", str(path))
+        assert code == 0
+        payload = json.loads(out)
+        assert len(payload["primes"]) == 73396
+        assert payload["krull_dim"] == 20
+
     def test_family_emits_text_format(self, capsys):
         code, out, _ = run(capsys, "family", "--n", "6")
         assert code == 0

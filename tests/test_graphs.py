@@ -10,7 +10,6 @@ from sqfdepth.betti import depth
 from sqfdepth.errors import NotATree, ParseError
 from sqfdepth.graphs import (
     Graph,
-    _mis_branch,
     edge_ideal,
     independence_domination,
     is_tree,
@@ -113,10 +112,23 @@ class TestIndependentSets:
         rng = np.random.default_rng(73)
         for _ in range(30):
             g = random_graph(rng, int(rng.integers(1, 10)))
-            adj = g.adjacency_masks()
-            assert _mis_branch(adj, g.n_vertices) == maximal_independent_sets_brute(
-                adj, g.n_vertices
-            )
+            got = [sum(1 << (v - 1) for v in u) for u in maximal_independent_sets(g)]
+            assert got == maximal_independent_sets_brute(g.adjacency_masks(), g.n_vertices)
+
+    def test_order_on_path_five(self):
+        # ascending independent-set mask; the covers are their complements
+        assert maximal_independent_sets(path(5)) == [
+            frozenset({1, 4}),
+            frozenset({2, 4}),
+            frozenset({2, 5}),
+            frozenset({1, 3, 5}),
+        ]
+        assert minimal_vertex_covers(path(5)) == [
+            frozenset({2, 3, 5}),
+            frozenset({1, 3, 5}),
+            frozenset({1, 3, 4}),
+            frozenset({2, 4}),
+        ]
 
 
 class TestVertexCovers:

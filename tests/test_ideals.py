@@ -1,5 +1,7 @@
 """Ideal arithmetic: canonical form, powers, colon/sum, primes, duality."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from sqfdepth.errors import (
 )
 from sqfdepth.family import build_family
 from sqfdepth.ideals import Ideal, Monomial, minimize_generators
+from sqfdepth.search import canonical_relabeling_key
 
 
 def supports(ideal):
@@ -45,6 +48,29 @@ class TestMinimize:
     def test_out_of_range_rejected(self):
         with pytest.raises(InvalidGenerator):
             Ideal.from_supports([[4]], 3)
+
+    def test_generator_outside_ring_rejected(self):
+        # (x4) in a 3-variable ring would print as text that parse refuses
+        with pytest.raises(InvalidGenerator):
+            Ideal(3, (Monomial(0b1000, 3),))
+        with pytest.raises(InvalidGenerator):
+            Ideal(3, (Monomial(0b011, 3), Monomial(0b1100, 3)))
+
+    def test_numpy_indices_make_int_masks(self):
+        ideal = Ideal.from_supports(
+            [[np.int64(1), np.int64(2)], [np.int64(2), np.int64(3)]], 3
+        )
+        assert ideal == Ideal.from_supports([[1, 2], [2, 3]], 3)
+        assert all(type(m) is int for m in ideal.gen_masks())
+        assert canonical_relabeling_key(ideal) == canonical_relabeling_key(
+            Ideal.from_supports([[1, 2], [2, 3]], 3)
+        )
+
+    def test_non_integer_index_rejected(self):
+        with pytest.raises(InvalidGenerator):
+            Ideal.from_supports([[1.5]], 3)
+        with pytest.raises(InvalidGenerator):
+            Monomial.from_support(["1"], 3)
 
     def test_monomial_input(self):
         gens = [Monomial.from_support([1, 2], 3), Monomial.from_support([1, 2, 3], 3)]
@@ -270,6 +296,48 @@ class TestMinimalPrimes:
             got = set(ideal.minimal_primes())
             want = minimal_transversals_brute([g.support for g in ideal.gens], n)
             assert got == want
+
+    def test_every_antichain_on_four_variables(self):
+        n = 4
+        subsets = range(1, 1 << n)
+        count = 0
+        for r in range(1, len(subsets) + 1):
+            for masks in itertools.combinations(subsets, r):
+                if any(a & b == a for a, b in itertools.permutations(masks, 2)):
+                    continue
+                count += 1
+                ideal = Ideal(n, tuple(Monomial(m, n) for m in masks))
+                primes = ideal.minimal_primes()
+                cover_masks = [sum(1 << (i - 1) for i in c) for c in primes]
+                assert cover_masks == sorted(set(cover_masks))
+                want = minimal_transversals_brute([g.support for g in ideal.gens], n)
+                assert set(primes) == want
+        assert count == 166  # Dedekind number M(4) = 168, less () and (1)
+
+    def test_order_is_ascending_cover_mask(self):
+        path5 = Ideal.from_supports([[1, 2], [2, 3], [3, 4], [4, 5]], 5)
+        assert path5.minimal_primes() == [
+            frozenset({2, 4}),
+            frozenset({1, 3, 4}),
+            frozenset({1, 3, 5}),
+            frozenset({2, 3, 5}),
+        ]
+
+    def test_path_and_cycle_on_forty_vertices(self):
+        # minimal vertex covers of the path and the cycle on n vertices obey
+        # the Padovan and Perrin recurrence a(n) = a(n-2) + a(n-3)
+        padovan = {1: 1, 2: 2, 3: 2}
+        perrin = {3: 3, 4: 2, 5: 5}
+        for n in range(4, 41):
+            padovan[n] = padovan[n - 2] + padovan[n - 3]
+        for n in range(6, 41):
+            perrin[n] = perrin[n - 2] + perrin[n - 3]
+        edges = [[i, i + 1] for i in range(1, 40)]
+        path = Ideal.from_supports(edges, 40)
+        cycle = Ideal.from_supports(edges + [[1, 40]], 40)
+        assert len(path.minimal_primes()) == padovan[40] == 73396
+        assert len(cycle.minimal_primes()) == perrin[40] == 76725
+        assert path.krull_dim() == cycle.krull_dim() == 20
 
     def test_intersection_of_primes_recovers_ideal(self):
         rng = np.random.default_rng(53)
