@@ -47,11 +47,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroIdeal
-from .homology import FaceSieve, FieldSpec
+# MAX_HOCHSTER_AMBIENT, the cap on the 2^n sweeps, is re-exported for the CLI
+from .homology import MAX_HOCHSTER_AMBIENT, FaceSieve, FieldSpec, _all_subsets
 from .ideals import Ideal
-
-# Hochster enumeration walks all 2^n multidegrees; refuse hopeless inputs.
-MAX_HOCHSTER_AMBIENT = 24
 
 
 @dataclass(frozen=True)
@@ -87,8 +85,8 @@ def _survivors(n: int, gen_masks: tuple[int, ...]) -> np.ndarray:
     Every other subset induces a cone (some vertex lies in no contained
     generator) and contributes nothing.
     """
-    arr = np.arange(1 << n, dtype=np.uint32)
-    union = np.zeros(1 << n, dtype=np.uint32)
+    arr = _all_subsets(n)
+    union = np.zeros_like(arr)
     for g in gen_masks:
         union[(arr & g) == g] |= np.uint32(g)
     keep = (union == arr) & (arr != 0)
@@ -113,12 +111,7 @@ def _representatives(ideal: Ideal, survivors: np.ndarray) -> np.ndarray:
 
 def _orbits(ideal: Ideal) -> tuple[np.ndarray, np.ndarray]:
     """Survivor multidegrees (ascending) and their orbit representatives."""
-    n = ideal.ambient_n
-    if n > MAX_HOCHSTER_AMBIENT:
-        raise ValueError(
-            f"Hochster enumeration needs 2^n subsets; n={n} exceeds {MAX_HOCHSTER_AMBIENT}"
-        )
-    survivors = _survivors(n, ideal.gen_masks())
+    survivors = _survivors(ideal.ambient_n, ideal.gen_masks())
     return survivors, _representatives(ideal, survivors)
 
 

@@ -1,8 +1,10 @@
 """Command line front end: stable JSON on stdout, diagnostics on stderr.
 
-Exit codes: 0 success, 1 computational error (e.g. zero ideal where one is
-not allowed, a failed family check), 2 usage error (bad flags, malformed
-input files).
+Exit codes: 0 success; 2 any ``ValueError`` or ``OSError``: bad flags or
+arguments, unreadable or malformed files, and the package errors that
+subclass ``ValueError`` (see :mod:`sqfdepth.errors`); 1 any other package
+error (zero ideal where one is not allowed, degenerate sample) and a failed
+family check.  Commands raise, and ``main`` alone writes the ``error:`` line.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .errors import ParseError, SqfdepthError
 from .family import build_family, verify_theorem
 from .graphs import Graph, edge_ideal, independence_domination, is_tree, tree_depth_via_lemma
 from .homology import FieldSpec
-from .ideals import Ideal
+from .ideals import Ideal, _records
 from .search import SearchConfig, scan
 
 
@@ -69,15 +71,12 @@ def cmd_family(args) -> int:
 
 def cmd_verify_family(args) -> int:
     if args.n_min < 6 or args.n_min > args.n_max:
-        print("verify-family: need 6 <= n-min <= n-max", file=sys.stderr)
-        return 2
+        raise ValueError("verify-family: need 6 <= n-min <= n-max")
     if args.n_max > MAX_HOCHSTER_AMBIENT:
-        print(
+        raise ValueError(
             f"verify-family: n-max {args.n_max} exceeds {MAX_HOCHSTER_AMBIENT}, "
-            "the largest ambient the Hochster enumeration takes",
-            file=sys.stderr,
+            "the largest ambient the Hochster enumeration takes"
         )
-        return 2
     reports = [
         verify_theorem(n, FieldSpec(args.char))
         for n in range(args.n_min, args.n_max + 1)
@@ -142,12 +141,9 @@ _SEARCH_FIELDS = {
 
 def _parse_config_file(path: str) -> dict:
     out = {}
-    for lineno, raw in enumerate(_read(path).splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _records(_read(path)):
         if "=" not in line:
-            raise ParseError(f"{path}:{lineno}: expected key = value")
+            raise ParseError(f"{path}:{lineno}: expected key = value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _SEARCH_FIELDS:
             raise ParseError(f"{path}:{lineno}: unknown key {key!r}")
@@ -165,8 +161,7 @@ def cmd_search(args) -> int:
         if value is not None:  # a flag that was given wins over the config file
             fields[name] = tuple(value) if isinstance(value, list) else value
     if "ambient_n" not in fields:
-        print("search: --ambient-n (or a config file) is required", file=sys.stderr)
-        return 2
+        raise ValueError("search: --ambient-n (or a config file) is required")
     if args.inject:
         fields["inject"] = tuple(Ideal.parse(_read(path)) for path in args.inject)
     cfg = SearchConfig(**fields)
@@ -251,9 +246,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

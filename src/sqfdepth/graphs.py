@@ -12,14 +12,13 @@ random labeled trees via Prufer sequences for stress tests.
 from __future__ import annotations
 
 import heapq
-import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import NotATree, ParseError
-from .ideals import Ideal, _indices_from_mask, _minimal_transversals
+from .ideals import Ideal, _indices_from_mask, _minimal_transversals, _parse_listing
 
 @dataclass(frozen=True)
 class Graph:
@@ -58,30 +57,13 @@ class Graph:
 
     @classmethod
     def parse(cls, text: str) -> "Graph":
-        n = None
-        edges = []
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if n is None:
-                m = re.fullmatch(r"v\s*=\s*(\d+)", line)
-                if not m:
-                    raise ParseError(f"line {lineno}: expected 'v=<count>' header")
-                n = int(m.group(1))
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(f"line {lineno}: expected an edge 'i j'")
-            try:
-                a, b = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad vertex in {line!r}") from None
-            edges.append((a, b))
-        if n is None:
-            raise ParseError("missing 'v=<count>' header")
+        """Parse the graph text format: `v=<count>` header, one edge `i j` per line."""
+        n, rows = _parse_listing(text, "v", "vertex")
+        for lineno, line, ends in rows:
+            if len(ends) != 2:
+                raise ParseError(f"line {lineno}: expected an edge 'i j', got {line!r}")
         try:
-            return cls.from_edges(n, edges)
+            return cls.from_edges(n, [ends for _, _, ends in rows])
         except ValueError as exc:
             raise ParseError(str(exc)) from None
 

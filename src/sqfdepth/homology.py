@@ -156,6 +156,18 @@ def rank_mod_p(
     return rank
 
 
+# Every complex is built by sweeping all 2^n vertex subsets; refuse hopeless inputs.
+MAX_HOCHSTER_AMBIENT = 24
+
+
+def _all_subsets(n: int) -> np.ndarray:
+    """The masks 0..2^n - 1 of the subsets of n vertices: the package's one 2^n sweep."""
+    if n > MAX_HOCHSTER_AMBIENT:
+        raise ValueError(f"a complex on n={n} vertices: n exceeds {MAX_HOCHSTER_AMBIENT}, "
+                         "the cap on the sweep over all 2^n vertex subsets")
+    return np.arange(1 << n, dtype=np.uint32)
+
+
 class FaceSieve:
     """The faces of one Stanley-Reisner complex and their coboundary rows over F_p.
 
@@ -169,11 +181,12 @@ class FaceSieve:
     subcomplexes of one ideal share it: restricting a row to sigma masks its
     columns with the (s + 1)-faces inside sigma.  Rows are packed
     ints at p = 2 and (plus, minus) bit-plane pairs, the columns of the +1
-    and of the -1 entries, at every other p.
+    and of the -1 entries, at every other p.  An ``n`` above
+    ``MAX_HOCHSTER_AMBIENT`` is refused before the sweep.
     """
 
     def __init__(self, n: int, nonfaces: Iterable[int], p: int = 2) -> None:
-        arr = np.arange(1 << n, dtype=np.uint32)
+        arr = _all_subsets(n)
         ok = np.ones(arr.shape, dtype=bool)
         for g in nonfaces:
             ok &= (arr & g) != g

@@ -12,7 +12,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     AmbientMismatch,
@@ -54,6 +54,37 @@ def _check_ambient(ambient_n: int) -> None:
         raise InvalidGenerator(f"ambient_n must be in 1..{MAX_AMBIENT}, got {ambient_n}")
 
 
+def _records(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for each line that is neither blank nor a # comment."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def _parse_listing(text: str, key: str, item: str) -> tuple[int, list[tuple[int, str, list[int]]]]:
+    """The ideal and graph text formats: a `<key>=<count>` header, count in
+    1..MAX_AMBIENT, then lines of integers (``item`` names one in messages).
+    Returns the count and (line number, line, integers) for each later line."""
+    records = _records(text)
+    lineno, line = next(records, (None, None))
+    if line is None:
+        raise ParseError(f"missing '{key}=<count>' header")
+    m = re.fullmatch(rf"{key}\s*=\s*(\d+)", line)
+    if not m:
+        raise ParseError(f"line {lineno}: expected '{key}=<count>' header, got {line!r}")
+    count = int(m.group(1))
+    if not 1 <= count <= MAX_AMBIENT:
+        raise ParseError(f"line {lineno}: {key} must be in 1..{MAX_AMBIENT}, got {line!r}")
+    rows = []
+    for lineno, line in records:
+        try:
+            rows.append((lineno, line, [int(t) for t in line.split()]))
+        except ValueError:
+            raise ParseError(f"line {lineno}: bad {item} in {line!r}") from None
+    return count, rows
+
+
 @dataclass(frozen=True, order=True)
 class Monomial:
     """A squarefree monomial: a support bitmask in a ring with ambient_n variables."""
@@ -93,11 +124,13 @@ class Monomial:
 
 def _minimal_masks(masks: Iterable[int]) -> list[int]:
     """Divisibility-minimal elements of a set of support masks, sorted ascending."""
-    distinct = sorted(set(masks), key=lambda m: (m.bit_count(), m))
+    # only a mask of lower degree can divide another, so test against those alone
+    by_degree: dict[int, list[int]] = {}
+    for m in set(masks):
+        by_degree.setdefault(m.bit_count(), []).append(m)
     kept: list[int] = []
-    for m in distinct:
-        if not any(k & m == k for k in kept):
-            kept.append(m)
+    for d in sorted(by_degree):
+        kept += [m for m in by_degree[d] if not any(k & m == k for k in kept)]
     kept.sort()
     return kept
 
@@ -172,7 +205,6 @@ class Ideal:
 
     def __post_init__(self) -> None:
         _check_ambient(self.ambient_n)
-        prev = 0
         for g in self.gens:
             if g.ambient_n != self.ambient_n:
                 raise AmbientMismatch("generator ambient differs from ideal ambient")
@@ -182,14 +214,9 @@ class Ideal:
                 raise InvalidGenerator(
                     f"generator {g} has a variable outside 1..{self.ambient_n}"
                 )
-            if g.mask <= prev:
-                raise InvalidGenerator("generators not in canonical ascending order")
-            prev = g.mask
         masks = [g.mask for g in self.gens]
-        for i, a in enumerate(masks):
-            for b in masks[i + 1 :]:
-                if a & b == a or a & b == b:
-                    raise InvalidGenerator("generators are not an antichain")
+        if _minimal_masks(masks) != masks:
+            raise InvalidGenerator("generators are not a strictly ascending antichain")
 
     # -- construction ------------------------------------------------------
 
@@ -397,31 +424,12 @@ class Ideal:
     @classmethod
     def parse(cls, text: str) -> "Ideal":
         """Parse the ideal text format: `n=<count>` header, one generator per line."""
-        ambient_n = None
-        supports: list[list[int]] = []
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if ambient_n is None:
-                m = re.fullmatch(r"n\s*=\s*(\d+)", line)
-                if not m:
-                    raise ParseError(f"line {lineno}: expected 'n=<count>' header")
-                ambient_n = int(m.group(1))
-                if not 1 <= ambient_n <= MAX_AMBIENT:
-                    raise ParseError(f"line {lineno}: ambient_n must be in 1..{MAX_AMBIENT}")
-                continue
-            try:
-                indices = [int(t) for t in line.split()]
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad variable index in {line!r}") from None
+        ambient_n, rows = _parse_listing(text, "n", "variable index")
+        for lineno, line, indices in rows:
             if len(set(indices)) < len(indices):
                 raise ParseError(f"line {lineno}: repeated variable index in {line!r}")
-            supports.append(indices)
-        if ambient_n is None:
-            raise ParseError("missing 'n=<count>' header")
         try:
-            return cls.from_supports(supports, ambient_n)
+            return cls.from_supports([indices for _, _, indices in rows], ambient_n)
         except InvalidGenerator as exc:
             raise ParseError(str(exc)) from None
 

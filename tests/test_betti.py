@@ -344,6 +344,16 @@ class TestRegularity:
                 assert proj_dim(ideal, field) == regularity(dual, field) + 1
 
 
+class TestRefusals:
+    def test_depth_refuses_25_variables(self):
+        with pytest.raises(ValueError, match="n=25 vertices: n exceeds 24"):
+            depth(Ideal.from_supports([[1, 2]], 25), F2)
+
+    def test_regularity_of_zero_ideal(self):
+        with pytest.raises(ZeroIdeal):
+            regularity(Ideal.zero(3), F2)
+
+
 class TestGProfile:
     def test_family_small(self):
         assert g_profile(build_family(6), F2).g_values == (1, 0)

@@ -11,6 +11,18 @@ import pytest
 from sqfdepth.betti import depth_report
 from sqfdepth import cli
 from sqfdepth.cli import main
+from sqfdepth.errors import (
+    AmbientMismatch,
+    DegenerateSample,
+    InvalidExponent,
+    InvalidFamilyParameter,
+    InvalidGenerator,
+    NotATree,
+    ParseError,
+    SpaceTooLarge,
+    SqfdepthError,
+    ZeroIdeal,
+)
 from sqfdepth.family import build_family
 from sqfdepth.graphs import Graph
 from sqfdepth.homology import FieldSpec
@@ -366,11 +378,12 @@ class TestSearchCommand:
         assert by_config[0] == 0 and json.loads(by_config[1])["findings"]
 
     def test_bad_span_flag_names_the_flag(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["search", "--ambient-n", "5", "--gen-count", "2", "--gen-degree", "3-x"])
-        captured = capsys.readouterr()
-        assert exc.value.code == 2 and captured.out == ""
-        assert "--gen-degree" in captured.err
+        for span in ("3-x", "1-2-3"):
+            with pytest.raises(SystemExit) as exc:
+                main(["search", "--ambient-n", "5", "--gen-count", "2", "--gen-degree", span])
+            captured = capsys.readouterr()
+            assert exc.value.code == 2 and captured.out == ""
+            assert "--gen-degree" in captured.err and span in captured.err
 
     def test_edge_mode_on_two_variables(self, capsys):
         code, out, err = run(
@@ -438,6 +451,52 @@ class TestExitCodes:
         code, out, _ = run(capsys, "depth", str(path))
         assert code == 0
         assert json.loads(out)["depth"] == 4
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["power", "{ideal}", "-k", "0"], "exponent must be >= 1, got 0"),
+            (["family", "--n", "5"], "family requires n >= 6, got 5"),
+            (["family", "--n", "70"], "ambient_n must be in 1..63, got 70"),
+            (["graph-depth", "{graph}"], "line 1: v must be in 1..63, got 'v=70'"),
+            (
+                ["search", "--ambient-n", "7", "--exhaustive", "--edge-ideals-only"],
+                "exhaustive space 2^21 exceeds cap 65536",
+            ),
+        ],
+        ids=["power-k0", "family-n5", "family-n70", "graph-header-v70", "search-over-cap"],
+    )
+    def test_bad_arguments_exit_2(self, capsys, tmp_path, family6_file, argv, message):
+        graph = tmp_path / "big.graph"
+        graph.write_text("v=70\n1 2\n")
+        argv = [arg.format(ideal=family6_file, graph=graph) for arg in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    def test_bad_input_errors_are_value_errors(self):
+        # main exits 2 on a ValueError and 1 on any other package error
+        bad_input = (
+            ParseError, InvalidGenerator, AmbientMismatch, InvalidExponent,
+            InvalidFamilyParameter, SpaceTooLarge, NotATree,
+        )
+        assert all(issubclass(e, SqfdepthError) and issubclass(e, ValueError) for e in bad_input)
+        assert not any(issubclass(e, ValueError) for e in (ZeroIdeal, DegenerateSample))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("ambient_n = 5\nexhaustive = maybe\n", ":2: bad value for exhaustive"),
+            ("# scan\nambient_n = 5\n\nexhaustive\n", ":4: expected key = value, got 'exhaustive'"),
+        ],
+        ids=["bad-boolean", "no-equals-sign"],
+    )
+    def test_bad_config_line_exits_2(self, capsys, tmp_path, text, message):
+        cfgfile = tmp_path / "scan.cfg"
+        cfgfile.write_text(text)
+        code, out, err = run(capsys, "search", "--config", str(cfgfile))
+        assert (code, out) == (2, "")
+        assert f"{cfgfile}{message}" in err
 
     def test_verify_family_usage_error(self, capsys):
         code, _, err = run(capsys, "verify-family", "--n-min", "5", "--n-max", "7")

@@ -48,6 +48,8 @@ class TestBuildFamily:
     def test_too_small_rejected(self):
         with pytest.raises(InvalidFamilyParameter):
             build_family(5)
+        with pytest.raises(InvalidFamilyParameter):
+            colon_tree(5)
 
     def test_square_is_principal_on_first_six_variables(self):
         for n in (6, 9, 12):

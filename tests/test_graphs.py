@@ -259,3 +259,22 @@ class TestPruefer:
         t = random_tree(1, np.random.default_rng(0))
         assert t.n_vertices == 1 and not t.edges
         assert independence_domination(t) == 1
+
+
+class TestInputRefusals:
+    @pytest.mark.parametrize(
+        "make, match",
+        [
+            (lambda: Graph.parse("# comment only\n"), "missing 'v=<count>'"),
+            (lambda: Graph.parse("v=64\n1 2\n"), "line 1: v must be in 1..63, got 'v=64'"),
+            (lambda: Graph.parse("v=3\n\n1 2 3\n"), "line 3: expected an edge 'i j', got '1 2 3'"),
+            (lambda: Graph.from_edges(0, []), "at least one vertex"),
+            (lambda: tree_depth_via_lemma(path(3), free_vars=-1), "free_vars"),
+            (lambda: tree_from_pruefer([], 1), "at least two vertices"),
+        ],
+        ids=["parse-no-header", "parse-header-range", "parse-not-an-edge", "no-vertices",
+             "negative-free-vars", "pruefer-one-vertex"],
+    )
+    def test_refusals(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()

@@ -1,6 +1,7 @@
 """Induced subcomplexes, finite-field ranks, reduced homology."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +143,29 @@ class TestReducedHomology:
         ideal = Ideal.from_supports([[1]], 2)
         dims = reduced_homology_dims(induced_faces(ideal, [1]), F2)
         assert dims == [1, 0]
+
+
+class TestSweepCap:
+    @pytest.mark.parametrize(
+        "use",
+        [
+            lambda cx: reduced_homology_dims(cx, F2),
+            lambda cx: cx.faces_by_size(),
+            lambda cx: cx.facets(),
+        ],
+        ids=["reduced_homology_dims", "faces_by_size", "facets"],
+    )
+    def test_refused_before_the_sweep(self, use):
+        # 25 vertices would sweep 2^25 masks; the refusal comes first
+        cx = induced_faces(Ideal.from_supports([[1, 2]], 40), range(1, 26))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds 24"):
+                use(cx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestClearing:

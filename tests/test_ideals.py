@@ -1,6 +1,8 @@
 """Ideal arithmetic: canonical form, powers, colon/sum, primes, duality."""
 
+import hashlib
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from sqfdepth.errors import (
     ZeroIdeal,
 )
 from sqfdepth.family import build_family
-from sqfdepth.ideals import Ideal, Monomial, minimize_generators
+from sqfdepth.ideals import Ideal, Monomial, _minimal_masks, minimize_generators
 from sqfdepth.search import canonical_relabeling_key
 
 
@@ -445,3 +447,89 @@ class TestCanonicalOrder:
         a = Ideal.from_supports([[1, 2], [3, 4], [1, 4]], 4)
         b = Ideal.from_supports([[1, 4], [1, 2], [3, 4]], 4)
         assert a == b and a.to_text() == b.to_text()
+
+
+class TestCanonicalCheck:
+    @pytest.mark.parametrize(
+        "make, error, match",
+        [
+            (lambda: Ideal(3, (Monomial(0b011, 4),)), AmbientMismatch, "ambient"),
+            (lambda: Ideal(3, (Monomial(0, 3),)), InvalidGenerator, "constant"),
+            (
+                lambda: Ideal(3, (Monomial(0b110, 3), Monomial(0b011, 3))),
+                InvalidGenerator,
+                "ascending antichain",
+            ),
+            (
+                lambda: Ideal(3, (Monomial(0b011, 3), Monomial(0b011, 3))),
+                InvalidGenerator,
+                "ascending antichain",
+            ),
+            (
+                lambda: Ideal(4, (Monomial(0b0011, 4), Monomial(0b0100, 4), Monomial(0b0101, 4))),
+                InvalidGenerator,
+                "ascending antichain",
+            ),
+            (lambda: minimize_generators([Monomial(0b1, 4)], 3), AmbientMismatch, "ambient"),
+            (lambda: Ideal.parse("# comment only\n\n"), ParseError, "missing 'n=<count>'"),
+        ],
+        ids=[
+            "ambient-mismatch", "constant", "not-ascending", "duplicate", "not-antichain",
+            "minimize-foreign-monomial", "parse-no-header",
+        ],
+    )
+    def test_refusals(self, make, error, match):
+        with pytest.raises(error, match=match):
+            make()
+
+    def test_minimal_masks_against_brute_force(self):
+        rng = random.Random(12)
+        for _ in range(400):
+            n = rng.randint(1, 10)
+            masks = [rng.randrange(1, 1 << n) for _ in range(rng.randint(0, 25))]
+            brute = sorted({m for m in masks if not any(k != m and k & m == k for k in masks)})
+            assert _minimal_masks(masks) == brute
+            # the constructor accepts a list exactly when it is already that canonical form
+            canonical = brute == masks
+            try:
+                Ideal(n, tuple(Monomial(m, n) for m in masks))
+            except InvalidGenerator:
+                assert not canonical
+            else:
+                assert canonical
+
+
+def _path_ideal(n):
+    return Ideal.from_supports([[i, i + 1] for i in range(1, n)], n)
+
+
+def _dense_quadratic_ideal():
+    pairs = list(itertools.combinations(range(1, 13), 2))
+    return Ideal.from_supports(random.Random(3).sample(pairs, 40), 12)
+
+
+class TestPowersPinned:
+    # counts and SHA-256 of the concatenated text of I^[1..nu], as computed
+    # before the degree-split minimization
+    @pytest.mark.parametrize(
+        "make, counts, digest",
+        [
+            (
+                lambda: _path_ideal(20),
+                [19, 153, 680, 1820, 3003, 3003, 1716, 495, 55, 1],
+                "18f0052701133b5bd75a3dbbb919c47a74434525d1e81edf42f85d10a4810075",
+            ),
+            (
+                _dense_quadratic_ideal,
+                [40, 368, 852, 494, 66, 1],
+                "2275bae1064d8a401691fa913f603a3b5de4fa45c793de1b90383f6a3c718e7a",
+            ),
+        ],
+        ids=["path20", "dense-quadratic12"],
+    )
+    def test_every_power(self, make, counts, digest):
+        ideal = make()
+        powers = [ideal.squarefree_power(k) for k in range(1, ideal.nu() + 1)]
+        assert [len(power.gens) for power in powers] == counts
+        text = "".join(power.to_text() for power in powers)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -18,3 +18,20 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert at lines {lines}"
+
+
+def test_only_cli_main_writes_to_stderr():
+    # commands raise, and main turns every error into one "error:" line and an exit code
+    path = next(path for path in SOURCES if path.name == "cli.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    main = next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main"
+    )
+    in_main = {id(node) for node in ast.walk(main)}
+    writers = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and "sys.stderr" in ast.unparse(node)
+        and id(node) not in in_main
+    ]
+    assert writers == [], f"cli.py writes to stderr outside main at lines {writers}"

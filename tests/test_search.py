@@ -70,6 +70,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="gen_degree"):
             SearchConfig(ambient_n=2, exhaustive=True)
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [("seed", 2**64, "64 bits"), ("sample_count", -1, "nonnegative"), ("primes", (), "nonempty")],
+    )
+    def test_field_refused(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            base_cfg(**{field: value})
+
     def test_exhaustive_cap_below_one_refused(self):
         for cap in (0, -1):
             with pytest.raises(ValueError, match="exhaustive_cap"):
