@@ -79,7 +79,7 @@ class BettiTable:
         return max(sigma.bit_count() - i for i, sigma, _ in self.entries)
 
 
-def _survivors(n: int, gen_masks: tuple[int, ...]) -> np.ndarray:
+def _survivors(n: int, masks: tuple[int, ...]) -> np.ndarray:
     """Nonempty subsets that are unions of the generators they contain.
 
     Every other subset induces a cone (some vertex lies in no contained
@@ -87,7 +87,7 @@ def _survivors(n: int, gen_masks: tuple[int, ...]) -> np.ndarray:
     """
     arr = _all_subsets(n)
     union = np.zeros_like(arr)
-    for g in gen_masks:
+    for g in masks:
         union[(arr & g) == g] |= np.uint32(g)
     keep = (union == arr) & (arr != 0)
     return arr[keep]
@@ -111,25 +111,25 @@ def _representatives(ideal: Ideal, survivors: np.ndarray) -> np.ndarray:
 
 def _orbits(ideal: Ideal) -> tuple[np.ndarray, np.ndarray]:
     """Survivor multidegrees (ascending) and their orbit representatives."""
-    survivors = _survivors(ideal.ambient_n, ideal.gen_masks())
+    survivors = _survivors(ideal.ambient_n, ideal.masks)
     return survivors, _representatives(ideal, survivors)
 
 
 def _sieves(ideal: Ideal, p: int) -> tuple[np.ndarray, np.ndarray, FaceSieve]:
     """Survivor multidegrees (ascending), their representatives, and the face sieve over F_p."""
     survivors, reps = _orbits(ideal)
-    return survivors, reps, FaceSieve(ideal.ambient_n, ideal.gen_masks(), p)
+    return survivors, reps, FaceSieve(ideal.ambient_n, ideal.masks, p)
 
 
-def _generator_nonfaces(gen_masks: tuple[int, ...], sigma: int) -> tuple[int, list[int]]:
+def _generator_nonfaces(masks: tuple[int, ...], sigma: int) -> tuple[int, list[int]]:
     """The complex K_sigma: its vertex count |G_sigma| and its minimal nonfaces.
 
     The vertices are the generators dividing x^sigma, numbered 0..m-1 in
-    the order of ``gen_masks``.  There is one minimal nonface C_v per
+    the order of ``masks``.  There is one minimal nonface C_v per
     variable v of sigma, ascending: bit j of C_v is set when the j-th of
     those generators contains v.
     """
-    inside = [g for g in gen_masks if g & sigma == g]
+    inside = [g for g in masks if g & sigma == g]
     nonfaces = []
     rest = sigma
     while rest:
@@ -189,9 +189,8 @@ def proj_dim(ideal: Ideal, field: FieldSpec = FieldSpec(2)) -> int:
         raise ZeroIdeal("projective dimension of S requested")
     survivors, reps = _orbits(ideal)
     survivors = survivors[reps == survivors]
-    gen_masks = ideal.gen_masks()
     gens_inside = np.zeros(survivors.shape, dtype=np.int64)
-    for g in gen_masks:
+    for g in ideal.masks:
         gens_inside += (survivors & np.uint32(g)) == g
     weights = np.minimum(np.bitwise_count(survivors), gens_inside)
     order = np.argsort(-weights, kind="stable")
@@ -205,11 +204,11 @@ def proj_dim(ideal: Ideal, field: FieldSpec = FieldSpec(2)) -> int:
             break
         limit = w - best
         if m < sigma.bit_count():
-            complex_ = FaceSieve(*_generator_nonfaces(gen_masks, sigma), p)
+            complex_ = FaceSieve(*_generator_nonfaces(ideal.masks, sigma), p)
             dims = complex_.homology_dims((1 << m) - 1, limit)
         else:
             if sieve is None:
-                sieve = FaceSieve(ideal.ambient_n, gen_masks, p)
+                sieve = FaceSieve(ideal.ambient_n, ideal.masks, p)
             dims = sieve.homology_dims(sigma, limit)
         # range first: zip stops before asking for the size-limit value,
         # which would need the faces of size limit + 1

@@ -18,7 +18,7 @@ from .errors import ParseError, SqfdepthError
 from .family import build_family, verify_theorem
 from .graphs import Graph, edge_ideal, independence_domination, is_tree, tree_depth_via_lemma
 from .homology import FieldSpec
-from .ideals import Ideal, _records
+from .ideals import Ideal, _indices_from_mask, _records
 from .search import SearchConfig, scan
 
 
@@ -57,9 +57,10 @@ def cmd_gprofile(args) -> int:
 
 def cmd_minimal_primes(args) -> int:
     ideal = Ideal.parse(_read(args.ideal))
-    primes = [sorted(c) for c in ideal.minimal_primes()]
-    primes.sort()
-    krull_dim = ideal.ambient_n - min(map(len, primes))  # ideal.krull_dim() would search again
+    covers = ideal.minimal_prime_masks()
+    primes = sorted(list(_indices_from_mask(c)) for c in covers)
+    # from the same covers: ideal.krull_dim() would search again
+    krull_dim = ideal.ambient_n - min(c.bit_count() for c in covers)
     _emit({"n": ideal.ambient_n, "primes": primes, "krull_dim": krull_dim})
     return 0
 

@@ -25,8 +25,8 @@ def build_family(n: int) -> Ideal:
     gens = [[1, 3, i + 4] for i in range(1, n - 3)]
     gens += [[1, 4, 5], [2, 3, 4], [2, 3, 6]]
     ideal = Ideal.from_supports(gens, n)
-    if len(ideal.gens) != n - 1:
-        raise SqfdepthError(f"family member n={n} has {len(ideal.gens)} generators, not {n - 1}")
+    if len(ideal.masks) != n - 1:
+        raise SqfdepthError(f"family member n={n} has {len(ideal.masks)} generators, not {n - 1}")
     return ideal
 
 
@@ -139,9 +139,7 @@ def verify_theorem(n: int, field: FieldSpec = FieldSpec(2)) -> FamilyReport:
     )
 
     square = ideal.squarefree_power(2)
-    principal = len(square.gens) == 1
-    expected_gen = (1 << 6) - 1  # x1*x2*x3*x4*x5*x6
-    gen_match = principal and square.gens[0].mask == expected_gen
+    gen_match = square.masks == ((1 << 6) - 1,)  # x1*x2*x3*x4*x5*x6
     depth_square = profile.rows[1].depth if len(profile.rows) > 1 else None
     checks.append(
         CheckResult(

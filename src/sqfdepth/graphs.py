@@ -73,24 +73,21 @@ def edge_ideal(graph: Graph) -> Ideal:
     return Ideal.from_supports(list(graph.edges), graph.n_vertices)
 
 
-def _mis_masks(graph: Graph) -> list[int]:
-    """Masks of the maximal independent sets, ascending: the complements of
-    the minimal vertex covers, which are the minimal transversals of the edges."""
-    full = (1 << graph.n_vertices) - 1
+def _cover_masks(graph: Graph) -> list[int]:
+    """The minimal transversals of the edges, descending: ascending complements."""
     edges = sorted(1 << (a - 1) | 1 << (b - 1) for a, b in graph.edges)
-    # covers ascend, so their complements descend
-    return [full ^ c for c in reversed(_minimal_transversals(edges, graph.n_vertices))]
+    return _minimal_transversals(edges, graph.n_vertices)[::-1]
 
 
 def maximal_independent_sets(graph: Graph) -> list[frozenset[int]]:
     """All inclusion-maximal independent sets, sorted by support mask."""
-    return [frozenset(_indices_from_mask(m)) for m in _mis_masks(graph)]
+    full = (1 << graph.n_vertices) - 1
+    return [frozenset(_indices_from_mask(full ^ c)) for c in _cover_masks(graph)]
 
 
 def minimal_vertex_covers(graph: Graph) -> list[frozenset[int]]:
-    """Complements of the maximal independent sets."""
-    full = frozenset(range(1, graph.n_vertices + 1))
-    return [full - u for u in maximal_independent_sets(graph)]
+    """Complements of the maximal independent sets, in the same order."""
+    return [frozenset(_indices_from_mask(c)) for c in _cover_masks(graph)]
 
 
 def is_tree(graph: Graph) -> bool:
@@ -112,8 +109,8 @@ def is_tree(graph: Graph) -> bool:
 
 
 def independence_domination(graph: Graph) -> int:
-    """Minimum size of a maximal independent set."""
-    return min(m.bit_count() for m in _mis_masks(graph))
+    """Minimum size of a maximal independent set: n minus the largest minimal cover."""
+    return graph.n_vertices - max(c.bit_count() for c in _cover_masks(graph))
 
 
 def tree_depth_via_lemma(tree: Graph, free_vars: int = 0) -> int:

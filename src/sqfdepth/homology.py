@@ -16,6 +16,7 @@ integers over F_2 (``rank_gf2``), pairs of packed bit-planes over F_3
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -63,6 +64,12 @@ class FieldSpec:
 
     def __post_init__(self) -> None:
         p = self.characteristic
+        try:
+            p = int(operator.index(p))
+        except TypeError:
+            raise ValueError(f"characteristic must be an integer, got {p!r}") from None
+        # stored as a plain int: JSON reports cannot serialize a numpy integer
+        object.__setattr__(self, "characteristic", p)
         if p > MAX_CHARACTERISTIC:
             raise ValueError(
                 f"characteristic {p} is too large: primality is certified only "
@@ -376,7 +383,7 @@ def _unpack(m: int, bits: list[int]) -> int:
 def induced_faces(ideal: Ideal, sigma: Iterable[int]) -> InducedComplex:
     """The induced subcomplex of the ideal's Stanley-Reisner complex on sigma."""
     mask = _mask_from_indices(sigma, ideal.ambient_n)
-    kept = tuple(g for g in ideal.gen_masks() if g & mask == g)
+    kept = tuple(g for g in ideal.masks if g & mask == g)
     return InducedComplex(mask, kept)
 
 

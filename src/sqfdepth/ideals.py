@@ -2,9 +2,9 @@
 
 A squarefree monomial is identified with its support set of variables,
 stored as an integer bitmask (variable ``i`` is bit ``i-1``).  An ideal is
-the antichain of its divisibility-minimal generators, kept sorted by mask
-so that equal ideals compare equal and serialize identically.  Everything
-here is immutable and safe to share across threads.
+the ascending antichain of its minimal generators' masks, which its
+constructor makes from any generator masks, so that equal ideals compare
+equal and serialize identically.  Everything here is immutable.
 """
 
 from __future__ import annotations
@@ -49,9 +49,15 @@ def _indices_from_mask(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _check_ambient(ambient_n: int) -> None:
-    if not 1 <= ambient_n <= MAX_AMBIENT:
-        raise InvalidGenerator(f"ambient_n must be in 1..{MAX_AMBIENT}, got {ambient_n}")
+def _check_ambient(ambient_n: int) -> int:
+    """``ambient_n`` as a plain int, refused unless it is an integer in 1..MAX_AMBIENT."""
+    try:
+        n = int(operator.index(ambient_n))
+    except TypeError:
+        raise InvalidGenerator(f"ambient_n {ambient_n!r} is not an integer") from None
+    if not 1 <= n <= MAX_AMBIENT:
+        raise InvalidGenerator(f"ambient_n must be in 1..{MAX_AMBIENT}, got {n}")
+    return n
 
 
 def _records(text: str) -> Iterator[tuple[int, str]]:
@@ -94,8 +100,8 @@ class Monomial:
 
     @classmethod
     def from_support(cls, indices: Iterable[int], ambient_n: int) -> "Monomial":
-        _check_ambient(ambient_n)
-        return cls(_mask_from_indices(indices, ambient_n), ambient_n)
+        n = _check_ambient(ambient_n)
+        return cls(_mask_from_indices(indices, n), n)
 
     @property
     def support(self) -> frozenset[int]:
@@ -194,47 +200,37 @@ def _minimal_transversals(masks: Sequence[int], n: int) -> list[int]:
 class Ideal:
     """A squarefree monomial ideal in canonical form.
 
-    ``gens`` is the antichain of minimal generators sorted by ascending
-    support mask; the empty tuple is the zero ideal.  Construct through
-    :func:`minimize_generators`, :meth:`from_supports` or :meth:`parse`
-    rather than directly, unless the input is already canonical.
+    ``Ideal(ambient_n, masks)`` is the ideal generated by the monomials
+    with the given nonzero support masks.  The constructor keeps their
+    divisibility-minimal elements, sorted ascending, as the field
+    ``masks``; the empty tuple is the zero ideal.  ``gens`` shows the same
+    generators as :class:`Monomial` objects.
     """
 
     ambient_n: int
-    gens: tuple[Monomial, ...]
+    masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_ambient(self.ambient_n)
-        for g in self.gens:
-            if g.ambient_n != self.ambient_n:
-                raise AmbientMismatch("generator ambient differs from ideal ambient")
-            if g.mask == 0:
-                raise InvalidGenerator("constant generator: unit ideal is not representable")
-            if g.mask >> self.ambient_n:
+        object.__setattr__(self, "ambient_n", _check_ambient(self.ambient_n))
+        masks = []
+        for raw in self.masks:
+            try:
+                m = operator.index(raw)
+            except TypeError:
+                raise InvalidGenerator(f"generator mask {raw!r} is not an integer") from None
+            if m <= 0 or m >> self.ambient_n:  # mask 0 would make the unit ideal
                 raise InvalidGenerator(
-                    f"generator {g} has a variable outside 1..{self.ambient_n}"
+                    f"generator mask {m} is not a nonempty support in 1..{self.ambient_n}"
                 )
-        masks = [g.mask for g in self.gens]
-        if _minimal_masks(masks) != masks:
-            raise InvalidGenerator("generators are not a strictly ascending antichain")
+            masks.append(m)
+        object.__setattr__(self, "masks", tuple(_minimal_masks(masks)))
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def from_supports(cls, supports: Iterable[Iterable[int]], ambient_n: int) -> "Ideal":
         _check_ambient(ambient_n)
-        masks = []
-        for sup in supports:
-            m = _mask_from_indices(sup, ambient_n)
-            if m == 0:
-                raise InvalidGenerator("empty support: generators must be nonconstant")
-            masks.append(m)
-        return cls._from_masks(ambient_n, masks)
-
-    @classmethod
-    def _from_masks(cls, ambient_n: int, masks: Iterable[int]) -> "Ideal":
-        """The ideal generated by nonzero support masks, minimized to an antichain."""
-        return cls(ambient_n, tuple(Monomial(m, ambient_n) for m in _minimal_masks(masks)))
+        return cls(ambient_n, [_mask_from_indices(sup, ambient_n) for sup in supports])
 
     @classmethod
     def zero(cls, ambient_n: int) -> "Ideal":
@@ -243,11 +239,12 @@ class Ideal:
     # -- basic queries -----------------------------------------------------
 
     @property
-    def is_zero(self) -> bool:
-        return not self.gens
+    def gens(self) -> tuple[Monomial, ...]:
+        return tuple(Monomial(m, self.ambient_n) for m in self.masks)
 
-    def gen_masks(self) -> tuple[int, ...]:
-        return tuple(g.mask for g in self.gens)
+    @property
+    def is_zero(self) -> bool:
+        return not self.masks
 
     def contains(self, m: Monomial) -> bool:
         """Membership of a squarefree monomial: some generator divides it."""
@@ -255,7 +252,7 @@ class Ideal:
             raise AmbientMismatch(
                 f"ambient mismatch: {self.ambient_n} vs {m.ambient_n}"
             )
-        return any(g.mask & m.mask == g.mask for g in self.gens)
+        return any(g & m.mask == g for g in self.masks)
 
     def twin_classes(self) -> list[tuple[int, ...]]:
         """Classes of twin variables with at least two members, each ascending.
@@ -268,7 +265,7 @@ class Ideal:
         the ideal when each generator with a but not b, moved to b, is a
         generator: with equal degrees that injection is onto.
         """
-        masks = self.gen_masks()
+        masks = self.masks
         mask_set = set(masks)
         # per degree: (members, bit of the first member, its generators)
         by_degree: dict[int, list[tuple[list[int], int, list[int]]]] = {}
@@ -292,9 +289,9 @@ class Ideal:
 
     def min_gen_degree(self) -> int:
         """Minimum degree of a monomial in the ideal (= of a minimal generator)."""
-        if not self.gens:
+        if not self.masks:
             raise ZeroIdeal("min_gen_degree undefined for the zero ideal")
-        return min(g.degree for g in self.gens)
+        return min(m.bit_count() for m in self.masks)
 
     # -- ideal arithmetic ----------------------------------------------------
 
@@ -307,9 +304,9 @@ class Ideal:
         """
         if k < 1:
             raise InvalidExponent(f"exponent must be >= 1, got {k}")
-        if k == 1 or not self.gens:
+        if k == 1 or not self.masks:
             return self
-        masks = self.gen_masks()
+        masks = self.masks
         products: set[int] = set()
 
         def extend(start: int, union: int, count: int) -> None:
@@ -322,9 +319,7 @@ class Ideal:
                     extend(j + 1, union | masks[j], count + 1)
 
         extend(0, 0, 0)
-        if not products:
-            return Ideal.zero(self.ambient_n)
-        return Ideal._from_masks(self.ambient_n, products)
+        return Ideal(self.ambient_n, products)
 
     def nu(self) -> int:
         """Largest k with a nonzero k-th squarefree power.
@@ -332,10 +327,10 @@ class Ideal:
         Equals the maximum number of pairwise support-disjoint generators,
         computed by memoized set packing over the remaining-variable mask.
         """
-        if not self.gens:
+        if not self.masks:
             raise ZeroIdeal("nu undefined for the zero ideal")
         by_low: dict[int, list[int]] = {}
-        for m in self.gen_masks():
+        for m in self.masks:
             by_low.setdefault(m & -m, []).append(m)
         cache: dict[int, int] = {}
 
@@ -360,23 +355,18 @@ class Ideal:
         """The colon ideal (I : x_j)."""
         if not 1 <= j <= self.ambient_n:
             raise InvalidGenerator(f"variable index {j} out of range 1..{self.ambient_n}")
-        if not self.gens:
-            return self
         bit = 1 << (j - 1)
-        masks = [m & ~bit for m in self.gen_masks()]
-        if any(m == 0 for m in masks):
+        if bit in self.masks:
             raise InvalidGenerator(
                 f"(I : x{j}) is the unit ideal, which is not representable"
             )
-        return Ideal._from_masks(self.ambient_n, masks)
+        return Ideal(self.ambient_n, [m & ~bit for m in self.masks])
 
     def add_variable(self, j: int) -> "Ideal":
         """The sum ideal (I, x_j)."""
         if not 1 <= j <= self.ambient_n:
             raise InvalidGenerator(f"variable index {j} out of range 1..{self.ambient_n}")
-        bit = 1 << (j - 1)
-        masks = list(self.gen_masks()) + [bit]
-        return Ideal._from_masks(self.ambient_n, masks)
+        return Ideal(self.ambient_n, self.masks + (1 << (j - 1),))
 
     # -- primes and duality ---------------------------------------------------
 
@@ -396,29 +386,32 @@ class Ideal:
         variables tried before it, so the branches are disjoint and each
         prime is found once.
         """
-        if not self.gens:
+        return [frozenset(_indices_from_mask(m)) for m in self.minimal_prime_masks()]
+
+    def minimal_prime_masks(self) -> list[int]:
+        """The minimal primes as variable masks, ascending."""
+        if not self.masks:
             raise ZeroIdeal("minimal_primes undefined for the zero ideal")
-        covers = _minimal_transversals(self.gen_masks(), self.ambient_n)
-        return [frozenset(_indices_from_mask(m)) for m in covers]
+        return _minimal_transversals(self.masks, self.ambient_n)
 
     def krull_dim(self) -> int:
         """Dimension of the quotient ring: ambient_n minus minimum cover size."""
-        if not self.gens:
-            return self.ambient_n
-        return self.ambient_n - min(len(c) for c in self.minimal_primes())
+        # the zero ideal has the one cover 0, so dimension ambient_n
+        covers = _minimal_transversals(self.masks, self.ambient_n)
+        return self.ambient_n - min(c.bit_count() for c in covers)
 
     def alexander_dual(self) -> "Ideal":
         """The ideal generated by the products over the minimal primes."""
-        if not self.gens:
+        if not self.masks:
             raise ZeroIdeal("alexander_dual undefined for the zero ideal")
-        return Ideal.from_supports(self.minimal_primes(), self.ambient_n)
+        return Ideal(self.ambient_n, self.minimal_prime_masks())
 
     # -- text format -----------------------------------------------------------
 
     def to_text(self) -> str:
         """Serialize to the ideal text format (canonical, round-trip stable)."""
         lines = [f"n={self.ambient_n}"]
-        lines.extend(" ".join(str(i) for i in g.indices) for g in self.gens)
+        lines.extend(" ".join(map(str, _indices_from_mask(m))) for m in self.masks)
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -434,12 +427,12 @@ class Ideal:
             raise ParseError(str(exc)) from None
 
     def to_json_dict(self) -> dict:
-        return {"n": self.ambient_n, "gens": [list(g.indices) for g in self.gens]}
+        return {"n": self.ambient_n, "gens": [list(_indices_from_mask(m)) for m in self.masks]}
 
     def __str__(self) -> str:
-        if not self.gens:
+        if not self.masks:
             return "(0)"
-        return "(" + ", ".join(str(g) for g in self.gens) + ")"
+        return "(" + ", ".join(map(str, self.gens)) + ")"
 
 
 def minimize_generators(

@@ -131,7 +131,7 @@ def random_ideal(cfg: SearchConfig, index: int) -> Ideal:
             picks = sorted(rng.choice(len(pool), size=count, replace=False).tolist())
             chosen = [pool[i] for i in picks]
         if chosen:
-            return Ideal._from_masks(cfg.ambient_n, chosen)
+            return Ideal(cfg.ambient_n, chosen)
     raise DegenerateSample(
         f"sample {index} stayed zero after {_SAMPLE_RETRIES} attempts"
     )
@@ -228,8 +228,7 @@ def canonical_relabeling_key(ideal: Ideal) -> tuple[int, ...]:
       matched leaf's path.
     """
     n = ideal.ambient_n
-    masks = ideal.gen_masks()
-    supports = [[v for v in range(m.bit_length()) if m >> v & 1] for m in masks]
+    supports = [[v for v in range(m.bit_length()) if m >> v & 1] for m in ideal.masks]
     incident: list[list[int]] = [[] for _ in range(n)]
     for j, sup in enumerate(supports):
         for v in sup:
@@ -327,7 +326,7 @@ def _samples(cfg: SearchConfig) -> Iterator[tuple[int, Ideal]]:
             f"exhaustive space 2^{len(pool)} exceeds cap {cfg.exhaustive_cap}"
         )
     subsets = (
-        (i, Ideal._from_masks(cfg.ambient_n, [m for j, m in enumerate(pool) if i >> j & 1]))
+        (i, Ideal(cfg.ambient_n, [m for j, m in enumerate(pool) if i >> j & 1]))
         for i in range(1, space)
     )
     return itertools.chain(injected, subsets)
@@ -366,7 +365,7 @@ def scan(cfg: SearchConfig, log_path: str | None = None) -> ScanResult:
 
     def form(ideal: Ideal) -> tuple[int, ...]:
         """The canonical form, cached by labelled generator masks for all primes."""
-        return _remember(forms, ideal.gen_masks(), lambda: canonical_relabeling_key(ideal))
+        return _remember(forms, ideal.masks, lambda: canonical_relabeling_key(ideal))
 
     by_nu: dict[int, int] = {}
     max_gap: int | None = None

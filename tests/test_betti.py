@@ -229,7 +229,7 @@ def generator_complex_table(ideal, p):
     survivors, _ = _orbits(ideal)
     table = {}
     for sigma in survivors.tolist():
-        m, nonfaces = _generator_nonfaces(ideal.gen_masks(), sigma)
+        m, nonfaces = _generator_nonfaces(ideal.masks, sigma)
         dims = homology.FaceSieve(m, nonfaces, p).homology_dims((1 << m) - 1, m)
         for s, dim in enumerate(dims):
             if dim:
@@ -279,7 +279,7 @@ class TestGeneratorComplex:
 
     def test_nonfaces_of_one_sigma(self):
         # x1x2, x2x3, x3x4 inside sigma = {1, 2, 3}: generators 0 and 1
-        gens = Ideal.from_supports([[1, 2], [2, 3], [3, 4]], 4).gen_masks()
+        gens = Ideal.from_supports([[1, 2], [2, 3], [3, 4]], 4).masks
         assert _generator_nonfaces(gens, 0b0111) == (2, [0b01, 0b11, 0b10])
 
 

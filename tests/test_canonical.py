@@ -24,7 +24,7 @@ nx = pytest.importorskip("networkx")
 def incidence_graph(ideal: Ideal):
     graph = nx.Graph()
     graph.add_nodes_from((("x", v) for v in range(ideal.ambient_n)), side="x")
-    for mask in ideal.gen_masks():
+    for mask in ideal.masks:
         graph.add_node(("g", mask), side="g")
         graph.add_edges_from(
             (("g", mask), ("x", v)) for v in range(ideal.ambient_n) if mask >> v & 1

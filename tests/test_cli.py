@@ -1,6 +1,7 @@
 """Command-line surface: golden outputs, formats, exit codes."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import re
@@ -203,6 +204,9 @@ class TestIdealCommands:
         payload = json.loads(out)
         assert len(payload["primes"]) == 73396
         assert payload["krull_dim"] == 20
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "24b2d8ae7933dfaa6252a7776999853bd07ca550d2f9fa76781a9c967868dcb3"
+        )
 
     def test_family_emits_text_format(self, capsys):
         code, out, _ = run(capsys, "family", "--n", "6")

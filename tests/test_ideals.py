@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import random
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import max_matching_brute, minimal_transversals_brute, random_test_ideal
+from sqfdepth.betti import depth, depth_report
 from sqfdepth.errors import (
     AmbientMismatch,
     InvalidExponent,
@@ -18,6 +20,7 @@ from sqfdepth.errors import (
     ZeroIdeal,
 )
 from sqfdepth.family import build_family
+from sqfdepth.homology import FieldSpec
 from sqfdepth.ideals import Ideal, Monomial, _minimal_masks, minimize_generators
 from sqfdepth.search import canonical_relabeling_key
 
@@ -27,6 +30,10 @@ def supports(ideal):
 
 
 FAMILY6_GENS = [[1, 3, 5], [1, 3, 6], [1, 4, 5], [2, 3, 4], [2, 3, 6]]
+
+
+def family6_report(characteristic):
+    return depth_report(build_family(6), FieldSpec(characteristic))
 
 
 class TestMinimize:
@@ -54,16 +61,16 @@ class TestMinimize:
     def test_generator_outside_ring_rejected(self):
         # (x4) in a 3-variable ring would print as text that parse refuses
         with pytest.raises(InvalidGenerator):
-            Ideal(3, (Monomial(0b1000, 3),))
+            Ideal(3, (0b1000,))
         with pytest.raises(InvalidGenerator):
-            Ideal(3, (Monomial(0b011, 3), Monomial(0b1100, 3)))
+            Ideal(3, (0b011, 0b1100))
 
     def test_numpy_indices_make_int_masks(self):
         ideal = Ideal.from_supports(
             [[np.int64(1), np.int64(2)], [np.int64(2), np.int64(3)]], 3
         )
         assert ideal == Ideal.from_supports([[1, 2], [2, 3]], 3)
-        assert all(type(m) is int for m in ideal.gen_masks())
+        assert all(type(m) is int for m in ideal.masks)
         assert canonical_relabeling_key(ideal) == canonical_relabeling_key(
             Ideal.from_supports([[1, 2], [2, 3]], 3)
         )
@@ -97,7 +104,7 @@ class TestMinimize:
         # idempotent
         assert minimize_generators(list(ideal.gens), n) == ideal
         # antichain
-        masks = ideal.gen_masks()
+        masks = ideal.masks
         for i, a in enumerate(masks):
             for b in masks[i + 1 :]:
                 assert a & b != a and a & b != b
@@ -308,7 +315,7 @@ class TestMinimalPrimes:
                 if any(a & b == a for a, b in itertools.permutations(masks, 2)):
                     continue
                 count += 1
-                ideal = Ideal(n, tuple(Monomial(m, n) for m in masks))
+                ideal = Ideal(n, masks)
                 primes = ideal.minimal_primes()
                 cover_masks = [sum(1 << (i - 1) for i in c) for c in primes]
                 assert cover_masks == sorted(set(cover_masks))
@@ -324,6 +331,7 @@ class TestMinimalPrimes:
             frozenset({1, 3, 5}),
             frozenset({2, 3, 5}),
         ]
+        assert path5.minimal_prime_masks() == [0b01010, 0b01101, 0b10101, 0b10110]
 
     def test_path_and_cycle_on_forty_vertices(self):
         # minimal vertex covers of the path and the cycle on n vertices obey
@@ -440,7 +448,7 @@ class TestTextFormat:
 class TestCanonicalOrder:
     def test_gens_sorted_by_mask(self):
         ideal = Ideal.from_supports([[2, 3, 6], [1, 3, 5], [2, 3, 4]], 6)
-        masks = ideal.gen_masks()
+        masks = ideal.masks
         assert list(masks) == sorted(masks)
 
     def test_insertion_order_irrelevant(self):
@@ -453,28 +461,16 @@ class TestCanonicalCheck:
     @pytest.mark.parametrize(
         "make, error, match",
         [
-            (lambda: Ideal(3, (Monomial(0b011, 4),)), AmbientMismatch, "ambient"),
-            (lambda: Ideal(3, (Monomial(0, 3),)), InvalidGenerator, "constant"),
-            (
-                lambda: Ideal(3, (Monomial(0b110, 3), Monomial(0b011, 3))),
-                InvalidGenerator,
-                "ascending antichain",
-            ),
-            (
-                lambda: Ideal(3, (Monomial(0b011, 3), Monomial(0b011, 3))),
-                InvalidGenerator,
-                "ascending antichain",
-            ),
-            (
-                lambda: Ideal(4, (Monomial(0b0011, 4), Monomial(0b0100, 4), Monomial(0b0101, 4))),
-                InvalidGenerator,
-                "ascending antichain",
-            ),
+            (lambda: Ideal(3, (Monomial(0b011, 3),)), InvalidGenerator, "not an integer"),
+            (lambda: Ideal(3, (2.5,)), InvalidGenerator, "not an integer"),
+            (lambda: Ideal(3, (0,)), InvalidGenerator, "not a nonempty support"),
+            (lambda: Ideal(3, (-1,)), InvalidGenerator, "not a nonempty support"),
+            (lambda: Ideal(3, (0b011, 0b1000)), InvalidGenerator, "not a nonempty support"),
             (lambda: minimize_generators([Monomial(0b1, 4)], 3), AmbientMismatch, "ambient"),
             (lambda: Ideal.parse("# comment only\n\n"), ParseError, "missing 'n=<count>'"),
         ],
         ids=[
-            "ambient-mismatch", "constant", "not-ascending", "duplicate", "not-antichain",
+            "monomial-entry", "float-entry", "constant", "negative", "bit-at-ambient",
             "minimize-foreign-monomial", "parse-no-header",
         ],
     )
@@ -482,21 +478,64 @@ class TestCanonicalCheck:
         with pytest.raises(error, match=match):
             make()
 
+    @pytest.mark.parametrize(
+        "n, masks, canonical",
+        [
+            (3, (0b110, 0b011), (0b011, 0b110)),
+            (3, (0b011, 0b011), (0b011,)),
+            (4, (0b0011, 0b0100, 0b0101), (0b0011, 0b0100)),
+        ],
+        ids=["not-ascending", "duplicate", "not-antichain"],
+    )
+    def test_canonicalizes(self, n, masks, canonical):
+        # the constructor minimizes and sorts any list of generator masks
+        assert Ideal(n, masks).masks == canonical
+        assert Ideal(n, masks) == Ideal(n, canonical)
+
+    @pytest.mark.parametrize(
+        "call, expected",
+        [
+            (lambda: depth(Ideal.zero(2.5)), InvalidGenerator),
+            (lambda: Ideal.from_supports([[1]], 2.5), InvalidGenerator),
+            (lambda: Monomial.from_support([1], 2.5), InvalidGenerator),
+            (lambda: family6_report(2.0), ValueError),
+            (lambda: family6_report(5.0), ValueError),
+            (lambda: json.dumps(family6_report(np.int64(3)).to_json_dict()), '"field_char": 3,'),
+        ],
+        ids=[
+            "zero-ideal-ambient", "from-supports-ambient", "monomial-ambient",
+            "field-two-float", "field-five-float", "field-numpy-int",
+        ],
+    )
+    def test_non_integer_arguments(self, call, expected):
+        # refused with a ValueError (CLI exit 2), or an integer kept as a plain int
+        if isinstance(expected, str):
+            assert expected in call()
+        else:
+            with pytest.raises(expected, match="integer"):
+                call()
+
+    def test_gens_view(self):
+        ideal = build_family(7)
+        assert ideal.gens == tuple(Monomial(m, 7) for m in ideal.masks)
+        # numpy integers are stored as plain ints
+        numpy_made = Ideal(np.int64(3), (np.int64(3),))
+        assert numpy_made == Ideal(3, (3,))
+        assert type(numpy_made.ambient_n) is int and type(numpy_made.masks[0]) is int
+
     def test_minimal_masks_against_brute_force(self):
         rng = random.Random(12)
+        shuffler = random.Random(13)
         for _ in range(400):
             n = rng.randint(1, 10)
             masks = [rng.randrange(1, 1 << n) for _ in range(rng.randint(0, 25))]
             brute = sorted({m for m in masks if not any(k != m and k & m == k for k in masks)})
             assert _minimal_masks(masks) == brute
-            # the constructor accepts a list exactly when it is already that canonical form
-            canonical = brute == masks
-            try:
-                Ideal(n, tuple(Monomial(m, n) for m in masks))
-            except InvalidGenerator:
-                assert not canonical
-            else:
-                assert canonical
+            # the constructor stores that canonical form, whatever the order of the list
+            ideal = Ideal(n, masks)
+            assert ideal.masks == tuple(brute)
+            shuffled = Ideal(n, shuffler.sample(masks, len(masks)))
+            assert shuffled == ideal and hash(shuffled) == hash(ideal)
 
 
 def _path_ideal(n):

@@ -35,3 +35,19 @@ def test_only_cli_main_writes_to_stderr():
         and id(node) not in in_main
     ]
     assert writers == [], f"cli.py writes to stderr outside main at lines {writers}"
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in SOURCES if path.name != "ideals.py"], ids=lambda path: path.name
+)
+def test_engine_stays_on_masks(path):
+    # an ideal is its generator masks; Monomial objects are a view for callers
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    uses = [
+        (node.lineno, ast.unparse(node))
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in ("gens", "gen_masks"))
+        or (isinstance(node, ast.Name) and node.id in ("Monomial", "gen_masks"))
+        or (isinstance(node, ast.arg) and node.arg == "gen_masks")
+    ]
+    assert uses == [], f"{path.name} leaves the generator masks at {uses}"
