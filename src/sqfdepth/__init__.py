@@ -7,18 +7,20 @@ nonzero homological degree, and depth by Auslander-Buchsbaum.
 Two engines share one face sieve per ideal (``homology.FaceSieve``: the
 faces sorted by size, each face's coboundary row built once) and the exact
 ranks ``rank_gf2``, ``rank_gf3`` and ``rank_mod_p``, chosen by p.
-``betti_table`` (and ``depth_report``, ``regularity``, the ``depth`` and
-``betti`` commands) builds the full table.  ``proj_dim`` and ``depth`` (and
-``g_profile``, ``verify_theorem``, the ``gprofile``, ``verify-family``,
-``graph-depth`` and ``search`` commands) use a pd-only walk that stops at
-the first nonzero homology degree.  It evaluates each multidegree sigma on
-the smaller of two complexes with the same Betti numbers: Hochster's on
-the |sigma| variables, through the ideal's face sieve, or, when fewer
-generators divide x^sigma than sigma has variables, a complex on those
-generators (Gasharov-Peeva-Welker's lcm lattice, by Alexander duality),
-with a face sieve of its own.  Everything is serial; ``search``
-computes each g-profile once per orbit of ideals under relabeling, and
-each depth once per orbit of powers.
+Each multidegree sigma has two complexes with the same Betti numbers:
+Hochster's on the |sigma| variables, through the ideal's face sieve, and a
+complex on the generators dividing x^sigma (Gasharov-Peeva-Welker's lcm
+lattice, by Alexander duality), less the generators private to sigma,
+with a face sieve of its own.  ``betti_table`` (and ``depth_report``,
+``regularity``, the ``depth`` and ``betti`` commands) builds the full
+table, sending sigma to the generator complex when that has at least five
+fewer vertices.  ``proj_dim`` and ``depth`` (and ``g_profile``,
+``verify_theorem``, the ``gprofile``, ``verify-family``, ``graph-depth``
+and ``search`` commands) use a pd-only walk that stops at the first
+nonzero homology degree and sends sigma to the generator complex when
+fewer generators divide x^sigma than sigma has variables.  Everything is
+serial; ``search`` computes each g-profile once per orbit of ideals under
+relabeling, and each depth once per orbit of powers.
 """
 
 from .betti import (

@@ -258,7 +258,7 @@ class FaceSieve:
 
     def _inside(self, sigma: int, top: int) -> int:
         """Bit mask of the positions of the faces inside sigma with at most top vertices."""
-        end = self.bounds[min(top, self.top) + 1]
+        end = self.bounds[top + 1]
         sel = (self._faces[:end] & np.uint32(0xFFFFFFFF ^ sigma)) == 0
         return int.from_bytes(np.packbits(sel, bitorder="little").tobytes(), "little")
 
@@ -269,16 +269,18 @@ class FaceSieve:
         Yielding it ranks the coboundary out of size s and no higher one, so
         a consumer that stops early skips every higher coboundary.  The
         faces carrying the pivots of one coboundary are cleared from the
-        next, since delta o delta = 0 makes their rows dependent.
+        next, since delta o delta = 0 makes their rows dependent.  Sizes
+        past the complex's largest face have no faces and yield 0.
         """
-        sel = self._inside(sigma, top)
+        last = min(top, self.top)
+        sel = self._inside(sigma, last)
         bounds, full = self.bounds, self._full
         here = sel & full[0]
         below = 0
         cleared = 0  # positions, within size s, of the rows left out
         for s in range(top + 1):
             above = 0
-            upper = (sel >> bounds[s + 1]) & full[s + 1] if s < top else 0
+            upper = (sel >> bounds[s + 1]) & full[s + 1] if s < last else 0
             if upper:
                 above, cleared = self._coboundary_rank(s, here & ~cleared, upper)
             yield here.bit_count() - below - above

@@ -93,10 +93,26 @@ def _parse_listing(text: str, key: str, item: str) -> tuple[int, list[tuple[int,
 
 @dataclass(frozen=True, order=True)
 class Monomial:
-    """A squarefree monomial: a support bitmask in a ring with ambient_n variables."""
+    """A squarefree monomial: a support bitmask in a ring with ambient_n variables.
+
+    ``ambient_n`` must be an integer in 1..MAX_AMBIENT and ``mask`` an
+    integer in 0..2^ambient_n - 1 (0 is the monomial 1); anything else
+    raises ``InvalidGenerator``.
+    """
 
     mask: int
     ambient_n: int
+
+    def __post_init__(self) -> None:
+        n = _check_ambient(self.ambient_n)
+        try:
+            mask = int(operator.index(self.mask))
+        except TypeError:
+            raise InvalidGenerator(f"monomial mask {self.mask!r} is not an integer") from None
+        if mask < 0 or mask >> n:
+            raise InvalidGenerator(f"monomial mask {mask} is not a support in 1..{n}")
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "ambient_n", n)
 
     @classmethod
     def from_support(cls, indices: Iterable[int], ambient_n: int) -> "Monomial":
@@ -212,8 +228,14 @@ class Ideal:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ambient_n", _check_ambient(self.ambient_n))
+        try:
+            raws = iter(self.masks)
+        except TypeError:
+            raise InvalidGenerator(
+                f"generator masks {self.masks!r} are not a collection of integers"
+            ) from None
         masks = []
-        for raw in self.masks:
+        for raw in raws:
             try:
                 m = operator.index(raw)
             except TypeError:

@@ -12,8 +12,10 @@ from oracles import (
     koszul_betti_table,
     random_test_ideal,
 )
+from sqfdepth import betti
 from sqfdepth.betti import (
     DepthReport,
+    _generator_counts,
     _generator_nonfaces,
     _orbits,
     betti_table,
@@ -26,7 +28,7 @@ from sqfdepth.betti import (
 from sqfdepth.errors import ZeroIdeal
 from sqfdepth.family import build_family
 from sqfdepth import homology
-from sqfdepth.homology import FieldSpec, induced_faces
+from sqfdepth.homology import MAX_HOCHSTER_AMBIENT, FieldSpec, induced_faces
 from sqfdepth.ideals import Ideal
 from sqfdepth.search import SearchConfig, random_ideal
 
@@ -76,24 +78,35 @@ class TestBettiTable:
                 assert i >= 1 and value > 0 and sigma > 0
 
     def test_each_face_row_is_built_at_most_once(self, monkeypatch):
-        # every survivor sigma of one call shares the ideal's rows; a fresh
-        # call (another ideal, or another prime) builds its own
+        # rows are built at most once per sieve; every Delta_sigma of one call
+        # goes through at most one sieve of the ideal, and a fresh call
+        # (another ideal, or another prime) builds its own
         builds: list[tuple[int, int, int]] = []
-        build = homology.FaceSieve._build_row
+        sieves: list[tuple[homology.FaceSieve, bool]] = []
+        build, init = homology.FaceSieve._build_row, homology.FaceSieve.__init__
+        ideal = build_family(8)
+
+        def recording_init(sieve, n, nonfaces, p=2):
+            nonfaces = tuple(nonfaces)
+            # kept alive, so no two sieves of a call share an id
+            sieves.append((sieve, (n, nonfaces) == (ideal.ambient_n, ideal.masks)))
+            init(sieve, n, nonfaces, p)
 
         def recording(sieve, s, j):
             builds.append((id(sieve), s, j))
             return build(sieve, s, j)
 
+        monkeypatch.setattr(homology.FaceSieve, "__init__", recording_init)
         monkeypatch.setattr(homology.FaceSieve, "_build_row", recording)
-        ideal = build_family(8)
         n_faces = sum(len(g) for g in induced_faces(ideal, range(1, 9)).faces_by_size())
         for p in (2, 3, 5):
             builds.clear()
+            sieves.clear()
             assert multigraded(ideal, FieldSpec(p)) == koszul_betti_table(ideal, p)
-            assert len(set(builds)) == len(builds)
-            assert len({sieve for sieve, _, _ in builds}) == 1
-            assert 0 < len(builds) <= n_faces
+            assert builds and len(set(builds)) == len(builds)
+            on_ideal = [id(sieve) for sieve, hochster in sieves if hochster]
+            assert len(on_ideal) <= 1
+            assert sum(sieve in on_ideal for sieve, _, _ in builds) <= n_faces
 
 
 class TestHochsterAgainstKoszul:
@@ -225,15 +238,35 @@ class TestDepthOnlyEngine:
 
 
 def generator_complex_table(ideal, p):
-    """Multigraded Betti numbers from K_sigma on the generators, sigma by sigma."""
+    """Multigraded Betti numbers from the reduced K_sigma, sigma by sigma.
+
+    Every survivor, not one per twin orbit; a cone K_sigma gives nothing.
+    """
     survivors, _ = _orbits(ideal)
     table = {}
     for sigma in survivors.tolist():
-        m, nonfaces = _generator_nonfaces(ideal.masks, sigma)
-        dims = homology.FaceSieve(m, nonfaces, p).homology_dims((1 << m) - 1, m)
+        reduced = _generator_nonfaces(ideal.masks, sigma)
+        if reduced is None:
+            continue
+        r, nonfaces = reduced
+        m = sum(g & sigma == g for g in ideal.masks)
+        dims = homology.FaceSieve(r, nonfaces, p).homology_dims((1 << r) - 1, r)
         for s, dim in enumerate(dims):
             if dim:
                 table[(m - s, sigma)] = dim
+    return table
+
+
+def hochster_table(ideal, p):
+    """Multigraded Betti numbers from Delta_sigma on every survivor, no skips."""
+    survivors, _ = _orbits(ideal)
+    sieve = homology.FaceSieve(ideal.ambient_n, ideal.masks, p)
+    table = {}
+    for sigma in survivors.tolist():
+        width = sigma.bit_count()
+        for s, dim in enumerate(sieve.homology_dims(sigma, width)):
+            if dim:
+                table[(width - s, sigma)] = dim
     return table
 
 
@@ -278,9 +311,76 @@ class TestGeneratorComplex:
                 assert pd == ideal.ambient_n - depth_via_links(ideal, p)
 
     def test_nonfaces_of_one_sigma(self):
-        # x1x2, x2x3, x3x4 inside sigma = {1, 2, 3}: generators 0 and 1
-        gens = Ideal.from_supports([[1, 2], [2, 3], [3, 4]], 4).masks
-        assert _generator_nonfaces(gens, 0b0111) == (2, [0b01, 0b11, 0b10])
+        path = Ideal.from_supports([[1, 2], [2, 3], [3, 4]], 4).masks
+        # sigma = {1, 2, 3}: x1x2 and x2x3 each own a variable, so both are
+        # dropped and K_sigma is {empty face}
+        assert _generator_nonfaces(path, 0b0111) == (0, [])
+        # sigma = {1, 2, 3, 4}: x1x2 and x3x4 are private, and x2x3, the one
+        # kept generator, lies in no kept nonface: a cone
+        assert _generator_nonfaces(path, 0b1111) is None
+        # the 4-cycle x1x2, x2x3, x1x4, x3x4 with the pendant x4x5: x4x5
+        # owns x5, so it goes with C_4 and C_5, and C_1, C_2, C_3 remain
+        pendant = Ideal.from_supports([[1, 2], [2, 3], [3, 4], [1, 4], [4, 5]], 5).masks
+        assert _generator_nonfaces(pendant, 0b11111) == (4, [0b0101, 0b0011, 0b1010])
+
+    def test_counts_match_the_builder(self):
+        # the vectorised count that picks each complex agrees with the builder
+        for ideal, _ in self.cases():
+            survivors, reps = _orbits(ideal)
+            uniq = survivors[reps == survivors]
+            assert np.array_equal(uniq, np.unique(reps))
+            for sigma, m, r, cone in zip(
+                uniq.tolist(), *(a.tolist() for a in _generator_counts(ideal.masks, uniq))
+            ):
+                reduced = _generator_nonfaces(ideal.masks, sigma)
+                assert m == sum(g & sigma == g for g in ideal.masks)
+                assert cone == (reduced is None)
+                assert cone or r == reduced[0]
+
+
+class TestComplexChoice:
+    """The table is the same whichever complex each representative goes to.
+
+    ``betti_table`` under its rule, with every representative on Delta_sigma
+    and with every one on K_sigma, against Hochster's formula and the
+    reduced K_sigma on every survivor with no orbit reduction and no skips.
+    """
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(113)
+        out = [
+            random_test_ideal(rng, int(rng.integers(3, 10)), max_degree=4, max_gens=10)
+            for _ in range(30)
+        ]
+        out += [build_family(n) for n in range(6, 13)]
+        out += [complete_multipartite(parts) for parts in ([1] * 6, [2, 3], [1, 2, 3], [3, 3])]
+        out += [Ideal.from_supports([[i, i + 1] for i in range(1, n)], n) for n in (4, 7, 9)]
+        out += [Ideal.from_supports([[i, i % n + 1] for i in range(1, n + 1)], n) for n in (4, 7, 9)]
+        for n in (6, 7, 8):
+            pairs = list(itertools.combinations(range(1, n + 1), 2))
+            edges = rng.choice(len(pairs), 2 * n, replace=False)
+            out.append(Ideal.from_supports([pairs[i] for i in edges], n))
+        out += [
+            Ideal.from_supports([[1], [2, 3]], 3),  # a degree-one generator
+            Ideal.from_supports([[1], [2], [3]], 5),  # plus free variables
+            Ideal.from_supports([[1, 2, 3], [4], [4, 5, 6]], 8),
+            # private generators, a cone at the full support, and r = 0
+            Ideal.from_supports([[1, 2], [2, 3], [3, 4]], 4),
+            Ideal.from_supports([[1, 2], [2, 3], [3, 4], [1, 4], [4, 5]], 5),
+        ]
+        return out
+
+    @pytest.mark.parametrize("p", (2, 3, 5))
+    def test_rule_matches_all_delta_and_all_k(self, p, monkeypatch):
+        field = FieldSpec(p)
+        for ideal in self.cases():
+            table = multigraded(ideal, field)
+            assert table == hochster_table(ideal, p) == generator_complex_table(ideal, p)
+            for margin in (-MAX_HOCHSTER_AMBIENT, MAX_HOCHSTER_AMBIENT):
+                monkeypatch.setattr(betti, "_K_MARGIN", margin)
+                assert multigraded(ideal, field) == table
+            monkeypatch.undo()
 
 
 class TestSmallerComplexWalk:
@@ -311,8 +411,9 @@ class TestSmallerComplexWalk:
                 sizes.clear()
                 assert proj_dim(build_family(n), FieldSpec(p)) == n - 3
                 assert len(calls) == 2
-                # both on generator complexes; the 2^n face sieve is never built
-                assert sizes == [n - 1, n - 2]
+                # both on reduced generator complexes; the 2^n face sieve
+                # is never built
+                assert sizes == [5, 5]
 
     def test_cubic_samples_never_sieve_all_eight_variables(self, monkeypatch):
         cfg = SearchConfig(ambient_n=8, seed=1, gen_degree=3, gen_count=5)

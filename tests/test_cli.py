@@ -128,7 +128,10 @@ class TestFamilyGoldens:
 
     The benchmark's goldens cover n = 10..13.  The n = 16 files were recorded
     with an engine that computed the homology of every survivor, so they
-    check the twin-orbit reduction against the full walk.
+    check the twin-orbit reduction against the full walk.  The n = 20 file
+    was recorded with an engine that took every orbit to Hochster's complex
+    (31 s, 3.2 GB), so it checks the reduced generator complexes and the
+    cone skip against that walk.
     """
 
     GOLDENS = sorted(
@@ -139,7 +142,7 @@ class TestFamilyGoldens:
     def test_goldens_present(self):
         names = {path.name for path in self.GOLDENS}
         assert {"depth-n13-p2.json", "depth-n12-p3.json"} <= names
-        assert {"depth-n16-p2.json", "depth-n16-p3.json"} <= names
+        assert {"depth-n16-p2.json", "depth-n16-p3.json", "depth-n20-p2.json"} <= names
 
     @pytest.mark.parametrize("golden", GOLDENS, ids=lambda path: path.stem)
     def test_depth_reproduces_golden(self, capsys, tmp_path, golden):

@@ -144,6 +144,15 @@ class TestReducedHomology:
         dims = reduced_homology_dims(induced_faces(ideal, [1]), F2)
         assert dims == [1, 0]
 
+    @pytest.mark.parametrize("p", (2, 3, 5))
+    def test_top_past_the_largest_face(self, p):
+        # sizes beyond the complex have no faces: zeros, not an IndexError
+        hollow = homology.FaceSieve(3, [0b111], p)
+        assert list(hollow.homology_dims(0b111, 5)) == [0, 0, 1, 0, 0, 0]
+        assert list(homology.FaceSieve(0, [], p).homology_dims(0, 2)) == [1, 0, 0]
+        # a consumer that stops early gets the same prefix
+        assert list(itertools.islice(hollow.homology_dims(0b011, 9), 3)) == [0, 0, 0]
+
 
 class TestSweepCap:
     @pytest.mark.parametrize(

@@ -466,12 +466,18 @@ class TestCanonicalCheck:
             (lambda: Ideal(3, (0,)), InvalidGenerator, "not a nonempty support"),
             (lambda: Ideal(3, (-1,)), InvalidGenerator, "not a nonempty support"),
             (lambda: Ideal(3, (0b011, 0b1000)), InvalidGenerator, "not a nonempty support"),
+            (lambda: Ideal(3, 5), InvalidGenerator, "not a collection of integers"),
             (lambda: minimize_generators([Monomial(0b1, 4)], 3), AmbientMismatch, "ambient"),
+            (lambda: Monomial(0b1000, 3), InvalidGenerator, "not a support in 1..3"),
+            (lambda: Monomial(-1, 3), InvalidGenerator, "not a support in 1..3"),
+            (lambda: Monomial(1.0, 3), InvalidGenerator, "not an integer"),
+            (lambda: Monomial(0b1, 0), InvalidGenerator, "ambient_n must be in 1..63"),
             (lambda: Ideal.parse("# comment only\n\n"), ParseError, "missing 'n=<count>'"),
         ],
         ids=[
             "monomial-entry", "float-entry", "constant", "negative", "bit-at-ambient",
-            "minimize-foreign-monomial", "parse-no-header",
+            "bare-int-masks", "minimize-foreign-monomial", "monomial-bit-at-ambient",
+            "monomial-negative", "monomial-float", "monomial-ambient", "parse-no-header",
         ],
     )
     def test_refusals(self, make, error, match):

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from oracles import complete_multipartite, depth_via_links, koszul_betti_table, random_test_ideal
-from sqfdepth import homology, search
-from sqfdepth.betti import _sieves, betti_table, proj_dim
+from sqfdepth import betti, homology, search
+from sqfdepth.betti import _generator_nonfaces, _orbits, betti_table, proj_dim
 from sqfdepth.family import build_family
 from sqfdepth.homology import FieldSpec
 from sqfdepth.ideals import Ideal
@@ -135,27 +135,51 @@ class TestOrbitReduction:
 
     def test_representatives_are_survivors_of_the_same_width(self):
         for ideal in PLANTED:
-            survivors, reps, _ = _sieves(ideal, 2)
+            survivors, reps = _orbits(ideal)
             assert set(reps.tolist()) <= set(survivors.tolist())
             assert np.array_equal(np.bitwise_count(reps), np.bitwise_count(survivors))
 
     def test_one_homology_computation_per_orbit(self, monkeypatch):
-        calls: list[int] = []
-        dims = homology.FaceSieve.homology_dims
+        # at most one homology computation per representative, none on a
+        # cone K_sigma or on K_sigma = {empty face}: each goes either to its
+        # own reduced K_sigma (one build, one walk) or to the ideal's sieve
+        calls: list[tuple[bool, int]] = []
+        built: list[int] = []
+        init, dims = homology.FaceSieve.__init__, homology.FaceSieve.homology_dims
+        nonfaces = betti._generator_nonfaces
+
+        def tagging(sieve, n, masks, p=2):
+            masks = tuple(masks)
+            sieve.hochster = (n, masks) == (ideal.ambient_n, ideal.masks)
+            init(sieve, n, masks, p)
 
         def counting(sieve, sigma, top):
-            calls.append(sigma)
+            calls.append((sieve.hochster, sigma))
             return dims(sieve, sigma, top)
 
-        monkeypatch.setattr(homology.FaceSieve, "homology_dims", counting)
+        def building(masks, sigma):
+            built.append(sigma)
+            return nonfaces(masks, sigma)
+
         ideal = build_family(12)
-        survivors, reps, _ = _sieves(ideal, 2)
+        survivors, reps = _orbits(ideal)
         assert len(survivors) == 770
+        orbits = set(reps.tolist())
+        assert len(orbits) == 86
+        reduced = {rep: _generator_nonfaces(ideal.masks, rep) for rep in orbits}
+        idle = {rep for rep, k in reduced.items() if k is None or k == (0, [])}
+        assert len(idle) == 66
+        monkeypatch.setattr(homology.FaceSieve, "__init__", tagging)
+        monkeypatch.setattr(homology.FaceSieve, "homology_dims", counting)
+        monkeypatch.setattr(betti, "_generator_nonfaces", building)
         for p in (2, 3):
             calls.clear()
+            built.clear()
             betti_table(ideal, FieldSpec(p))
-            assert len(calls) == len(set(calls)) == 86
-            assert set(calls) == set(reps.tolist())
+            hochster = [sigma for on_ideal, sigma in calls if on_ideal]
+            assert len(calls) == len(orbits) - len(idle) == 20
+            assert len(set(built + hochster)) == len(built) + len(hochster) == len(calls)
+            assert set(built + hochster) == orbits - idle
 
 
 def test_canonical_key_splits_twin_cells_without_branching(monkeypatch):
