@@ -4,23 +4,23 @@ Depth is computed from first principles: multigraded Betti numbers of S/I
 over a prime field via Hochster's formula, projective dimension as the top
 nonzero homological degree, and depth by Auslander-Buchsbaum.
 
-Two engines share one face sieve per ideal (``homology.FaceSieve``: the
-faces sorted by size, each face's coboundary row built once) and the exact
-ranks ``rank_gf2``, ``rank_gf3`` and ``rank_mod_p``, chosen by p.
-Each multidegree sigma has two complexes with the same Betti numbers:
-Hochster's on the |sigma| variables, through the ideal's face sieve, and a
-complex on the generators dividing x^sigma (Gasharov-Peeva-Welker's lcm
-lattice, by Alexander duality), less the generators private to sigma,
-with a face sieve of its own.  ``betti_table`` (and ``depth_report``,
-``regularity``, the ``depth`` and ``betti`` commands) builds the full
-table, sending sigma to the generator complex when that has at least five
-fewer vertices.  ``proj_dim`` and ``depth`` (and ``g_profile``,
-``verify_theorem``, the ``gprofile``, ``verify-family``, ``graph-depth``
-and ``search`` commands) use a pd-only walk that stops at the first
-nonzero homology degree and sends sigma to the generator complex when
-fewer generators divide x^sigma than sigma has variables.  Everything is
-serial; ``search`` computes each g-profile once per orbit of ideals under
-relabeling, and each depth once per orbit of powers.
+Two walks share one evaluator of a multidegree sigma on one of two
+complexes with the same Betti numbers: Hochster's on the |sigma|
+variables, through the ideal's one face sieve (``homology.FaceSieve``: the
+faces sorted by size, each coboundary row built once), and a complex on
+the generators dividing x^sigma, less those private to sigma
+(Gasharov-Peeva-Welker's lcm lattice, by Alexander duality), with a sieve
+of its own.  Ranks are exact: ``rank_gf2``, ``rank_gf3`` or ``rank_mod_p``,
+chosen by p.  ``betti_table`` (and ``depth_report``, ``regularity``, the
+``depth`` and ``betti`` commands) builds the full table and takes the
+generator complex when it has at least five fewer vertices.  ``proj_dim``
+and ``depth`` (and ``g_profile``, ``verify_theorem``, the ``gprofile``,
+``verify-family``, ``graph-depth`` and ``search`` commands) stop at the
+first nonzero homology degree and take it when fewer generators divide
+x^sigma than sigma has variables.  The rules differ on purpose: each is
+the faster one, measured, for its walk.  Everything is serial; ``search``
+computes each g-profile once per orbit of ideals under relabeling, and
+each depth once per orbit of powers.
 """
 
 from .betti import (

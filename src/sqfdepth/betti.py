@@ -22,27 +22,20 @@ theorem turns that interval into the complex of the sets of generators
 whose lcm is not x^sigma, and K_sigma is its Alexander dual.
 
 A generator g private to sigma, the only one of G_sigma containing some
-variable v, has C_v = {g}, so g is no vertex of K_sigma.  Both walks use
-the reduced K_sigma (``_generator_nonfaces``): the private generators and
-every nonface that meets one are dropped, and the r generators left are
-its vertices.  The Betti numbers still read off at face size
-|G_sigma| - i.  If a kept generator lies in no kept nonface, K_sigma is a
-cone and sigma contributes nothing; if none is kept, K_sigma = {empty
-face} and beta_{|G_sigma|,sigma} = 1 is its only entry.
+variable v, has C_v = {g}, so g is no vertex of K_sigma.  The reduced
+K_sigma (``_generator_nonfaces``) drops it, with every nonface that meets
+it, and keeps r generators; the Betti numbers still read off at face size
+|G_sigma| - i.
 
-``betti_table`` evaluates each representative on one of two complexes,
-chosen by one vectorised count over all representatives
-(``_generator_counts``) that gives |G_sigma|, r and the cones: the
-reduced K_sigma, with a face sieve of its own, when r + ``_K_MARGIN`` <=
-|sigma|, and otherwise Hochster's Delta_sigma through the ideal's one
-``FaceSieve``, whose coboundary rows are built once per call and shared by
-every sigma that goes there.  Cones get no homology at all.
-
-``proj_dim`` and ``depth`` (and so ``g_profile``) need only the top degree
-and use a separate walk that skips most subsets and every homology degree
-above the first nonzero one.  It evaluates each sigma on the complex with
-fewer vertices before reduction: the reduced K_sigma when |G_sigma| <
-|sigma|, and otherwise Delta_sigma through the ideal's sieve.
+Both walks evaluate a sigma through one evaluator (``_Columns``), on the
+reduced K_sigma with a face sieve of its own, or on Delta_sigma through
+the ideal's one ``FaceSieve``, whose rows every sigma there shares.  Only
+the rule that picks the complex differs, each measured (``_K_MARGIN``).
+``betti_table`` counts |G_sigma|, r and the cones of all representatives
+at once (``_generator_counts``), skips the cones, and takes K_sigma when
+r = 0 or r + ``_K_MARGIN`` <= |sigma|.  ``proj_dim`` and ``depth`` (and
+so ``g_profile``) need only the top degree: they take K_sigma when
+|G_sigma| < |sigma|, and stop at the first nonzero degree.
 
 Permuting twin variables (``Ideal.twin_classes``) is an automorphism of the
 complex, so it maps each induced subcomplex onto an isomorphic one and
@@ -55,7 +48,7 @@ members, as many as sigma has.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,17 +163,14 @@ def _generator_counts(
 def _generator_nonfaces(masks: tuple[int, ...], sigma: int) -> tuple[int, list[int]] | None:
     """The reduced complex K_sigma: its vertex count r and its nonfaces, or None for a cone.
 
-    K_sigma has a vertex for each generator dividing x^sigma and one
-    minimal nonface C_v per variable v of sigma, the generators that
-    contain v.  A generator g private to sigma, the only one containing
-    some variable v, has C_v = {g}, so g is no vertex: it is dropped, with
-    every nonface that meets it, which leaves the faces and the homology
-    as they were.  The r kept generators are numbered 0..r-1 in the order
-    of ``masks``, and the kept nonfaces are listed by ascending v: bit j of
-    C_v is set when the j-th kept generator contains v.  When a kept
-    generator lies in no kept nonface, K_sigma is a cone on it, so every
-    homology group vanishes and None is returned.  With r = 0, K_sigma is
-    {empty face}.
+    A generator g private to sigma, the only one containing some variable
+    v, has C_v = {g}, so g is no vertex: it is dropped, with every nonface
+    that meets it, which leaves the faces and the homology as they were.
+    The r kept generators are numbered 0..r-1 in the order of ``masks``,
+    and the kept nonfaces C_v are listed by ascending v: bit j is set when
+    the j-th kept generator contains v.  A kept generator in no kept
+    nonface makes K_sigma a cone on it, with no homology.  With r = 0,
+    K_sigma is {empty face}.
     """
     inside = [g for g in masks if g & sigma == g]
     seen = twice = 0
@@ -208,61 +198,79 @@ def _generator_nonfaces(masks: tuple[int, ...], sigma: int) -> tuple[int, list[i
     return len(kept), nonfaces
 
 
-# A representative goes to its reduced K_sigma when r + _K_MARGIN <= |sigma|,
-# and to Hochster's Delta_sigma otherwise.  A K_sigma sieve is built for one
-# sigma, while the induced complexes share the ideal's sieve and its rows, so
-# K_sigma must be clearly smaller to pay.  Measured in process on a 2-vCPU
-# x86_64 box (Python 3.11.7, numpy 2.4.6), median of 5 runs, each the best of
-# 3, against Delta_sigma for every sigma: family tables (n = 10..13) 0.080 ->
-# 0.016 s, 12 twin-free cubic tables (n = 10..13) 0.78 -> 0.53 s, complete,
-# path and cycle edge-ideal tables (n = 9..14) 0.44 -> 0.19 s, random graphs
-# (n = 10..12, 2n edges) 0.16 -> 0.10 s.  Over margins 3..7, 5 was best or
-# tied on every class but the family, where 3 was 1.9x faster; but 3 made
-# the random graphs 1.7x slower.
+class _Columns:
+    """One ideal's Betti numbers, one multidegree sigma at a time, on one complex.
+
+    Every Delta_sigma goes through the ideal's one face sieve, built on
+    first need, so each coboundary row is built at most once per walk.
+    """
+
+    def __init__(self, ideal: Ideal, p: int) -> None:
+        self._ideal, self._p, self._sieve = ideal, p, None
+
+    def column(self, sigma: int, m: int, on_k: bool, floor: int) -> Iterator[tuple[int, int]]:
+        """Nonzero (i, beta_{i,sigma}) from the top degree down to floor, ranked bottom-up.
+
+        m is |G_sigma|.  beta_{i,sigma} sits at face size m - i of the
+        reduced K_sigma (``on_k``) and |sigma| - i of Delta_sigma, so a
+        consumer that stops early skips every higher coboundary.  A cone
+        yields nothing, and K_sigma = {empty face} yields (m, 1) with no sieve.
+        """
+        if on_k:
+            reduced = _generator_nonfaces(self._ideal.masks, sigma)
+            if reduced is None:
+                return
+            r, nonfaces = reduced
+            if r == 0:
+                yield m, 1
+                return
+            base, sieve, sigma = m, FaceSieve(r, nonfaces, self._p), (1 << r) - 1
+        else:
+            if self._sieve is None:
+                self._sieve = FaceSieve(self._ideal.ambient_n, self._ideal.masks, self._p)
+            base, sieve = sigma.bit_count(), self._sieve
+        for s, dim in enumerate(sieve.homology_dims(sigma, base - floor)):
+            if dim:
+                yield base - s, dim
+
+
+# The walks pick the complex by different rules, each the faster one measured
+# in process (2-vCPU x86_64, Python 3.11.7, numpy 2.4.6).  betti_table takes
+# K_sigma when r + _K_MARGIN <= |sigma|: a K_sigma sieve serves one sigma,
+# while every Delta_sigma shares the ideal's sieve and rows.  Against
+# Delta_sigma for all (median of 5, best of 3): family tables (n = 10..13)
+# 0.080 -> 0.016 s, twin-free cubic 0.78 -> 0.53 s, complete, path and cycle
+# graphs 0.44 -> 0.19 s, random graphs 0.16 -> 0.10 s; margin 3 made random
+# graphs 1.7x slower, and the pd rule 0.118 -> 0.134 s (6 of 6 runs).  It
+# counts r for all at once: a per-sigma builder took twin-free tables from
+# 0.61..0.75 to 0.74..1.06 s.
+# proj_dim takes K_sigma when m < |sigma|, from a cheap count of m: the
+# table's rule there, even with r counted lazily, took twin-free depth 0.14
+# -> 0.21 s, graph g-profiles 0.60 -> 1.15 s and dense-quadratic ones 0.13
+# -> 0.38 s (margins 1..3 lost too), and counting r for all cost 0.42 s
+# against 0.10 s on graph g-profiles.
 _K_MARGIN = 5
 
 
 def betti_table(ideal: Ideal, field: FieldSpec = FieldSpec(2)) -> BettiTable:
     """All nonzero multigraded Betti numbers of S/I over F_p.
 
-    Homology is computed once per orbit representative and reused for the
-    whole orbit.  One count over the representatives (``_generator_counts``)
-    sorts them: a cone K_sigma has no homology, and a K_sigma with no
-    vertex is {empty face}, so beta_{|G_sigma|,sigma} = 1 alone.  Every
-    other representative is evaluated on its reduced K_sigma, when that
-    has at least ``_K_MARGIN`` fewer vertices than sigma, and otherwise on
-    Delta_sigma through the ideal's one face sieve, built on first need,
-    so each face's coboundary row is built at most once per call.
+    Homology is computed once per orbit representative, on the complex
+    its row of ``_generator_counts`` picks, and reused for the whole orbit.
     """
     if ideal.is_zero:
         raise ZeroIdeal("Betti table of S requested; the zero ideal has no table")
     survivors, reps = _orbits(ideal)
-    p = field.characteristic
     # each representative once: it is its own representative
     uniq = survivors[reps == survivors]
     counts = _generator_counts(ideal.masks, uniq)
-    sieve = None
+    columns = _Columns(ideal, field.characteristic)
     # per representative: its nonzero (i, beta_{i,sigma})
     known: dict[int, list[tuple[int, int]]] = {}
     for rep, m, r, cone in zip(uniq.tolist(), *(a.tolist() for a in counts)):
-        width = rep.bit_count()
-        if cone:
-            continue
-        if r == 0:
-            known[rep] = [(m, 1)]
-            continue
-        if r + _K_MARGIN <= width:
-            r, nonfaces = _generator_nonfaces(ideal.masks, rep)
-            # K_sigma has a nonface on its vertices, so no face of size r
-            dims = FaceSieve(r, nonfaces, p).homology_dims((1 << r) - 1, r - 1)
-            base = m
-        else:
-            if sieve is None:
-                sieve = FaceSieve(ideal.ambient_n, ideal.masks, p)
-            # sigma contains a generator, so no face has all width vertices
-            dims = sieve.homology_dims(rep, width - 1)
-            base = width
-        known[rep] = [(base - s, dim) for s, dim in enumerate(dims) if dim]
+        if not cone:
+            on_k = r == 0 or r + _K_MARGIN <= rep.bit_count()
+            known[rep] = list(columns.column(rep, m, on_k, 1))
     entries = []
     for sigma, rep in zip(survivors.tolist(), reps.tolist()):
         entries.extend((i, sigma, dim) for i, dim in known.get(rep, ()))
@@ -274,22 +282,11 @@ def proj_dim(ideal: Ideal, field: FieldSpec = FieldSpec(2)) -> int:
     """Projective dimension of S/I, without building the Betti table.
 
     pd is the largest i with beta_{i,sigma} nonzero for some survivor
-    sigma, and each sigma has two complexes that give it.  Hochster's
-    Delta_sigma on the |sigma| variables gives
-    beta_{i,sigma} = dim H~_{|sigma|-i-1}(Delta_sigma).  K_sigma on the
-    |G_sigma| generators dividing x^sigma (``_generator_nonfaces``) gives
-    beta_{i,sigma} = dim H~_{|G_sigma|-i-1}(K_sigma), the identity in the
-    module docstring.  Both bound i by their vertex count, so survivors are
-    visited by descending w = min(|sigma|, |G_sigma|), ties by ascending
-    mask, and the walk stops at the first sigma with w <= best.  Each sigma
-    is evaluated on the complex with w vertices: K_sigma, reduced and built
-    for sigma alone, when |G_sigma| < |sigma| (a cone is passed over), and
-    otherwise Delta_sigma through the ideal's face sieve, built on first
-    need.  Its homology is computed bottom-up only until its first nonzero
-    degree or face size w - best, since no larger size can beat best.  Only survivors that are their own
-    orbit representative are visited, since every member of an orbit has
-    the same homology.  The ranks are the same exact ranks ``betti_table``
-    uses.
+    sigma.  Delta_sigma bounds i by |sigma| and K_sigma by m = |G_sigma|,
+    so orbit representatives are visited by descending w = min(|sigma|, m),
+    ties by ascending mask, each on its complex with w vertices, and only
+    down to degree best + 1; the walk stops at the first sigma with
+    w <= best.
     """
     if ideal.is_zero:
         raise ZeroIdeal("projective dimension of S requested")
@@ -300,31 +297,16 @@ def proj_dim(ideal: Ideal, field: FieldSpec = FieldSpec(2)) -> int:
         gens_inside += (survivors & np.uint32(g)) == g
     weights = np.minimum(np.bitwise_count(survivors), gens_inside)
     order = np.argsort(-weights, kind="stable")
-    p = field.characteristic
-    sieve = None
+    columns = _Columns(ideal, field.characteristic)
     best = 0
     for sigma, w, m in zip(
         survivors[order].tolist(), weights[order].tolist(), gens_inside[order].tolist()
     ):
         if w <= best:
             break
-        limit = w - best
-        if m < sigma.bit_count():
-            reduced = _generator_nonfaces(ideal.masks, sigma)
-            if reduced is None:
-                continue  # a cone: every beta_{i,sigma} is 0
-            r, nonfaces = reduced
-            dims = FaceSieve(r, nonfaces, p).homology_dims((1 << r) - 1, limit)
-        else:
-            if sieve is None:
-                sieve = FaceSieve(ideal.ambient_n, ideal.masks, p)
-            dims = sieve.homology_dims(sigma, limit)
-        # range first: zip stops before asking for the size-limit value,
-        # which would need the faces of size limit + 1
-        for s, dim in zip(range(limit), dims):
-            if dim:
-                best = w - s
-                break
+        for i, _ in columns.column(sigma, m, m < sigma.bit_count(), best + 1):
+            best = i
+            break
     return best
 
 

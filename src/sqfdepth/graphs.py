@@ -18,27 +18,40 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import NotATree, ParseError
-from .ideals import Ideal, _indices_from_mask, _minimal_transversals, _parse_listing
+from .ideals import Ideal, _indices_from_mask, _integer, _minimal_transversals, _parse_listing
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple graph on vertices 1..n_vertices with a frozenset of (a, b) edges, a < b."""
+    """Simple graph on vertices 1..n_vertices with a frozenset of (a, b) edges, a < b.
+
+    The constructor orders each edge; non-integers, out-of-range endpoints
+    and loops raise ``ValueError``.
+    """
 
     n_vertices: int
     edges: frozenset[tuple[int, int]]
 
-    @classmethod
-    def from_edges(cls, n_vertices: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        if n_vertices < 1:
+    def __post_init__(self) -> None:
+        n = _integer(self.n_vertices, "vertex count")
+        if n < 1:
             raise ValueError("graph needs at least one vertex")
         normal = set()
-        for a, b in edges:
+        for edge in self.edges:
+            try:
+                a, b = (_integer(v, "endpoint") for v in edge)
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {edge!r} is not a pair of integers") from None
             if a == b:
                 raise ValueError(f"loop at vertex {a}")
-            if not (1 <= a <= n_vertices and 1 <= b <= n_vertices):
-                raise ValueError(f"edge ({a},{b}) out of range 1..{n_vertices}")
+            if not (1 <= a <= n and 1 <= b <= n):
+                raise ValueError(f"edge ({a},{b}) out of range 1..{n}")
             normal.add((min(a, b), max(a, b)))
-        return cls(n_vertices, frozenset(normal))
+        object.__setattr__(self, "n_vertices", n)
+        object.__setattr__(self, "edges", frozenset(normal))
+
+    @classmethod
+    def from_edges(cls, n_vertices: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        return cls(n_vertices, edges)
 
     def adjacency_masks(self) -> list[int]:
         """Neighbor bitmask per vertex, index 0 = vertex 1."""

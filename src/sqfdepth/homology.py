@@ -16,13 +16,12 @@ integers over F_2 (``rank_gf2``), pairs of packed bit-planes over F_3
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .ideals import Ideal, _indices_from_mask, _mask_from_indices
+from .ideals import Ideal, _indices_from_mask, _integer, _mask_from_indices
 
 # Miller-Rabin with these bases is exact for every n < 3.3 * 10^24.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -63,11 +62,7 @@ class FieldSpec:
     characteristic: int = 2
 
     def __post_init__(self) -> None:
-        p = self.characteristic
-        try:
-            p = int(operator.index(p))
-        except TypeError:
-            raise ValueError(f"characteristic must be an integer, got {p!r}") from None
+        p = _integer(self.characteristic, "characteristic")
         # stored as a plain int: JSON reports cannot serialize a numpy integer
         object.__setattr__(self, "characteristic", p)
         if p > MAX_CHARACTERISTIC:
@@ -183,8 +178,8 @@ class FaceSieve:
     size s are positions ``bounds[s]:bounds[s + 1]``.  The coboundary row of
     the s-face f has an entry at f | {v} for every vertex v outside f with
     that union a face, of sign (-1)^|{u in f : u < v}|, in the column given
-    by the position of f | {v} within size s + 1.  Each row is built on
-    first use and kept for the life of the sieve, so the induced
+    by the position of f | {v} within size s + 1.  Each row a rank uses is
+    built on first use and kept for the life of the sieve, so the induced
     subcomplexes of one ideal share it: restricting a row to sigma masks its
     columns with the (s + 1)-faces inside sigma.  Rows are packed
     ints at p = 2 and (plus, minus) bit-plane pairs, the columns of the +1
@@ -216,21 +211,6 @@ class FaceSieve:
         if got is None:
             got = self._masks[s] = self._faces[self.bounds[s] : self.bounds[s + 1]].tolist()
         return got
-
-    def row(self, s: int, j: int):
-        """The coboundary row of the s-face at position j of its size class."""
-        rows = self._cache(s)
-        got = rows[j]
-        if got is None:
-            got = rows[j] = self._build_row(s, j)
-        return got
-
-    def _cache(self, s: int) -> list:
-        """The row slots of the s-faces; None until a row is built."""
-        rows = self._rows.get(s)
-        if rows is None:
-            rows = self._rows[s] = [None] * (self.bounds[s + 1] - self.bounds[s])
-        return rows
 
     def _build_row(self, s: int, j: int):
         """The row of the j-th s-face f: one lookup of f | {v} per vertex v."""
@@ -265,14 +245,15 @@ class FaceSieve:
     def homology_dims(self, sigma: int, top: int) -> Iterator[int]:
         """Reduced homology dims of the complex induced on sigma, for face sizes 0..top.
 
-        The value for size s is the dim of reduced homology in degree s - 1.
-        Yielding it ranks the coboundary out of size s and no higher one, so
-        a consumer that stops early skips every higher coboundary.  The
-        faces carrying the pivots of one coboundary are cleared from the
-        next, since delta o delta = 0 makes their rows dependent.  Sizes
-        past the complex's largest face have no faces and yield 0.
+        The value for size s is the dim of reduced homology in degree s - 1,
+        exact for every s up to top.  Yielding it ranks the coboundary out
+        of size s and no higher one, so a consumer that stops early skips
+        every higher coboundary.  The faces carrying the pivots of one
+        coboundary are cleared from the next, since delta o delta = 0 makes
+        their rows dependent.  Sizes past the complex's largest face have
+        no faces and yield 0.
         """
-        last = min(top, self.top)
+        last = min(top + 1, self.top)
         sel = self._inside(sigma, last)
         bounds, full = self.bounds, self._full
         here = sel & full[0]
@@ -293,7 +274,9 @@ class FaceSieve:
         Both are bit masks of positions within their size class.  Returns
         the rank and the mask of the pivot columns.
         """
-        cache = self._cache(s)
+        cache = self._rows.get(s)
+        if cache is None:  # None until the row is built
+            cache = self._rows[s] = [None] * (self.bounds[s + 1] - self.bounds[s])
         rows = []
         while live:
             b = live & -live
@@ -373,7 +356,7 @@ class InducedComplex:
             frozenset(_indices_from_mask(_unpack(m, bits)))
             for s in range(sieve.top + 1)
             for j, m in enumerate(sieve.faces(s))
-            if not sieve.row(s, j)
+            if not sieve._build_row(s, j)
         ]
 
 

@@ -25,13 +25,18 @@ from .errors import (
 MAX_AMBIENT = 63  # supports fit a single machine word
 
 
+def _integer(value, what: str, error: type[ValueError] = ValueError) -> int:
+    """``value`` as a plain int; ``error`` naming ``what`` unless it is an integer."""
+    try:
+        return int(operator.index(value))
+    except TypeError:
+        raise error(f"{what} {value!r} is not an integer") from None
+
+
 def _mask_from_indices(indices: Iterable[int], ambient_n: int) -> int:
     mask = 0
     for raw in indices:
-        try:
-            i = operator.index(raw)
-        except TypeError:
-            raise InvalidGenerator(f"variable index {raw!r} is not an integer") from None
+        i = _integer(raw, "variable index", InvalidGenerator)
         if not 1 <= i <= ambient_n:
             raise InvalidGenerator(f"variable index {i} out of range 1..{ambient_n}")
         mask |= 1 << (i - 1)
@@ -51,10 +56,7 @@ def _indices_from_mask(mask: int) -> tuple[int, ...]:
 
 def _check_ambient(ambient_n: int) -> int:
     """``ambient_n`` as a plain int, refused unless it is an integer in 1..MAX_AMBIENT."""
-    try:
-        n = int(operator.index(ambient_n))
-    except TypeError:
-        raise InvalidGenerator(f"ambient_n {ambient_n!r} is not an integer") from None
+    n = _integer(ambient_n, "ambient_n", InvalidGenerator)
     if not 1 <= n <= MAX_AMBIENT:
         raise InvalidGenerator(f"ambient_n must be in 1..{MAX_AMBIENT}, got {n}")
     return n
@@ -105,10 +107,7 @@ class Monomial:
 
     def __post_init__(self) -> None:
         n = _check_ambient(self.ambient_n)
-        try:
-            mask = int(operator.index(self.mask))
-        except TypeError:
-            raise InvalidGenerator(f"monomial mask {self.mask!r} is not an integer") from None
+        mask = _integer(self.mask, "monomial mask", InvalidGenerator)
         if mask < 0 or mask >> n:
             raise InvalidGenerator(f"monomial mask {mask} is not a support in 1..{n}")
         object.__setattr__(self, "mask", mask)
@@ -236,10 +235,7 @@ class Ideal:
             ) from None
         masks = []
         for raw in raws:
-            try:
-                m = operator.index(raw)
-            except TypeError:
-                raise InvalidGenerator(f"generator mask {raw!r} is not an integer") from None
+            m = _integer(raw, "generator mask", InvalidGenerator)
             if m <= 0 or m >> self.ambient_n:  # mask 0 would make the unit ideal
                 raise InvalidGenerator(
                     f"generator mask {m} is not a nonempty support in 1..{self.ambient_n}"

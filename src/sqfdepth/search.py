@@ -24,7 +24,7 @@ import numpy as np
 from .betti import GProfile, depth, g_profile
 from .errors import DegenerateSample, SpaceTooLarge
 from .homology import FieldSpec
-from .ideals import Ideal
+from .ideals import Ideal, _integer
 
 MAX_SEARCH_AMBIENT = 14
 # Entries kept by each of a scan's memos (canonical forms, profiles, depths); a
@@ -35,9 +35,11 @@ _SAMPLE_RETRIES = 16
 
 
 def _normalize_range(value, name: str, lo_ok: int, hi_ok: int) -> tuple[int, int]:
-    if isinstance(value, int):
-        value = (value, value)
-    lo, hi = value
+    """An integer d as (d, d), or an integer pair (lo, hi), refused outside lo_ok..hi_ok."""
+    pair = tuple(value) if isinstance(value, (tuple, list)) else (value, value)
+    if len(pair) != 2:
+        raise ValueError(f"{name} must be an integer or a pair (lo, hi), got {value!r}")
+    lo, hi = (_integer(v, name) for v in pair)
     if not lo_ok <= lo <= hi <= hi_ok:
         raise ValueError(f"{name} range {value} outside {lo_ok}..{hi_ok}")
     return lo, hi
@@ -45,6 +47,9 @@ def _normalize_range(value, name: str, lo_ok: int, hi_ok: int) -> tuple[int, int
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """A scan's settings, checked when made; integer fields are stored as
+    plain ints, and ``gen_degree`` and ``gen_count`` as (lo, hi) pairs."""
+
     ambient_n: int
     seed: int = 0
     sample_count: int = 0
@@ -58,6 +63,8 @@ class SearchConfig:
     inject: tuple[Ideal, ...] = ()
 
     def __post_init__(self) -> None:
+        for name in ("ambient_n", "seed", "sample_count", "exhaustive_cap"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if not 1 <= self.ambient_n <= MAX_SEARCH_AMBIENT:
             raise ValueError(f"search ambient_n must be 1..{MAX_SEARCH_AMBIENT}")
         if not 0 <= self.seed < 1 << 64:
@@ -67,10 +74,13 @@ class SearchConfig:
         if self.edge_ideals_only:  # edges have degree 2 whatever gen_degree says
             if self.ambient_n < 2:
                 raise ValueError("edge_ideals_only needs ambient_n >= 2")
+            degree = (2, 2)
         else:
-            _normalize_range(self.gen_degree, "gen_degree", 1, self.ambient_n)
+            degree = _normalize_range(self.gen_degree, "gen_degree", 1, self.ambient_n)
+        object.__setattr__(self, "gen_degree", degree)
         if self.gen_count is not None:
-            _normalize_range(self.gen_count, "gen_count", 1, 1 << 20)
+            count = _normalize_range(self.gen_count, "gen_count", 1, 1 << 20)
+            object.__setattr__(self, "gen_count", count)
         if self.density is not None and not 0.0 <= self.density <= 1.0:
             raise ValueError("density must be in [0, 1]")
         if not self.primes:
@@ -109,11 +119,7 @@ def candidate_pool(cfg: SearchConfig) -> tuple[int, ...]:
 
     Built once per (ambient_n, degree range) and shared by every sample.
     """
-    if cfg.edge_ideals_only:
-        lo, hi = 2, 2
-    else:
-        lo, hi = _normalize_range(cfg.gen_degree, "gen_degree", 1, cfg.ambient_n)
-    return _supports(cfg.ambient_n, lo, hi)
+    return _supports(cfg.ambient_n, *cfg.gen_degree)
 
 
 def random_ideal(cfg: SearchConfig, index: int) -> Ideal:
@@ -125,7 +131,7 @@ def random_ideal(cfg: SearchConfig, index: int) -> Ideal:
             coins = rng.random(len(pool))
             chosen = [m for m, c in zip(pool, coins) if c < cfg.density]
         else:
-            lo, hi = _normalize_range(cfg.gen_count, "gen_count", 1, 1 << 20)
+            lo, hi = cfg.gen_count
             count = int(rng.integers(lo, hi + 1)) if lo < hi else lo
             count = min(count, len(pool))
             picks = sorted(rng.choice(len(pool), size=count, replace=False).tolist())

@@ -424,6 +424,17 @@ class TestSmallerComplexWalk:
                 proj_dim(ideal, FieldSpec(p))
         assert calls and max(sizes) <= 5
 
+    def test_no_sieve_on_zero_vertices(self, monkeypatch):
+        # K_sigma = {empty face} gives beta_{|G_sigma|,sigma} = 1 with no sieve
+        cfg = SearchConfig(ambient_n=8, seed=1, gen_degree=3, gen_count=5)
+        ideals = [build_family(n) for n in range(8, 17)]
+        ideals += [random_ideal(cfg, i) for i in range(100)]
+        _, sizes = self.recording(monkeypatch)
+        for p in (2, 3):
+            for ideal in ideals:
+                proj_dim(ideal, FieldSpec(p))
+        assert sizes and 0 not in sizes
+
 
 class TestRegularity:
     def test_single_quadric(self):

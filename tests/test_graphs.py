@@ -50,6 +50,33 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             Graph.from_edges(3, [(1, 4)])
 
+    def test_constructor_canonicalizes(self):
+        # the dataclass constructor and from_edges are one path
+        g = Graph(3, {(2, 1)})
+        assert g == Graph.from_edges(3, [(1, 2)]) and g.to_text() == "v=3\n1 2\n"
+        h = Graph(np.int64(4), [(np.int64(4), 2)])
+        assert h.to_text() == "v=4\n2 4\n"
+        assert type(h.n_vertices) is int and all(type(v) is int for e in h.edges for v in e)
+
+    @pytest.mark.parametrize(
+        "n, edges, message",
+        [
+            (3, {(1, 1)}, "loop at vertex 1"),
+            (3, [(1, 4)], r"edge \(1,4\) out of range 1..3"),
+            (3, [(0, 2)], r"edge \(0,2\) out of range 1..3"),
+            (2.5, (), "vertex count 2.5 is not an integer"),
+            (0, (), "at least one vertex"),
+            (3, [(1, 2.5)], r"edge \(1, 2.5\) is not a pair of integers"),
+            (3, [(1, 2, 3)], "is not a pair of integers"),
+            (3, [(1,)], "is not a pair of integers"),
+        ],
+    )
+    def test_refusals(self, n, edges, message):
+        with pytest.raises(ValueError, match=message):
+            Graph(n, edges)
+        with pytest.raises(ValueError, match=message):
+            Graph.from_edges(n, edges)
+
     def test_text_round_trip(self):
         g = Graph.from_edges(4, [(1, 2), (3, 4), (2, 3)])
         assert Graph.parse(g.to_text()) == g

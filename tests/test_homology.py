@@ -153,6 +153,23 @@ class TestReducedHomology:
         # a consumer that stops early gets the same prefix
         assert list(itertools.islice(hollow.homology_dims(0b011, 9), 3)) == [0, 0, 0]
 
+    @pytest.mark.parametrize("p", (2, 3, 5))
+    def test_every_top_is_exact(self, p):
+        # the hollow triangle is connected: H~_0 = 0 even when top stops
+        # below its edges, which the value at size top still sees
+        hollow = homology.FaceSieve(3, [0b111], p)
+        assert list(hollow.homology_dims(0b111, 1)) == [0, 0]
+        assert list(hollow.homology_dims(0b111, 0)) == [0]
+        rng = np.random.default_rng(31)
+        for _ in range(30):
+            n = int(rng.integers(1, 8))
+            ideal = random_test_ideal(rng, n)
+            sieve = homology.FaceSieve(n, ideal.masks, p)
+            for sigma in rng.integers(0, 1 << n, size=4).tolist():
+                full = list(sieve.homology_dims(sigma, n))
+                for top in range(n + 1):
+                    assert list(sieve.homology_dims(sigma, top)) == full[: top + 1]
+
 
 class TestSweepCap:
     @pytest.mark.parametrize(

@@ -51,3 +51,25 @@ def test_engine_stays_on_masks(path):
         or (isinstance(node, ast.arg) and node.arg == "gen_masks")
     ]
     assert uses == [], f"{path.name} leaves the generator masks at {uses}"
+
+
+def test_one_column_evaluator():
+    # both Betti walks reach homology through _Columns alone: no second
+    # copy of the complex choice, the sieves or the degree arithmetic
+    path = next(path for path in SOURCES if path.name == "betti.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    evaluator = next(
+        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Columns"
+    )
+    inside = {id(node) for node in ast.walk(evaluator)}
+    homology = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id == "FaceSieve")
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == "homology_dims")
+        )
+    ]
+    outside = [node.lineno for node in homology if id(node) not in inside]
+    assert homology and outside == [], f"betti.py computes homology outside _Columns at {outside}"

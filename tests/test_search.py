@@ -78,6 +78,31 @@ class TestConfig:
         with pytest.raises(ValueError, match=match):
             base_cfg(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("seed", 1.5, "seed 1.5 is not an integer"),
+            ("sample_count", 2.5, "sample_count 2.5 is not an integer"),
+            ("ambient_n", 8.0, "ambient_n 8.0 is not an integer"),
+            ("exhaustive_cap", 2.0, "exhaustive_cap 2.0 is not an integer"),
+            ("gen_count", (1.5, 3), "gen_count 1.5 is not an integer"),
+            ("gen_degree", (3,), r"gen_degree must be an integer or a pair \(lo, hi\), got \(3,\)"),
+            ("gen_degree", "3", "gen_degree '3' is not an integer"),
+        ],
+    )
+    def test_non_integer_field_refused(self, field, value, match):
+        # refused when the config is made, before any scan opens its log
+        with pytest.raises(ValueError, match=match):
+            base_cfg(**{field: value})
+
+    def test_integer_fields_stored_as_plain_ints(self):
+        cfg = base_cfg(ambient_n=np.int64(6), seed=np.uint64(5), sample_count=np.int32(30))
+        assert cfg == base_cfg()
+        assert all(type(v) is int for v in (cfg.ambient_n, cfg.seed, cfg.sample_count))
+        cfg = base_cfg(gen_degree=np.int64(3), gen_count=(np.int64(2), 4))
+        assert (cfg.gen_degree, cfg.gen_count) == ((3, 3), (2, 4))
+        assert all(type(v) is int for v in cfg.gen_degree + cfg.gen_count)
+
     def test_exhaustive_cap_below_one_refused(self):
         for cap in (0, -1):
             with pytest.raises(ValueError, match="exhaustive_cap"):

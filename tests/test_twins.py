@@ -142,8 +142,10 @@ class TestOrbitReduction:
     def test_one_homology_computation_per_orbit(self, monkeypatch):
         # at most one homology computation per representative, none on a
         # cone K_sigma or on K_sigma = {empty face}: each goes either to its
-        # own reduced K_sigma (one build, one walk) or to the ideal's sieve
+        # own reduced K_sigma (one build, one walk) or to the ideal's sieve;
+        # an r = 0 representative gets its K build and no sieve
         calls: list[tuple[bool, int]] = []
+        sieves: list[tuple[bool, int]] = []
         built: list[int] = []
         init, dims = homology.FaceSieve.__init__, homology.FaceSieve.homology_dims
         nonfaces = betti._generator_nonfaces
@@ -151,6 +153,7 @@ class TestOrbitReduction:
         def tagging(sieve, n, masks, p=2):
             masks = tuple(masks)
             sieve.hochster = (n, masks) == (ideal.ambient_n, ideal.masks)
+            sieves.append((sieve.hochster, n))
             init(sieve, n, masks, p)
 
         def counting(sieve, sigma, top):
@@ -167,19 +170,26 @@ class TestOrbitReduction:
         orbits = set(reps.tolist())
         assert len(orbits) == 86
         reduced = {rep: _generator_nonfaces(ideal.masks, rep) for rep in orbits}
-        idle = {rep for rep, k in reduced.items() if k is None or k == (0, [])}
-        assert len(idle) == 66
+        cones = {rep for rep, k in reduced.items() if k is None}
+        empty = {rep for rep, k in reduced.items() if k == (0, [])}
+        assert (len(cones), len(empty)) == (27, 39)
         monkeypatch.setattr(homology.FaceSieve, "__init__", tagging)
         monkeypatch.setattr(homology.FaceSieve, "homology_dims", counting)
         monkeypatch.setattr(betti, "_generator_nonfaces", building)
         for p in (2, 3):
             calls.clear()
+            sieves.clear()
             built.clear()
             betti_table(ideal, FieldSpec(p))
             hochster = [sigma for on_ideal, sigma in calls if on_ideal]
-            assert len(calls) == len(orbits) - len(idle) == 20
-            assert len(set(built + hochster)) == len(built) + len(hochster) == len(calls)
-            assert set(built + hochster) == orbits - idle
+            on_k = [n for on_ideal, n in sieves if not on_ideal]
+            assert len(calls) == len(orbits) - len(cones) - len(empty) == 20
+            # at most one K build per representative, none on a cone
+            assert len(set(built)) == len(built) and not set(built) & set(hochster)
+            assert set(built + hochster) == orbits - cones
+            # a sieve and one homology walk for each K_sigma with a vertex
+            assert len(on_k) == len(set(built) - empty) == len(calls) - len(hochster)
+            assert 0 not in on_k
 
 
 def test_canonical_key_splits_twin_cells_without_branching(monkeypatch):
