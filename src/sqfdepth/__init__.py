@@ -7,20 +7,25 @@ nonzero homological degree, and depth by Auslander-Buchsbaum.
 Two walks share one evaluator of a multidegree sigma on one of two
 complexes with the same Betti numbers: Hochster's on the |sigma|
 variables, through the ideal's one face sieve (``homology.FaceSieve``: the
-faces sorted by size, each coboundary row built once), and a complex on
-the generators dividing x^sigma, less those private to sigma
-(Gasharov-Peeva-Welker's lcm lattice, by Alexander duality), with a sieve
-of its own.  Ranks are exact: ``rank_gf2``, ``rank_gf3`` or ``rank_mod_p``,
-chosen by p.  ``betti_table`` (and ``depth_report``, ``regularity``, the
-``depth`` and ``betti`` commands) builds the full table and takes the
+faces sorted by size, each coboundary row built once) up to 24 variables
+and on sigma's own vertices past that, and a complex on the generators
+dividing x^sigma, less those private to sigma (Gasharov-Peeva-Welker's
+lcm lattice, by Alexander duality), with a sieve of its own.  Ranks are
+exact: ``rank_gf2``, ``rank_gf3`` or ``rank_mod_p``, chosen by p.  Both
+walks visit one representative per orbit of sigma under the ideal's twin
+variables, enumerated directly from the twin classes, not from the 2^n
+subsets.  The table's walk (``depth_report``, ``regularity``, the
+``depth`` and ``betti`` commands) weights each representative by its
+orbit's size, and ``betti_table`` lists every member; it takes the
 generator complex when it has at least five fewer vertices.  ``proj_dim``
 and ``depth`` (and ``g_profile``, ``verify_theorem``, the ``gprofile``,
 ``verify-family``, ``graph-depth`` and ``search`` commands) stop at the
 first nonzero homology degree and take it when fewer generators divide
 x^sigma than sigma has variables.  The rules differ on purpose: each is
-the faster one, measured, for its walk.  Everything is serial; ``search``
-computes each g-profile once per orbit of ideals under relabeling, and
-each depth once per orbit of powers.
+the faster one, measured, for its walk.  A walk refuses more than 2^24
+candidate representatives, and any complex on more than 24 vertices.
+Everything is serial; ``search`` computes each g-profile once per orbit
+of ideals under relabeling, and each depth once per orbit of powers.
 """
 
 from .betti import (

@@ -28,35 +28,48 @@ it, and keeps r generators; the Betti numbers still read off at face size
 |G_sigma| - i.
 
 Both walks evaluate a sigma through one evaluator (``_Columns``), on the
-reduced K_sigma with a face sieve of its own, or on Delta_sigma through
-the ideal's one ``FaceSieve``, whose rows every sigma there shares.  Only
-the rule that picks the complex differs, each measured (``_K_MARGIN``).
-``betti_table`` counts |G_sigma|, r and the cones of all representatives
-at once (``_generator_counts``), skips the cones, and takes K_sigma when
-r = 0 or r + ``_K_MARGIN`` <= |sigma|.  ``proj_dim`` and ``depth`` (and
-so ``g_profile``) need only the top degree: they take K_sigma when
+reduced K_sigma with a face sieve of its own, or on Delta_sigma: through
+the ideal's one ``FaceSieve``, whose rows every sigma there shares, while
+the ambient is small enough to sieve whole, and on sigma's own vertices
+past that.  Only the rule that picks the complex differs, each measured
+(``_K_MARGIN``).  The table's walk (``_table_columns``) counts r and the
+cones of all representatives at once (``_generator_counts``), skips the
+cones, and takes K_sigma when r = 0 or r + ``_K_MARGIN`` <= |sigma|; it
+computes each distinct reduced K_sigma once.  ``proj_dim`` and ``depth``
+(and so ``g_profile``) need only the top degree: they take K_sigma when
 |G_sigma| < |sigma|, and stop at the first nonzero degree.
 
 Permuting twin variables (``Ideal.twin_classes``) is an automorphism of the
 complex, so it maps each induced subcomplex onto an isomorphic one and
-leaves the Betti numbers alone over every field.  Both walks therefore
-compute homology only for one representative per orbit of survivors:
-within each twin class, sigma's members are replaced by the class's first
-members, as many as sigma has.
+leaves the Betti numbers alone over every field.  Every orbit of subsets
+holds one representative that takes, within each twin class C, the first
+c_C members of C, and ``_orbits`` enumerates those directly: the
+variables in no class, in every combination, times a count c_C for each
+class, 2^s * prod(|C| + 1) candidates in all, of which it keeps the
+survivors.  Homology is computed once per representative.
+``depth_report`` and ``regularity`` weight it by its orbit's size,
+prod C(|C|, c_C); only ``betti_table``, the multigraded API, lists every
+member.  Two refusals bound the work: more than ``MAX_ORBITS`` candidates
+(and, in ``betti_table``, more survivors), and a complex on more than
+``MAX_HOCHSTER_AMBIENT`` vertices.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroIdeal
-# MAX_HOCHSTER_AMBIENT, the cap on the 2^n sweeps, is re-exported for the CLI
-from .homology import MAX_HOCHSTER_AMBIENT, FaceSieve, FieldSpec, _all_subsets
+from .errors import SpaceTooLarge, ZeroIdeal
+from .homology import MAX_HOCHSTER_AMBIENT, FaceSieve, FieldSpec, InducedComplex
 from .ideals import Ideal
+
+# A walk takes at most as many representatives as the largest complex has
+# vertex subsets, so no input costs more than the 2^n sweep it replaced.
+MAX_ORBITS = 1 << MAX_HOCHSTER_AMBIENT
 
 
 @dataclass(frozen=True)
@@ -86,47 +99,95 @@ class BettiTable:
         return max(sigma.bit_count() - i for i, sigma, _ in self.entries)
 
 
-def _survivors(n: int, masks: tuple[int, ...]) -> np.ndarray:
-    """Nonempty subsets that are unions of the generators they contain.
+def _digits(free: int, classes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """The mixed-radix digits of the twin quotient, as uint64 value arrays:
+    each run of consecutive variables of ``free`` in every combination, and
+    each twin class as its prefixes, from none to all of its members."""
+    digits = []
+    while free:
+        low = (free & -free).bit_length() - 1
+        run = (~(free >> low) & ((free >> low) + 1)).bit_length() - 1
+        values = np.arange(1 << run, dtype=np.uint64)
+        if low:
+            values <<= np.uint64(low)
+        digits.append(values)
+        free &= ~(((1 << run) - 1) << low)
+    for cls in classes:
+        prefixes = [0, *itertools.accumulate(1 << (v - 1) for v in cls)]
+        digits.append(np.array(prefixes, dtype=np.uint64))
+    return digits
 
-    Every other subset induces a cone (some vertex lies in no contained
-    generator) and contributes nothing.
+
+# Cells of the candidates-by-generators table the survivor test holds at once:
+# one block serves the small ideals of a scan in a handful of numpy calls.
+_BLOCK = 1 << 16
+
+
+def _orbits(
+    ideal: Ideal, sized: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The survivors' orbit representatives, ascending, as uint64 masks; the
+    number |G_sigma| of generators dividing each; and, when ``sized``, the
+    member count of each orbit (else None).
+
+    A survivor is a nonempty sigma that is the union of the generators it
+    contains; every other subset induces a cone and has no Betti numbers.
+    The representative of an orbit takes, within each twin class C, the
+    first c_C members of C, so the candidates are every set of the
+    variables in no class joined with such a prefix of each class, and
+    the orbit has prod C(|C|, c_C) members.  Twins are exchanged by an
+    automorphism, so a candidate survives exactly when its orbit does.
+    More than ``MAX_ORBITS`` candidates are refused before any is built.
     """
-    arr = _all_subsets(n)
-    union = np.zeros_like(arr)
-    for g in masks:
-        union[(arr & g) == g] |= np.uint32(g)
-    keep = (union == arr) & (arr != 0)
-    return arr[keep]
+    n, masks = ideal.ambient_n, ideal.masks
+    classes = ideal.twin_classes()
+    free = ((1 << n) - 1) & ~sum(1 << (v - 1) for cls in classes for v in cls)
+    count = (1 << free.bit_count()) * math.prod(len(cls) + 1 for cls in classes)
+    if count > MAX_ORBITS:
+        raise SpaceTooLarge(
+            f"{count} orbit representatives to test on n={n} variables: more than "
+            f"2^{MAX_HOCHSTER_AMBIENT} = {MAX_ORBITS}, the cap on a Hochster walk"
+        )
+    candidates, *rest = _digits(free, classes)
+    for digit in rest:
+        candidates = (candidates[:, None] | digit).ravel()
+    gens = np.array(masks, dtype=np.uint64)
+    keep = np.empty(candidates.shape, dtype=bool)
+    inside = np.empty(candidates.shape, dtype=np.int64)
+    step = max(1, _BLOCK // max(len(masks), 1))
+    for start in range(0, candidates.size, step):
+        block = candidates[start : start + step]
+        divides = (block[:, None] & gens) == gens
+        keep[start : start + step] = np.bitwise_or.reduce(divides * gens, axis=1) == block
+        inside[start : start + step] = divides.sum(axis=1)
+    keep &= candidates != 0
+    reps, inside = candidates[keep], inside[keep]
+    if classes:
+        order = np.argsort(reps)
+        reps, inside = reps[order], inside[order]
+    if not sized:
+        return reps, inside, None
+    sizes = np.ones(reps.shape, dtype=np.uint64)
+    for cls in classes:
+        binomials = [math.comb(len(cls), c) for c in range(len(cls) + 1)]
+        chosen = np.bitwise_count(reps & sum(1 << (v - 1) for v in cls))
+        sizes *= np.array(binomials, dtype=np.uint64)[chosen]
+    return reps, inside, sizes
 
 
-def _representatives(ideal: Ideal, survivors: np.ndarray) -> np.ndarray:
-    """Each survivor's representative in its orbit under the twin permutations.
-
-    Within every twin class C, sigma & C becomes the first |sigma & C|
-    members of C.  The result is again a survivor, and it has the same width
-    and the same homology as sigma.
-    """
-    reps = survivors
-    for cls in ideal.twin_classes():
+def _members(rep: int, classes: list[tuple[int, ...]]) -> list[int]:
+    """Every multidegree in the orbit of the representative ``rep``."""
+    members = [rep & ~sum(1 << (v - 1) for cls in classes for v in cls)]
+    for cls in classes:
         bits = [1 << (v - 1) for v in cls]
-        prefix = np.array([0, *itertools.accumulate(bits)], dtype=np.uint32)
-        cmask = np.uint32(sum(bits))
-        reps = (reps & ~cmask) | prefix[np.bitwise_count(survivors & cmask)]
-    return reps
+        chosen = sum(1 for b in bits if rep & b)
+        members = [m | sum(c) for m in members for c in itertools.combinations(bits, chosen)]
+    return members
 
 
-def _orbits(ideal: Ideal) -> tuple[np.ndarray, np.ndarray]:
-    """Survivor multidegrees (ascending) and their orbit representatives."""
-    survivors = _survivors(ideal.ambient_n, ideal.masks)
-    return survivors, _representatives(ideal, survivors)
-
-
-def _generator_counts(
-    masks: tuple[int, ...], reps: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per multidegree of ``reps``: |G_sigma|, the vertex count r of the
-    reduced K_sigma (``_generator_nonfaces``), and whether it is a cone.
+def _generator_counts(masks: tuple[int, ...], reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per multidegree of ``reps``: the vertex count r of the reduced
+    K_sigma (``_generator_nonfaces``), and whether it is a cone.
 
     A generator is private to sigma when it is the only generator of
     G_sigma that contains some variable of sigma.  Every survivor is the
@@ -135,29 +196,27 @@ def _generator_counts(
     generator lies inside the union of the private ones: then every
     variable of it has a dropped nonface, so it lies in no kept nonface.
     """
-    inside = [(reps & np.uint32(g)) == g for g in masks]
+    inside = [(reps & g) == g for g in masks]
     seen = np.zeros_like(reps)
     twice = np.zeros_like(reps)
     for g, ins in zip(masks, inside):
-        bits = np.where(ins, np.uint32(g), np.uint32(0))
+        bits = ins * np.uint64(g)
         twice |= seen & bits
         seen |= bits
     single = reps & ~twice
-    m = np.zeros(reps.shape, dtype=np.int64)
     r = np.zeros(reps.shape, dtype=np.int64)
     private_union = np.zeros_like(reps)
     kept = []
     for g, ins in zip(masks, inside):
-        private = ins & ((single & np.uint32(g)) != 0)
+        private = ins & ((single & g) != 0)
         keep = ins & ~private
-        m += ins
         r += keep
-        private_union |= np.where(private, np.uint32(g), np.uint32(0))
+        private_union |= private * np.uint64(g)
         kept.append(keep)
     cone = np.zeros(reps.shape, dtype=bool)
     for g, keep in zip(masks, kept):
-        cone |= keep & ((private_union & np.uint32(g)) == g)
-    return m, r, cone
+        cone |= keep & ((private_union & g) == g)
+    return r, cone
 
 
 def _generator_nonfaces(masks: tuple[int, ...], sigma: int) -> tuple[int, list[int]] | None:
@@ -201,12 +260,17 @@ def _generator_nonfaces(masks: tuple[int, ...], sigma: int) -> tuple[int, list[i
 class _Columns:
     """One ideal's Betti numbers, one multidegree sigma at a time, on one complex.
 
-    Every Delta_sigma goes through the ideal's one face sieve, built on
-    first need, so each coboundary row is built at most once per walk.
+    Up to ``MAX_HOCHSTER_AMBIENT`` variables every Delta_sigma goes through
+    the ideal's one face sieve, built on first need, so each coboundary row
+    is built at most once per walk.  Past that, each Delta_sigma is sieved
+    on sigma's own vertices, renumbered.  With ``memo``, for a walk that
+    reads every column to the bottom, the homology of each reduced K_sigma
+    is computed once and shared by every sigma with the same one.
     """
 
-    def __init__(self, ideal: Ideal, p: int) -> None:
+    def __init__(self, ideal: Ideal, p: int, memo: bool = False) -> None:
         self._ideal, self._p, self._sieve = ideal, p, None
+        self._k_dims: dict[tuple[int, tuple[int, ...]], list[int]] | None = {} if memo else None
 
     def column(self, sigma: int, m: int, on_k: bool, floor: int) -> Iterator[tuple[int, int]]:
         """Nonzero (i, beta_{i,sigma}) from the top degree down to floor, ranked bottom-up.
@@ -224,7 +288,19 @@ class _Columns:
             if r == 0:
                 yield m, 1
                 return
+            if self._k_dims is not None:
+                # every nonface lies in the r vertices, so faces have at most r - 1
+                key = (r, tuple(nonfaces))
+                dims = self._k_dims.get(key)
+                if dims is None:
+                    sieve = FaceSieve(r, nonfaces, self._p)
+                    dims = self._k_dims[key] = list(sieve.homology_dims((1 << r) - 1, r - 1))
+                yield from ((m - s, dim) for s, dim in enumerate(dims) if dim and m - s >= floor)
+                return
             base, sieve, sigma = m, FaceSieve(r, nonfaces, self._p), (1 << r) - 1
+        elif self._ideal.ambient_n > MAX_HOCHSTER_AMBIENT:
+            sieve, bits = InducedComplex(sigma, self._ideal.masks)._sieve(self._p)
+            base, sigma = len(bits), (1 << len(bits)) - 1
         else:
             if self._sieve is None:
                 self._sieve = FaceSieve(self._ideal.ambient_n, self._ideal.masks, self._p)
@@ -235,8 +311,8 @@ class _Columns:
 
 
 # The walks pick the complex by different rules, each the faster one measured
-# in process (2-vCPU x86_64, Python 3.11.7, numpy 2.4.6).  betti_table takes
-# K_sigma when r + _K_MARGIN <= |sigma|: a K_sigma sieve serves one sigma,
+# in process (2-vCPU x86_64, Python 3.11.7, numpy 2.4.6).  The table's walk
+# takes K_sigma when r + _K_MARGIN <= |sigma|: a K_sigma sieve serves one sigma,
 # while every Delta_sigma shares the ideal's sieve and rows.  Against
 # Delta_sigma for all (median of 5, best of 3): family tables (n = 10..13)
 # 0.080 -> 0.016 s, twin-free cubic 0.78 -> 0.53 s, complete, path and cycle
@@ -252,30 +328,66 @@ class _Columns:
 _K_MARGIN = 5
 
 
+def _table_columns(
+    ideal: Ideal, field: FieldSpec, reps: np.ndarray, m: np.ndarray
+) -> Iterator[list]:
+    """Per representative, its nonzero (i, beta_{i,sigma}), none for a cone.
+
+    m holds each |G_sigma|.  Each representative goes to the complex its
+    row of ``_generator_counts`` picks.  A complex on more than
+    ``MAX_HOCHSTER_AMBIENT`` vertices is refused before any homology.
+    """
+    r, cone = _generator_counts(ideal.masks, reps)
+    width = np.bitwise_count(reps)
+    on_k = (r == 0) | (r + _K_MARGIN <= width)
+    vertices = np.where(cone, 0, np.where(on_k, r, width))
+    if vertices.size and vertices.max() > MAX_HOCHSTER_AMBIENT:
+        raise SpaceTooLarge(
+            f"a complex on {vertices.max()} vertices: more than {MAX_HOCHSTER_AMBIENT}, "
+            "the cap on the sweep over all 2^n vertex subsets"
+        )
+    columns = _Columns(ideal, field.characteristic, memo=True)
+    for rep, gens, use_k, is_cone in zip(reps.tolist(), m.tolist(), on_k.tolist(), cone.tolist()):
+        yield [] if is_cone else list(columns.column(rep, gens, use_k, 1))
+
+
 def betti_table(ideal: Ideal, field: FieldSpec = FieldSpec(2)) -> BettiTable:
     """All nonzero multigraded Betti numbers of S/I over F_p.
 
-    Homology is computed once per orbit representative, on the complex
-    its row of ``_generator_counts`` picks, and reused for the whole orbit.
+    Homology is computed once per orbit representative and listed for
+    every member of its orbit.  More than ``MAX_ORBITS`` survivors are
+    refused before any homology: ``depth_report`` gives the aggregated table.
     """
     if ideal.is_zero:
         raise ZeroIdeal("Betti table of S requested; the zero ideal has no table")
-    survivors, reps = _orbits(ideal)
-    # each representative once: it is its own representative
-    uniq = survivors[reps == survivors]
-    counts = _generator_counts(ideal.masks, uniq)
-    columns = _Columns(ideal, field.characteristic)
-    # per representative: its nonzero (i, beta_{i,sigma})
-    known: dict[int, list[tuple[int, int]]] = {}
-    for rep, m, r, cone in zip(uniq.tolist(), *(a.tolist() for a in counts)):
-        if not cone:
-            on_k = r == 0 or r + _K_MARGIN <= rep.bit_count()
-            known[rep] = list(columns.column(rep, m, on_k, 1))
+    reps, m, sizes = _orbits(ideal, sized=True)
+    survivors = int(sizes.sum())
+    if survivors > MAX_ORBITS:
+        raise SpaceTooLarge(
+            f"a multigraded table over {survivors} survivors: more than "
+            f"2^{MAX_HOCHSTER_AMBIENT} = {MAX_ORBITS}; depth_report aggregates per orbit"
+        )
+    classes = ideal.twin_classes()
     entries = []
-    for sigma, rep in zip(survivors.tolist(), reps.tolist()):
-        entries.extend((i, sigma, dim) for i, dim in known.get(rep, ()))
-    entries.sort(key=lambda e: (e[0], e[1]))
+    for rep, column in zip(reps.tolist(), _table_columns(ideal, field, reps, m)):
+        if column:
+            members = _members(rep, classes)
+            entries.extend((i, sigma, dim) for i, dim in column for sigma in members)
+    entries.sort()
     return BettiTable(ideal.ambient_n, field, tuple(entries))
+
+
+def _aggregated(ideal: Ideal, field: FieldSpec) -> dict[tuple[int, int], int]:
+    """The coarse table beta_{i,j} of a nonzero ideal, each orbit's column
+    weighted by its size: beta_{i,|sigma|} += size * beta_{i,sigma}."""
+    reps, m, sizes = _orbits(ideal, sized=True)
+    columns = _table_columns(ideal, field, reps, m)
+    agg: dict[tuple[int, int], int] = {}
+    for rep, size, column in zip(reps.tolist(), sizes.tolist(), columns):
+        j = rep.bit_count()
+        for i, dim in column:
+            agg[i, j] = agg.get((i, j), 0) + size * dim
+    return agg
 
 
 def proj_dim(ideal: Ideal, field: FieldSpec = FieldSpec(2)) -> int:
@@ -290,17 +402,13 @@ def proj_dim(ideal: Ideal, field: FieldSpec = FieldSpec(2)) -> int:
     """
     if ideal.is_zero:
         raise ZeroIdeal("projective dimension of S requested")
-    survivors, reps = _orbits(ideal)
-    survivors = survivors[reps == survivors]
-    gens_inside = np.zeros(survivors.shape, dtype=np.int64)
-    for g in ideal.masks:
-        gens_inside += (survivors & np.uint32(g)) == g
-    weights = np.minimum(np.bitwise_count(survivors), gens_inside)
+    reps, gens_inside, _ = _orbits(ideal)
+    weights = np.minimum(np.bitwise_count(reps), gens_inside)
     order = np.argsort(-weights, kind="stable")
     columns = _Columns(ideal, field.characteristic)
     best = 0
     for sigma, w, m in zip(
-        survivors[order].tolist(), weights[order].tolist(), gens_inside[order].tolist()
+        reps[order].tolist(), weights[order].tolist(), gens_inside[order].tolist()
     ):
         if w <= best:
             break
@@ -321,7 +429,7 @@ def regularity(ideal: Ideal, field: FieldSpec = FieldSpec(2)) -> int:
     """Castelnuovo-Mumford regularity: max(j - i) over nonzero beta_{i,j}."""
     if ideal.is_zero:
         raise ZeroIdeal("regularity of S requested")
-    return betti_table(ideal, field).regularity()
+    return max(j - i for i, j in _aggregated(ideal, field))
 
 
 @dataclass(frozen=True)
@@ -417,37 +525,31 @@ class DepthReport:
         }
 
 
-def _aggregated_triples(table: BettiTable) -> tuple[tuple[int, int, int], ...]:
-    agg = table.aggregated()
-    return tuple((i, j, agg[(i, j)]) for i, j in sorted(agg))
-
-
 def depth_report(
     ideal: Ideal,
     field: FieldSpec = FieldSpec(2),
     both_primes: bool = False,
 ) -> DepthReport:
-    """DepthReport over ``field``.
+    """DepthReport over ``field``, from the table aggregated per orbit.
 
-    With both_primes the Betti table is recomputed over a second field, F_3
+    With both_primes the table is recomputed over a second field, F_3
     when ``field`` is F_2 and F_2 otherwise, and ``field_sensitive`` records
     whether the aggregated tables differ.
     """
     if ideal.is_zero:
         return DepthReport(ideal.ambient_n, field, ideal.ambient_n, 0, 0, ())
-    table = betti_table(ideal, field)
-    triples = _aggregated_triples(table)
+    agg = _aggregated(ideal, field)
     sensitive = False
     if both_primes:
         other = FieldSpec(3 if field.characteristic == 2 else 2)
-        other_table = betti_table(ideal, other)
-        sensitive = _aggregated_triples(other_table) != triples
+        sensitive = _aggregated(ideal, other) != agg
+    pd = max(i for i, _ in agg)
     return DepthReport(
         ideal.ambient_n,
         field,
-        ideal.ambient_n - table.proj_dim(),
-        table.proj_dim(),
-        table.regularity(),
-        triples,
+        ideal.ambient_n - pd,
+        pd,
+        max(j - i for i, j in agg),
+        tuple((i, j, agg[i, j]) for i, j in sorted(agg)),
         sensitive,
     )

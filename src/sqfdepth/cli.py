@@ -13,12 +13,12 @@ import argparse
 import json
 import sys
 
-from .betti import MAX_HOCHSTER_AMBIENT, depth, depth_report, g_profile
+from .betti import depth, depth_report, g_profile
 from .errors import ParseError, SqfdepthError
 from .family import build_family, verify_theorem
 from .graphs import Graph, edge_ideal, independence_domination, is_tree, tree_depth_via_lemma
 from .homology import FieldSpec
-from .ideals import Ideal, _indices_from_mask, _records
+from .ideals import MAX_AMBIENT, Ideal, _indices_from_mask, _records
 from .search import SearchConfig, scan
 
 
@@ -73,10 +73,10 @@ def cmd_family(args) -> int:
 def cmd_verify_family(args) -> int:
     if args.n_min < 6 or args.n_min > args.n_max:
         raise ValueError("verify-family: need 6 <= n-min <= n-max")
-    if args.n_max > MAX_HOCHSTER_AMBIENT:
+    if args.n_max > MAX_AMBIENT:
         raise ValueError(
-            f"verify-family: n-max {args.n_max} exceeds {MAX_HOCHSTER_AMBIENT}, "
-            "the largest ambient the Hochster enumeration takes"
+            f"verify-family: n-max {args.n_max} exceeds {MAX_AMBIENT}, "
+            "the most variables an ideal takes"
         )
     reports = [
         verify_theorem(n, FieldSpec(args.char))
@@ -176,58 +176,56 @@ def cmd_search(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sqfd",
-        description="Squarefree powers of monomial ideals and the normalized depth function",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
+def _ideal_and_char(func, **defaults):
+    """Arguments of a command on an ideal file over one field."""
 
-    p = subs.add_parser("depth", help="depth/Betti report of S/I from an ideal file")
-    p.add_argument("ideal")
-    _add_char(p)
+    def add(p):
+        p.add_argument("ideal")
+        _add_char(p)
+        p.set_defaults(func=func, **defaults)
+
+    return add
+
+
+def _depth_args(p):
+    _ideal_and_char(cmd_depth)(p)
     p.add_argument(
         "--both-primes",
         action="store_true",
         help="recompute at p=3 (at p=2 when --char is not 2) and flag a difference",
     )
-    p.set_defaults(func=cmd_depth)
 
-    p = subs.add_parser("betti", help="Betti table report of S/I")
-    p.add_argument("ideal")
-    _add_char(p)
-    p.set_defaults(func=cmd_depth, both_primes=False)
 
-    p = subs.add_parser("power", help="k-th squarefree power, in ideal text format")
+def _power_args(p):
     p.add_argument("ideal")
     p.add_argument("-k", type=int, required=True)
     p.set_defaults(func=cmd_power)
 
-    p = subs.add_parser("gprofile", help="normalized depth function g(1..nu)")
-    p.add_argument("ideal")
-    _add_char(p)
-    p.set_defaults(func=cmd_gprofile)
 
-    p = subs.add_parser("minimal-primes", help="minimal primes / vertex covers")
+def _minimal_primes_args(p):
     p.add_argument("ideal")
     p.set_defaults(func=cmd_minimal_primes)
 
-    p = subs.add_parser("family", help="emit the counterexample family ideal")
+
+def _family_args(p):
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_family)
 
-    p = subs.add_parser("verify-family", help="verify the theorem for a range of n")
+
+def _verify_family_args(p):
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     _add_char(p)
     p.set_defaults(func=cmd_verify_family)
 
-    p = subs.add_parser("graph-depth", help="tree depth formula vs homology engine")
+
+def _graph_depth_args(p):
     p.add_argument("graph")
     _add_char(p)
     p.set_defaults(func=cmd_graph_depth)
 
-    p = subs.add_parser("search", help="scan for increasing normalized depth functions")
+
+def _search_args(p):
     p.add_argument("--config", help="key = value config file")
     for name, (flag, convert, help_text) in _SEARCH_FIELDS.items():
         if convert is _true_or_false:
@@ -240,11 +238,49 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", help="append findings to this JSONL file")
     p.set_defaults(func=cmd_search)
 
+
+# Every command: its help line and the function that adds its arguments.
+_COMMANDS = {
+    "depth": ("depth/Betti report of S/I from an ideal file", _depth_args),
+    "betti": ("Betti table report of S/I", _ideal_and_char(cmd_depth, both_primes=False)),
+    "power": ("k-th squarefree power, in ideal text format", _power_args),
+    "gprofile": ("normalized depth function g(1..nu)", _ideal_and_char(cmd_gprofile)),
+    "minimal-primes": ("minimal primes / vertex covers", _minimal_primes_args),
+    "family": ("emit the counterexample family ideal", _family_args),
+    "verify-family": ("verify the theorem for a range of n", _verify_family_args),
+    "graph-depth": ("tree depth formula vs homology engine", _graph_depth_args),
+    "search": ("scan for increasing normalized depth functions", _search_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone when it names one.
+
+    Both print the same usage: the one-command parser shows the full list
+    of commands as its metavar, so its messages match byte for byte.
+    """
+    parser = argparse.ArgumentParser(
+        prog="sqfd",
+        description="Squarefree powers of monomial ideals and the normalized depth function",
+    )
+    if command in _COMMANDS:
+        names = [command]
+        subs = parser.add_subparsers(
+            dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}"
+        )
+    else:
+        names = list(_COMMANDS)
+        subs = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        help_text, add_arguments = _COMMANDS[name]
+        add_arguments(subs.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # only the invoked command's parser: building all of them costs milliseconds
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -41,7 +41,8 @@ class DegenerateSample(SqfdepthError):
 
 
 class SpaceTooLarge(SqfdepthError, ValueError):
-    """Exhaustive enumeration was requested on a space above the cap."""
+    """An enumeration was requested on a space above its cap: an exhaustive
+    search space, or the representatives, survivors or complex of a Betti walk."""
 
 
 class ParseError(SqfdepthError, ValueError):

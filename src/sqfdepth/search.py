@@ -18,6 +18,7 @@ import json
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -48,7 +49,8 @@ def _normalize_range(value, name: str, lo_ok: int, hi_ok: int) -> tuple[int, int
 @dataclass(frozen=True)
 class SearchConfig:
     """A scan's settings, checked when made; integer fields are stored as
-    plain ints, and ``gen_degree`` and ``gen_count`` as (lo, hi) pairs."""
+    plain ints, ``gen_degree`` and ``gen_count`` as (lo, hi) pairs, the two
+    modes as bools, ``density`` as a float and ``primes`` as a tuple."""
 
     ambient_n: int
     seed: int = 0
@@ -65,6 +67,18 @@ class SearchConfig:
     def __post_init__(self) -> None:
         for name in ("ambient_n", "seed", "sample_count", "exhaustive_cap"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
+        for name in ("edge_ideals_only", "exhaustive"):
+            value = getattr(self, name)
+            if not isinstance(value, (bool, np.bool_)):  # 'no' would switch the mode on
+                raise ValueError(f"{name} must be True or False, got {value!r}")
+            object.__setattr__(self, name, bool(value))
+        if self.density is not None:
+            if isinstance(self.density, (bool, np.bool_)) or not isinstance(self.density, Real):
+                raise ValueError(f"density must be a number in [0, 1], got {self.density!r}")
+            object.__setattr__(self, "density", float(self.density))
+        if not isinstance(self.primes, (tuple, list)):
+            raise ValueError(f"primes must be a tuple of primes, got {self.primes!r}")
+        object.__setattr__(self, "primes", tuple(self.primes))
         if not 1 <= self.ambient_n <= MAX_SEARCH_AMBIENT:
             raise ValueError(f"search ambient_n must be 1..{MAX_SEARCH_AMBIENT}")
         if not 0 <= self.seed < 1 << 64:

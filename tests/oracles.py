@@ -258,3 +258,31 @@ def relabel_ideal(ideal: Ideal, perm: dict[int, int]) -> Ideal:
     """Apply a variable permutation (1-based mapping) to an ideal."""
     supports = [[perm[i] for i in g.indices] for g in ideal.gens]
     return Ideal.from_supports(supports, ideal.ambient_n)
+
+
+def survivors_by_sweep(ideal: Ideal) -> np.ndarray:
+    """Nonempty subsets that are unions of the generators they contain, ascending.
+
+    Every one of the 2^n subsets is tested; every other subset induces a
+    cone (some vertex lies in no contained generator).
+    """
+    arr = np.arange(1 << ideal.ambient_n, dtype=np.uint64)
+    union = np.zeros_like(arr)
+    for g in ideal.masks:
+        union[(arr & g) == g] |= np.uint64(g)
+    return arr[(union == arr) & (arr != 0)]
+
+
+def representatives_by_fold(ideal: Ideal, survivors: np.ndarray) -> np.ndarray:
+    """Each survivor's representative in its orbit under the twin permutations.
+
+    Within every twin class C, sigma & C becomes the first |sigma & C|
+    members of C.
+    """
+    reps = survivors
+    for cls in ideal.twin_classes():
+        bits = [1 << (v - 1) for v in cls]
+        prefix = np.array([0, *itertools.accumulate(bits)], dtype=np.uint64)
+        cmask = np.uint64(sum(bits))
+        reps = (reps & ~cmask) | prefix[np.bitwise_count(survivors & cmask)]
+    return reps

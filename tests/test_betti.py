@@ -1,6 +1,7 @@
 """Betti tables, depth, regularity, g profiles, and their cross-checks."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from oracles import (
     homology_of_facet_complex,
     koszul_betti_table,
     random_test_ideal,
+    survivors_by_sweep,
 )
 from sqfdepth import betti
 from sqfdepth.betti import (
@@ -25,7 +27,7 @@ from sqfdepth.betti import (
     proj_dim,
     regularity,
 )
-from sqfdepth.errors import ZeroIdeal
+from sqfdepth.errors import SpaceTooLarge, ZeroIdeal
 from sqfdepth.family import build_family
 from sqfdepth import homology
 from sqfdepth.homology import MAX_HOCHSTER_AMBIENT, FieldSpec, induced_faces
@@ -34,6 +36,7 @@ from sqfdepth.search import SearchConfig, random_ideal
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
+_K_MARGIN_DEFAULT = betti._K_MARGIN
 
 RP2_FACETS = [
     (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
@@ -242,9 +245,8 @@ def generator_complex_table(ideal, p):
 
     Every survivor, not one per twin orbit; a cone K_sigma gives nothing.
     """
-    survivors, _ = _orbits(ideal)
     table = {}
-    for sigma in survivors.tolist():
+    for sigma in survivors_by_sweep(ideal).tolist():
         reduced = _generator_nonfaces(ideal.masks, sigma)
         if reduced is None:
             continue
@@ -259,10 +261,9 @@ def generator_complex_table(ideal, p):
 
 def hochster_table(ideal, p):
     """Multigraded Betti numbers from Delta_sigma on every survivor, no skips."""
-    survivors, _ = _orbits(ideal)
     sieve = homology.FaceSieve(ideal.ambient_n, ideal.masks, p)
     table = {}
-    for sigma in survivors.tolist():
+    for sigma in survivors_by_sweep(ideal).tolist():
         width = sigma.bit_count()
         for s, dim in enumerate(sieve.homology_dims(sigma, width)):
             if dim:
@@ -326,11 +327,11 @@ class TestGeneratorComplex:
     def test_counts_match_the_builder(self):
         # the vectorised count that picks each complex agrees with the builder
         for ideal, _ in self.cases():
-            survivors, reps = _orbits(ideal)
-            uniq = survivors[reps == survivors]
-            assert np.array_equal(uniq, np.unique(reps))
+            reps, gens_inside, _ = _orbits(ideal)
             for sigma, m, r, cone in zip(
-                uniq.tolist(), *(a.tolist() for a in _generator_counts(ideal.masks, uniq))
+                reps.tolist(),
+                gens_inside.tolist(),
+                *(a.tolist() for a in _generator_counts(ideal.masks, reps)),
             ):
                 reduced = _generator_nonfaces(ideal.masks, sigma)
                 assert m == sum(g & sigma == g for g in ideal.masks)
@@ -381,6 +382,22 @@ class TestComplexChoice:
                 monkeypatch.setattr(betti, "_K_MARGIN", margin)
                 assert multigraded(ideal, field) == table
             monkeypatch.undo()
+
+
+    @pytest.mark.parametrize("p", (2, 3, 5))
+    def test_delta_on_its_own_vertices_past_24_variables(self, p, monkeypatch):
+        # free variables change no Betti number; past 24 variables each
+        # Delta_sigma is sieved on sigma's own vertices, not the shared sieve
+        field = FieldSpec(p)
+        for ideal in self.cases():
+            wide = Ideal(30, ideal.masks)
+            table = multigraded(ideal, field)
+            for margin in (_K_MARGIN_DEFAULT, MAX_HOCHSTER_AMBIENT):  # the rule, all on Delta
+                monkeypatch.setattr(betti, "_K_MARGIN", margin)
+                assert multigraded(wide, field) == table
+                assert depth_report(wide, field).betti == depth_report(ideal, field).betti
+            monkeypatch.undo()
+            assert proj_dim(wide, field) == proj_dim(ideal, field)
 
 
 class TestSmallerComplexWalk:
@@ -456,10 +473,43 @@ class TestRegularity:
                 assert proj_dim(ideal, field) == regularity(dual, field) + 1
 
 
+def refused_before_allocation(call, match):
+    """``call`` raises SpaceTooLarge matching ``match``, having allocated under 1 MB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(SpaceTooLarge, match=match):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 class TestRefusals:
     def test_depth_refuses_25_variables(self):
-        with pytest.raises(ValueError, match="n=25 vertices: n exceeds 24"):
-            depth(Ideal.from_supports([[1, 2]], 25), F2)
+        # the 25-vertex path has no twins: its quotient is all 2^25 subsets
+        path = Ideal.from_supports([[i, i + 1] for i in range(1, 25)], 25)
+        assert path.twin_classes() == []
+        refused_before_allocation(
+            lambda: depth(path, F2), "33554432 orbit representatives to test on n=25 variables"
+        )
+        refused_before_allocation(lambda: depth_report(path, F3), "more than 2\\^24 = 16777216")
+
+    def test_twins_admit_more_than_24_variables(self):
+        # x1x2 on 25 variables: two twin classes, 3 * 24 candidates
+        assert depth(Ideal.from_supports([[1, 2]], 25), F2) == 24
+        assert depth(build_family(30), F3) == 3
+
+    def test_multigraded_table_of_family_63_refused(self):
+        ideal = build_family(63)
+        _, _, sizes = _orbits(ideal, sized=True)
+        survivors = int(sizes.sum())
+        assert 1.4 * 2**60 < survivors < 1.6 * 2**60
+        refused_before_allocation(
+            lambda: betti_table(ideal, F2), f"a multigraded table over {survivors} survivors"
+        )
+        # the aggregated table of the same ideal is cheap
+        assert depth_report(ideal, F2).proj_dim == 60
 
     def test_regularity_of_zero_ideal(self):
         with pytest.raises(ZeroIdeal):

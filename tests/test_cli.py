@@ -131,7 +131,10 @@ class TestFamilyGoldens:
     check the twin-orbit reduction against the full walk.  The n = 20 file
     was recorded with an engine that took every orbit to Hochster's complex
     (31 s, 3.2 GB), so it checks the reduced generator complexes and the
-    cone skip against that walk.
+    cone skip against that walk.  The n = 24 file was recorded with an
+    engine that swept all 2^n subsets and listed every survivor's entries
+    before aggregating (8.5 s), so it checks the twin quotient and the
+    per-orbit aggregation against that walk.
     """
 
     GOLDENS = sorted(
@@ -143,6 +146,7 @@ class TestFamilyGoldens:
         names = {path.name for path in self.GOLDENS}
         assert {"depth-n13-p2.json", "depth-n12-p3.json"} <= names
         assert {"depth-n16-p2.json", "depth-n16-p3.json", "depth-n20-p2.json"} <= names
+        assert "depth-n24-p2.json" in names
 
     @pytest.mark.parametrize("golden", GOLDENS, ids=lambda path: path.stem)
     def test_depth_reproduces_golden(self, capsys, tmp_path, golden):
@@ -514,9 +518,32 @@ class TestExitCodes:
             raise AssertionError("verify_theorem called")
 
         monkeypatch.setattr(cli, "verify_theorem", fail)
-        code, out, err = run(capsys, "verify-family", "--n-min", "22", "--n-max", "25")
+        code, out, err = run(capsys, "verify-family", "--n-min", "22", "--n-max", "64")
         assert code == 2 and out == ""
-        assert "25 exceeds 24" in err
+        assert "64 exceeds 63" in err
+
+    def test_twin_free_ideal_past_the_quotient_cap(self, capsys, tmp_path):
+        # the 25-vertex path has no twins, so 2^25 representatives to test
+        path = tmp_path / "path25.ideal"
+        path.write_text(Ideal.from_supports([[i, i + 1] for i in range(1, 25)], 25).to_text())
+        for command in ("depth", "gprofile"):
+            code, out, err = run(capsys, command, str(path))
+            assert (code, out) == (2, "")
+            assert "33554432 orbit representatives" in err
+
+    @pytest.mark.parametrize("command", ("depth", "gprofile"))
+    def test_blow_up_with_a_complex_past_24_vertices(self, capsys, tmp_path, command):
+        # x4 of (x1x4x5, x2x4x7, x3x6x7, x5x6x7) blown up to 20 twins: 26
+        # variables and a complex on all 26; refused, not killed for memory
+        twins = (4, *range(8, 27))
+        gens = [[1, 5, v] for v in twins] + [[2, 7, v] for v in twins] + [[3, 6, 7], [5, 6, 7]]
+        ideal = Ideal.from_supports(gens, 26)
+        assert ideal.twin_classes() == [twins]
+        path = tmp_path / "blow-up.ideal"
+        path.write_text(ideal.to_text())
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert "complex on" in err and "26 vertices" in err
 
     def test_bad_characteristic(self, capsys, family6_file):
         code, _, err = run(capsys, "depth", family6_file, "--char", "4")
@@ -534,6 +561,59 @@ class TestExitCodes:
         for command in ("depth", "gprofile"):
             code, out, err = run(capsys, command, str(path), "--char", str(2**89 - 1))
             assert code == 2 and out == "" and "too large" in err
+
+
+class TestParsers:
+    """``main`` builds only the invoked command's parser; it says what the full one says."""
+
+    @staticmethod
+    def outcome(capsys, parser, argv):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_help_and_usage_errors_match_the_full_parser(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv in ([command, "--help"], [command, "--no-such-flag"], [command, "x", "y", "z"]):
+            full = self.outcome(capsys, cli.build_parser(), argv)
+            alone = self.outcome(capsys, cli.build_parser(command), argv)
+            assert alone == full, argv
+            assert full[0] in (0, 2) and (full[1] or full[2])
+
+    def test_main_builds_the_invoked_command_only(self, capsys, monkeypatch):
+        built = []
+        commands = {
+            name: (help_text, lambda p, add=add, name=name: built.append(name) or add(p))
+            for name, (help_text, add) in cli._COMMANDS.items()
+        }
+        monkeypatch.setattr(cli, "_COMMANDS", commands)
+        assert run(capsys, "family", "--n", "6")[0] == 0
+        assert built == ["family"]
+        built.clear()
+        with pytest.raises(SystemExit):
+            main(["no-such-command"])
+        assert built == list(commands)
+
+
+class TestPastTheSweep:
+    """The twin quotient takes the family to n = 63, the most variables an ideal has."""
+
+    @pytest.mark.parametrize("p", ("2", "3"))
+    def test_verify_family_to_63(self, capsys, p):
+        code, out, _ = run(capsys, "verify-family", "--n-min", "6", "--n-max", "63", "--char", p)
+        reports = json.loads(out)
+        assert code == 0 and [r["n"] for r in reports] == list(range(6, 64))
+        assert all(r["g2"] == r["n"] - 6 for r in reports)
+
+    def test_depth_of_family_63_at_both_primes(self, capsys, tmp_path):
+        path = tmp_path / "family63.ideal"
+        path.write_text(build_family(63).to_text())
+        code, out, _ = run(capsys, "depth", str(path), "--both-primes")
+        report = json.loads(out)
+        assert code == 0 and (report["depth"], report["proj_dim"]) == (3, 60)
+        assert not report["field_sensitive"]
 
 
 class TestThreadsEnv:

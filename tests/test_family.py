@@ -45,6 +45,15 @@ class TestBuildFamily:
         with pytest.raises(SqfdepthError, match="has 6 generators, not 7"):
             build_family(8)
 
+    @pytest.mark.parametrize("n", (40, 63))
+    @pytest.mark.parametrize("p", (2, 3))
+    def test_twin_quotient_reaches_n63(self, n, p):
+        # the 2^n sweep stopped at n = 24; family(n)'s twin quotient has 64 * (n - 5) candidates
+        report = verify_theorem(n, FieldSpec(p))
+        assert report.all_passed
+        assert (report.g1, report.g2) == (1, n - 6)
+        assert report.g2 - report.g1 == n - 7
+
     def test_too_small_rejected(self):
         with pytest.raises(InvalidFamilyParameter):
             build_family(5)
@@ -102,6 +111,15 @@ class TestVerifyTheorem:
             report = verify_theorem(16, FieldSpec(p))
             assert report.all_passed
             assert (report.g1, report.g2) == (1, 10)
+
+    @pytest.mark.parametrize("n", (40, 63))
+    @pytest.mark.parametrize("p", (2, 3))
+    def test_twin_quotient_reaches_n63(self, n, p):
+        # the 2^n sweep stopped at n = 24; family(n)'s twin quotient has 64 * (n - 5) candidates
+        report = verify_theorem(n, FieldSpec(p))
+        assert report.all_passed
+        assert (report.g1, report.g2) == (1, n - 6)
+        assert report.g2 - report.g1 == n - 7
 
     def test_too_small_rejected(self):
         with pytest.raises(InvalidFamilyParameter):

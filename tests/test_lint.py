@@ -73,3 +73,25 @@ def test_one_column_evaluator():
     ]
     outside = [node.lineno for node in homology if id(node) not in inside]
     assert homology and outside == [], f"betti.py computes homology outside _Columns at {outside}"
+
+
+def test_betti_walks_the_twin_quotient():
+    # the Betti walks enumerate orbit representatives as uint64 masks: no
+    # 2^n subset sweep of the ambient, and no 32-bit masks that stop at n = 32
+    path = next(path for path in SOURCES if path.name == "betti.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    sweeps = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.alias) and node.name == "_all_subsets")
+        or (isinstance(node, ast.Name) and node.id == "_all_subsets")
+        or (isinstance(node, ast.Attribute) and node.attr == "_all_subsets")
+    ]
+    narrow = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "uint32")
+        or (isinstance(node, ast.Constant) and node.value == "uint32")
+    ]
+    assert sweeps == [], f"betti.py uses the 2^n sweep at lines {sweeps}"
+    assert narrow == [], f"betti.py builds uint32 masks at lines {narrow}"

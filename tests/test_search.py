@@ -103,6 +103,29 @@ class TestConfig:
         assert (cfg.gen_degree, cfg.gen_count) == ((3, 3), (2, 4))
         assert all(type(v) is int for v in cfg.gen_degree + cfg.gen_count)
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            # each was silent: 'no' is truthy, and True compares as density 1
+            ("edge_ideals_only", "no", "edge_ideals_only must be True or False, got 'no'"),
+            ("exhaustive", "no", "exhaustive must be True or False, got 'no'"),
+            ("density", True, "density must be a number in \\[0, 1\\], got True"),
+            # each was a bare TypeError
+            ("primes", 2, "primes must be a tuple of primes, got 2"),
+            ("density", "0.5", "density must be a number in \\[0, 1\\], got '0.5'"),
+        ],
+    )
+    def test_non_integer_setting_refused(self, field, value, match):
+        kw = {field: value, "gen_count": None} if field == "density" else {field: value}
+        with pytest.raises(ValueError, match=match):
+            base_cfg(**kw)
+
+    def test_settings_stored_as_plain_values(self):
+        cfg = base_cfg(density=np.float32(0.5), gen_count=None, primes=[3, 2], exhaustive=np.True_)
+        assert (cfg.density, cfg.primes, cfg.exhaustive) == (0.5, (3, 2), True)
+        assert type(cfg.density) is float and type(cfg.exhaustive) is bool
+        assert base_cfg(density=1, gen_count=None).density == 1.0
+
     def test_exhaustive_cap_below_one_refused(self):
         for cap in (0, -1):
             with pytest.raises(ValueError, match="exhaustive_cap"):

@@ -13,9 +13,23 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import complete_multipartite, depth_via_links, koszul_betti_table, random_test_ideal
+from oracles import (
+    complete_multipartite,
+    depth_via_links,
+    koszul_betti_table,
+    random_test_ideal,
+    representatives_by_fold,
+    survivors_by_sweep,
+)
 from sqfdepth import betti, homology, search
-from sqfdepth.betti import _generator_nonfaces, _orbits, betti_table, proj_dim
+from sqfdepth.betti import (
+    _generator_nonfaces,
+    _orbits,
+    betti_table,
+    depth_report,
+    proj_dim,
+    regularity,
+)
 from sqfdepth.family import build_family
 from sqfdepth.homology import FieldSpec
 from sqfdepth.ideals import Ideal
@@ -135,15 +149,19 @@ class TestOrbitReduction:
 
     def test_representatives_are_survivors_of_the_same_width(self):
         for ideal in PLANTED:
-            survivors, reps = _orbits(ideal)
-            assert set(reps.tolist()) <= set(survivors.tolist())
-            assert np.array_equal(np.bitwise_count(reps), np.bitwise_count(survivors))
+            survivors = set(survivors_by_sweep(ideal).tolist())
+            classes = ideal.twin_classes()
+            for rep in _orbits(ideal)[0].tolist():
+                members = betti._members(rep, classes)
+                assert rep in members and set(members) <= survivors
+                assert {m.bit_count() for m in members} == {rep.bit_count()}
 
     def test_one_homology_computation_per_orbit(self, monkeypatch):
         # at most one homology computation per representative, none on a
         # cone K_sigma or on K_sigma = {empty face}: each goes either to its
-        # own reduced K_sigma (one build, one walk) or to the ideal's sieve;
-        # an r = 0 representative gets its K build and no sieve
+        # reduced K_sigma (one build; one sieve and walk per distinct K_sigma)
+        # or to the ideal's sieve; an r = 0 representative gets its K build
+        # and no sieve
         calls: list[tuple[bool, int]] = []
         sieves: list[tuple[bool, int]] = []
         built: list[int] = []
@@ -165,10 +183,10 @@ class TestOrbitReduction:
             return nonfaces(masks, sigma)
 
         ideal = build_family(12)
-        survivors, reps = _orbits(ideal)
-        assert len(survivors) == 770
+        reps, _, sizes = _orbits(ideal, sized=True)
+        assert len(survivors_by_sweep(ideal)) == int(sizes.sum()) == 770
         orbits = set(reps.tolist())
-        assert len(orbits) == 86
+        assert len(orbits) == len(reps) == 86
         reduced = {rep: _generator_nonfaces(ideal.masks, rep) for rep in orbits}
         cones = {rep for rep, k in reduced.items() if k is None}
         empty = {rep for rep, k in reduced.items() if k == (0, [])}
@@ -183,13 +201,77 @@ class TestOrbitReduction:
             betti_table(ideal, FieldSpec(p))
             hochster = [sigma for on_ideal, sigma in calls if on_ideal]
             on_k = [n for on_ideal, n in sieves if not on_ideal]
-            assert len(calls) == len(orbits) - len(cones) - len(empty) == 20
             # at most one K build per representative, none on a cone
             assert len(set(built)) == len(built) and not set(built) & set(hochster)
             assert set(built + hochster) == orbits - cones
-            # a sieve and one homology walk for each K_sigma with a vertex
-            assert len(on_k) == len(set(built) - empty) == len(calls) - len(hochster)
+            # a sieve and one homology walk for each distinct K_sigma with a
+            # vertex: 13 representatives share 2 of them
+            distinct = {(reduced[rep][0], tuple(reduced[rep][1])) for rep in set(built) - empty}
+            assert (len(set(built) - empty), len(distinct)) == (13, 2)
+            assert len(on_k) == len(distinct) == len(calls) - len(hochster)
+            assert len(calls) == len(orbits) - len(cones) - len(empty) - 13 + 2 == 9
             assert 0 not in on_k
+
+
+def quotient_cases() -> list[Ideal]:
+    """Ideals on at most 16 variables: planted twins, the family, and none."""
+    rng = np.random.default_rng(1616)
+    out = list(PLANTED)
+    for _ in range(12):
+        ideal = random_test_ideal(rng, int(rng.integers(3, 8)), max_degree=4, max_gens=7)
+        for _ in range(2):  # each blow-up adds copies - 1 variables, up to 16
+            room = 16 - ideal.ambient_n
+            if room:
+                v = int(rng.integers(1, ideal.ambient_n + 1))
+                ideal = blow_up(ideal, v, int(rng.integers(2, room + 2)))
+        out.append(ideal)
+    out += [build_family(n) for n in range(6, 17)]
+    out += [random_test_ideal(rng, n, max_degree=4, max_gens=2 * n) for n in (6, 9, 12)]
+    return out
+
+
+QUOTIENT = quotient_cases()
+
+
+class TestQuotient:
+    """``_orbits`` enumerates the twin quotient; the oracle sweeps all 2^n
+    subsets and folds each survivor onto its representative."""
+
+    @pytest.mark.parametrize("index", range(len(QUOTIENT)))
+    def test_matches_the_sweep_and_fold(self, index):
+        ideal = QUOTIENT[index]
+        survivors = survivors_by_sweep(ideal)
+        folded, counts = np.unique(representatives_by_fold(ideal, survivors), return_counts=True)
+        reps, gens_inside, sizes = _orbits(ideal, sized=True)
+        assert reps.dtype == sizes.dtype == np.uint64
+        assert np.array_equal(reps, folded)
+        divide = [sum(g & s == g for g in ideal.masks) for s in reps.tolist()]
+        assert gens_inside.tolist() == divide
+        # each orbit's size is its survivor count
+        assert np.array_equal(sizes, counts)
+        assert int(sizes.sum()) == len(survivors)
+        unsized = _orbits(ideal)
+        assert np.array_equal(unsized[0], reps) and np.array_equal(unsized[1], gens_inside)
+        assert unsized[2] is None
+
+    def test_cases_have_twins_and_none(self):
+        n_max = max(ideal.ambient_n for ideal in QUOTIENT)
+        assert n_max == 16
+        assert any(not ideal.twin_classes() for ideal in QUOTIENT)
+        assert sum(ideal.ambient_n > 12 and bool(ideal.twin_classes()) for ideal in QUOTIENT) >= 5
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_per_orbit_report_matches_the_multigraded_table(self, p):
+        field = FieldSpec(p)
+        for ideal in QUOTIENT:
+            if ideal.ambient_n > 12 and not ideal.twin_classes():
+                continue  # a twin-free table that large is the slow case
+            table = betti_table(ideal, field)
+            report = depth_report(ideal, field)
+            agg = table.aggregated()
+            assert report.betti == tuple((i, j, agg[i, j]) for i, j in sorted(agg))
+            assert report.proj_dim == table.proj_dim()
+            assert report.regularity == regularity(ideal, field) == table.regularity()
 
 
 def test_canonical_key_splits_twin_cells_without_branching(monkeypatch):
