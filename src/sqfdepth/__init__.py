@@ -24,8 +24,10 @@ first nonzero homology degree and take it when fewer generators divide
 x^sigma than sigma has variables.  The rules differ on purpose: each is
 the faster one, measured, for its walk.  A walk refuses more than 2^24
 candidate representatives, and any complex on more than 24 vertices.
-Everything is serial; ``search`` computes each g-profile once per orbit
-of ideals under relabeling, and each depth once per orbit of powers.
+Everything is serial; ``search`` re-keys one Philox generator per index
+(the stream of a new generator per sample), counts samples with nu = 1
+without a key or a profile, and computes each other g-profile once per
+orbit of ideals under relabeling, and each depth once per orbit of powers.
 """
 
 from .betti import (

@@ -2,12 +2,16 @@
 
 Samples are a pure function of (seed, index) through a counter-based
 Philox stream, so a scan is reproducible and a prefix of it does not
-depend on where it stops.  Each sample and each power is keyed once by an
-exact canonical form under relabeling of the variables.  That one key
-memoises the g-profile per prime and per orbit of the ideals, depth per
-prime and per orbit of the powers, and deduplicates findings (profiles
-with some g(k+1) > g(k)), which can be appended to a line-delimited JSON
-log with an fsync per record.
+depend on where it stops.  Each pass re-keys one generator per index,
+which draws the same stream as a new generator keyed (seed << 64) | index.
+A sample whose generators pairwise meet has nu = 1, so one g value and no
+finding: it is counted and gets no key, profile or depth.  Each other
+sample and each power is keyed once by an exact canonical form under
+relabeling of the variables.  That one key memoises the g-profile per
+prime and per orbit of the ideals, depth per prime and per orbit of the
+powers, and deduplicates findings (profiles with some g(k+1) > g(k)),
+which can be appended to a line-delimited JSON log with an fsync per
+record.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import functools
 import itertools
 import json
 import os
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from numbers import Real
 
@@ -85,6 +89,8 @@ class SearchConfig:
             raise ValueError("seed must fit in 64 bits")
         if self.sample_count < 0:
             raise ValueError("sample_count must be nonnegative")
+        if self.sample_count > 1 << 64:  # an index is the low 64 bits of the Philox key
+            raise ValueError(f"sample_count must be at most 2**64, got {self.sample_count}")
         if self.edge_ideals_only:  # edges have degree 2 whatever gen_degree says
             if self.ambient_n < 2:
                 raise ValueError("edge_ideals_only needs ambient_n >= 2")
@@ -136,25 +142,48 @@ def candidate_pool(cfg: SearchConfig) -> tuple[int, ...]:
     return _supports(cfg.ambient_n, *cfg.gen_degree)
 
 
+def _sampler(cfg: SearchConfig) -> Callable[[int], Ideal]:
+    """A draw of the index-th sampled ideal, deterministic in (cfg.seed, index).
+
+    One Philox generator serves every draw.  Each index sets its key to
+    (seed << 64) | index, with counter 0, an empty buffer and no spare
+    32-bit half: the state of a fresh ``Philox(key=(seed << 64) | index)``,
+    so the draws are that generator's, for about a tenth of the cost of
+    building one.  Every call makes its own generator, so no two scans share one.
+    """
+    bits = np.random.Philox(key=cfg.seed << 64)
+    rng = np.random.Generator(bits)
+    fresh = bits.state
+    key = fresh["state"]["key"]  # [index, seed]: the key's low and high words
+    pool = candidate_pool(cfg)
+
+    def draw(index: int) -> Ideal:
+        if not 0 <= index < 1 << 64:
+            raise ValueError(f"sample index {index} outside 0..2**64 - 1")
+        key[0] = index
+        bits.state = fresh
+        for _ in range(_SAMPLE_RETRIES):
+            if cfg.density is not None:
+                coins = rng.random(len(pool))
+                chosen = [m for m, c in zip(pool, coins) if c < cfg.density]
+            else:
+                lo, hi = cfg.gen_count
+                count = int(rng.integers(lo, hi + 1)) if lo < hi else lo
+                count = min(count, len(pool))
+                picks = sorted(rng.choice(len(pool), size=count, replace=False).tolist())
+                chosen = [pool[i] for i in picks]
+            if chosen:
+                return Ideal(cfg.ambient_n, chosen)
+        raise DegenerateSample(
+            f"sample {index} stayed zero after {_SAMPLE_RETRIES} attempts"
+        )
+
+    return draw
+
+
 def random_ideal(cfg: SearchConfig, index: int) -> Ideal:
     """The index-th sampled ideal: deterministic in (cfg.seed, index)."""
-    rng = np.random.Generator(np.random.Philox(key=(cfg.seed << 64) | index))
-    pool = candidate_pool(cfg)
-    for _ in range(_SAMPLE_RETRIES):
-        if cfg.density is not None:
-            coins = rng.random(len(pool))
-            chosen = [m for m, c in zip(pool, coins) if c < cfg.density]
-        else:
-            lo, hi = cfg.gen_count
-            count = int(rng.integers(lo, hi + 1)) if lo < hi else lo
-            count = min(count, len(pool))
-            picks = sorted(rng.choice(len(pool), size=count, replace=False).tolist())
-            chosen = [pool[i] for i in picks]
-        if chosen:
-            return Ideal(cfg.ambient_n, chosen)
-    raise DegenerateSample(
-        f"sample {index} stayed zero after {_SAMPLE_RETRIES} attempts"
-    )
+    return _sampler(cfg)(index)
 
 
 @dataclass(frozen=True)
@@ -337,7 +366,8 @@ def _samples(cfg: SearchConfig) -> Iterator[tuple[int, Ideal]]:
     """
     injected = ((-(j + 1), ideal) for j, ideal in enumerate(cfg.inject))
     if not cfg.exhaustive:
-        drawn = ((i, random_ideal(cfg, i)) for i in range(cfg.sample_count))
+        draw = _sampler(cfg)
+        drawn = ((i, draw(i)) for i in range(cfg.sample_count))
         return itertools.chain(injected, drawn)
     pool = candidate_pool(cfg)
     space = 1 << len(pool)
@@ -371,13 +401,15 @@ class ScanResult:
 def scan(cfg: SearchConfig, log_path: str | None = None) -> ScanResult:
     """Evaluate the configured stream; collect, deduplicate and log findings.
 
-    Each prime makes one pass over ``_samples(cfg)``.  Relabeling the
+    Each prime makes one pass over ``_samples(cfg)``.  A sample whose
+    generators pairwise meet (nu = 1) is only counted.  Relabeling the
     variables of I relabels each I^[k] along with it, which changes neither
-    nu, d_k nor depth(S/I^[k]); so each sample's canonical form, computed
-    once, keys the pass's profile memo and its finding dedup, and the form
-    of each power keys the pass's depth memo.  The forms are cached for the
-    whole scan.  Each new finding is appended to the log and fsynced as soon
-    as it is found, so a scan that dies keeps what it had found.
+    nu, d_k nor depth(S/I^[k]); so each other sample's canonical form,
+    computed once, keys the pass's memo of its profile, largest step and
+    violations, and its finding dedup, and the form of each power keys the
+    pass's depth memo.  The forms are cached for the whole scan.  Each new
+    finding is appended to the log and fsynced as soon as it is found, so a
+    scan that dies keeps what it had found.
     """
     # every pass's stream is checked (SpaceTooLarge) before the log is opened
     passes = [(FieldSpec(p), _samples(cfg)) for p in cfg.primes]
@@ -403,16 +435,22 @@ def scan(cfg: SearchConfig, log_path: str | None = None) -> ScanResult:
             def orbit_depth(power: Ideal, field: FieldSpec) -> int:
                 return _remember(depths, form(power), lambda: depth(power, field))
 
-            for index, ideal in samples:
-                key = form(ideal)
-                profile = _remember(profiles, key, lambda: g_profile(ideal, field, orbit_depth))
-                evaluated += 1
-                by_nu[profile.nu] = by_nu.get(profile.nu, 0) + 1
+            def evaluate(ideal: Ideal) -> tuple[GProfile, int | None, tuple[int, ...]]:
+                profile = g_profile(ideal, field, orbit_depth)
                 g = profile.g_values
                 gap = max((g[k] - g[k - 1] for k in range(1, len(g))), default=None)
+                return profile, gap, tuple(profile.violations())
+
+            for index, ideal in samples:
+                evaluated += 1
+                if all(a & b for a, b in itertools.combinations(ideal.masks, 2)):
+                    by_nu[1] = by_nu.get(1, 0) + 1  # nu = 1: one g value, no gap
+                    continue
+                key = form(ideal)
+                profile, gap, violations = _remember(profiles, key, lambda: evaluate(ideal))
+                by_nu[profile.nu] = by_nu.get(profile.nu, 0) + 1
                 if gap is not None and (max_gap is None or gap > max_gap):
                     max_gap = gap
-                violations = tuple(profile.violations())
                 if not violations:
                     continue
                 findings_total += 1

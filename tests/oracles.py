@@ -11,6 +11,7 @@ import itertools
 
 import numpy as np
 
+from sqfdepth.errors import DegenerateSample
 from sqfdepth.ideals import Ideal
 
 
@@ -242,6 +243,34 @@ def random_test_ideal(rng: np.random.Generator, n: int, max_degree: int = 3,
         ideal = Ideal.from_supports([[int(x) for x in s] for s in supports], n)
         if not ideal.is_zero:
             return ideal
+
+
+def sampled_ideal_fresh(cfg, index: int) -> tuple[Ideal, int]:
+    """The index-th sample of a search config and the attempts it took.
+
+    A new ``Philox(key=(seed << 64) | index)`` generator per index, its own
+    pool of supports, and the draw logic of a random scan: per attempt,
+    either one coin per support (density) or a count and that many distinct
+    supports; after 16 empty attempts, ``DegenerateSample``.
+    """
+    lo, hi = cfg.gen_degree
+    pool = sorted(
+        sum(1 << v for v in combo)
+        for d in range(lo, hi + 1)
+        for combo in itertools.combinations(range(cfg.ambient_n), d)
+    )
+    rng = np.random.Generator(np.random.Philox(key=(cfg.seed << 64) | index))
+    for attempt in range(1, 17):
+        if cfg.density is not None:
+            chosen = [m for m, c in zip(pool, rng.random(len(pool))) if c < cfg.density]
+        else:
+            lo, hi = cfg.gen_count
+            count = min(int(rng.integers(lo, hi + 1)) if lo < hi else lo, len(pool))
+            picks = sorted(rng.choice(len(pool), size=count, replace=False).tolist())
+            chosen = [pool[i] for i in picks]
+        if chosen:
+            return Ideal(cfg.ambient_n, chosen), attempt
+    raise DegenerateSample(f"sample {index} stayed zero after 16 attempts")
 
 
 def complete_multipartite(parts: list[int]) -> Ideal:

@@ -328,6 +328,15 @@ class TestSearchCommand:
         assert code == 2
         assert "ambient" in err
 
+    def test_sample_count_past_the_philox_key_refused(self, capsys, monkeypatch):
+        # index 2^64 would spill into the seed's half of the key and repeat the next seed
+        monkeypatch.setattr(cli, "scan", lambda *args, **kwargs: pytest.fail("the scan ran"))
+        code, out, err = run(
+            capsys, "search", "--ambient-n", "8", "--samples", str(2**64 + 1), "--gen-count", "3"
+        )
+        assert (code, out) == (2, "")
+        assert "sample_count must be at most 2**64, got 18446744073709551617" in err
+
     def test_bad_config_key(self, capsys, tmp_path):
         cfgfile = tmp_path / "scan.cfg"
         cfgfile.write_text("ambient = 5\n")

@@ -95,3 +95,27 @@ def test_betti_walks_the_twin_quotient():
     ]
     assert sweeps == [], f"betti.py uses the 2^n sweep at lines {sweeps}"
     assert narrow == [], f"betti.py builds uint32 masks at lines {narrow}"
+
+
+def test_one_philox_generator_per_sampler():
+    # a scan pass re-keys one generator per index: no Philox made per sample
+    # (in the sampler's inner draw) or shared by every scan (at module level)
+    path = next(path for path in SOURCES if path.name == "search.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    sampler = next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_sampler"
+    )
+    nested = {
+        id(node)
+        for inner in ast.walk(sampler)
+        if isinstance(inner, ast.FunctionDef) and inner is not sampler
+        for node in ast.walk(inner)
+    }
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.random.Philox"
+    ]
+    inside = {id(node) for node in ast.walk(sampler)} - nested
+    lines = [node.lineno for node in calls]
+    assert len(calls) == 1 and id(calls[0]) in inside, f"search.py makes a Philox at lines {lines}"

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import random_test_ideal, relabel_ideal
+from oracles import max_matching_brute, random_test_ideal, relabel_ideal, sampled_ideal_fresh
 from sqfdepth import search
 from sqfdepth.betti import depth, g_profile
 from sqfdepth.errors import DegenerateSample, SpaceTooLarge
@@ -126,6 +126,14 @@ class TestConfig:
         assert type(cfg.density) is float and type(cfg.exhaustive) is bool
         assert base_cfg(density=1, gen_count=None).density == 1.0
 
+    def test_sample_count_fits_the_philox_key(self):
+        # sample indices are the low 64 bits of the key; 2^64 would reach the seed's half
+        assert base_cfg(sample_count=2**64).sample_count == 2**64
+        with pytest.raises(
+            ValueError, match=r"sample_count must be at most 2\*\*64, got 18446744073709551617"
+        ):
+            base_cfg(sample_count=2**64 + 1)
+
     def test_exhaustive_cap_below_one_refused(self):
         for cap in (0, -1):
             with pytest.raises(ValueError, match="exhaustive_cap"):
@@ -161,6 +169,75 @@ class TestRandomIdeal:
             ambient_n=4, seed=0, sample_count=1, density=0.5, edge_ideals_only=True
         )
         assert len(candidate_pool(cfg)) == 6
+
+
+def outcomes(draw, indices) -> list:
+    """Each index's ideal, or the message of its DegenerateSample."""
+    out = []
+    for index in indices:
+        try:
+            out.append(draw(index))
+        except DegenerateSample as exc:
+            out.append(str(exc))
+    return out
+
+
+class TestSampler:
+    """The re-keyed per-pass sampler against a fresh Philox generator per index."""
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(ambient_n=8, seed=7, gen_degree=3, gen_count=5),
+            # a count range draws the count first, through rng.integers
+            dict(ambient_n=7, seed=2**64 - 1, gen_degree=(2, 3), gen_count=(3, 6)),
+            dict(ambient_n=8, seed=3, edge_ideals_only=True, density=0.3),
+        ],
+        ids=["count", "count-range", "edges"],
+    )
+    def test_matches_a_fresh_generator_per_index(self, kw):
+        cfg = SearchConfig(sample_count=80, **kw)
+        indices = [*range(80), 2**63, 2**64 - 1]
+        expected = [sampled_ideal_fresh(cfg, i)[0] for i in indices]
+        assert outcomes(search._sampler(cfg), indices) == expected
+        assert [random_ideal(cfg, i) for i in indices] == expected
+
+    def test_retries_match_a_fresh_generator(self):
+        # a pool of 4 at density 0.1: about two draws in three come up empty
+        cfg = SearchConfig(ambient_n=4, seed=1, sample_count=80, gen_degree=3, density=0.1)
+        expected = outcomes(lambda i: sampled_ideal_fresh(cfg, i)[0], range(80))
+        assert outcomes(search._sampler(cfg), range(80)) == expected
+        assert outcomes(lambda i: random_ideal(cfg, i), range(80)) == expected
+        drawn = [i for i in range(80) if isinstance(expected[i], Ideal)]
+        assert sum(sampled_ideal_fresh(cfg, i)[1] > 1 for i in drawn) >= 20
+
+    def test_degenerate_samples_match_a_fresh_generator(self):
+        # a pool of 1 at density 0.05: 16 empty draws in a row have chance 0.44
+        cfg = SearchConfig(ambient_n=3, seed=0, sample_count=80, gen_degree=3, density=0.05)
+        expected = outcomes(lambda i: sampled_ideal_fresh(cfg, i)[0], range(80))
+        # a degenerate index leaves the generator mid-stream; the next draw starts over
+        assert outcomes(search._sampler(cfg), range(80)) == expected
+        assert outcomes(lambda i: random_ideal(cfg, i), range(80)) == expected
+        messages = [x for x in expected if isinstance(x, str)]
+        assert 20 <= len(messages) <= 60
+        assert all(m.endswith(" stayed zero after 16 attempts") for m in messages)
+
+    def test_interleaved_samplers_draw_as_alone(self):
+        a = base_cfg(seed=11, gen_count=(2, 5))
+        b = base_cfg(seed=12, gen_count=None, density=0.05)
+        alone_a = outcomes(search._sampler(a), range(40))
+        alone_b = outcomes(search._sampler(b), reversed(range(40)))
+        draw_a, draw_b = search._sampler(a), search._sampler(b)
+        both_a, both_b = [], []
+        for i in range(40):
+            both_a += outcomes(draw_a, [i])
+            both_b += outcomes(draw_b, [39 - i])
+        assert (both_a, both_b) == (alone_a, alone_b)
+
+    @pytest.mark.parametrize("index", [-1, 2**64])
+    def test_index_outside_the_key_refused(self, index):
+        with pytest.raises(ValueError, match="outside 0..2\\*\\*64 - 1"):
+            random_ideal(base_cfg(), index)
 
 
 class TestScan:
@@ -275,10 +352,13 @@ class TestScan:
         assert json.loads(lines[0]) == result.findings[0].to_json_dict()
 
     def test_log_keeps_findings_when_the_scan_dies(self, tmp_path, monkeypatch):
-        def boom(cfg, index):
-            raise RuntimeError(f"sample {index} killed")
+        def sampler(cfg):
+            def boom(index):
+                raise RuntimeError(f"sample {index} killed")
 
-        monkeypatch.setattr(search, "random_ideal", boom)
+            return boom
+
+        monkeypatch.setattr(search, "_sampler", sampler)
         cfg = SearchConfig(
             ambient_n=8, seed=0, sample_count=40, gen_count=1, inject=(build_family(8),)
         )
@@ -393,7 +473,9 @@ class TestOrbitMemo:
         assert result.summary["findings_unique"] == 2
 
     def test_one_profile_per_graph_class(self, monkeypatch):
-        # 34 graphs on 5 vertices up to isomorphism (OEIS A000088), less the empty one
+        # 34 graphs on 5 vertices up to isomorphism (OEIS A000088), less the empty
+        # one, less the 5 with nu = 1 (the stars K_{1,1}..K_{1,4} and the triangle),
+        # which are counted without a profile
         calls = []
 
         def counted(ideal, field, depth_fn):
@@ -405,10 +487,12 @@ class TestOrbitMemo:
         )
         monkeypatch.setattr(search, "g_profile", counted)
         memoised = scan(cfg)
-        assert calls == [2] * 33 + [3] * 33
+        assert calls == [2] * 28 + [3] * 28
         monkeypatch.setattr(search, "_remember", never_remember)
         scratch = scan(cfg)
-        assert len(calls) == 66 + 2 * ((1 << 10) - 1)
+        # of the 1023 labelled graphs, the 10 single edges, the 55 stars with two
+        # or more edges and the 10 triangles have nu = 1
+        assert len(calls) == 56 + 2 * ((1 << 10) - 1 - 75)
         assert memoised.summary == scratch.summary
 
     def test_dedup_does_not_depend_on_the_memo_key(self, monkeypatch):
@@ -422,6 +506,56 @@ class TestOrbitMemo:
         ))
         assert result.summary["findings_total"] == 4
         assert [(f.field_char, f.index) for f in result.findings] == [(2, -1), (3, -1)]
+
+
+class TestNuOne:
+    def test_nu_one_samples_get_no_key_profile_or_depth(self, tmp_path, monkeypatch):
+        # two or three cubics on 8 variables often pairwise meet; the single
+        # injected cubic has nu = 1 too, and the family gives a finding
+        cfg = SearchConfig(
+            ambient_n=8, seed=4, sample_count=150, gen_degree=3, gen_count=(2, 3),
+            primes=(2, 3), inject=(build_family(8), Ideal.from_supports([[1, 2, 3]], 8)),
+        )
+        samples = list(cfg.inject) + [random_ideal(cfg, i) for i in range(cfg.sample_count)]
+        nu_one = [
+            ideal for ideal in samples
+            if max_matching_brute([frozenset(g.indices) for g in ideal.gens]) == 1
+        ]
+        assert len(nu_one) >= 50 and cfg.inject[1] in nu_one
+        by_nu = {}
+        for p in cfg.primes:
+            for ideal in samples:
+                nu = str(g_profile(ideal, FieldSpec(p)).nu)
+                by_nu[nu] = by_nu.get(nu, 0) + 1
+
+        reached = {}
+
+        def counting(name, fn):
+            def counted(ideal, *args):
+                reached.setdefault(name, []).append(ideal)
+                return fn(ideal, *args)
+
+            return counted
+
+        for name in ("canonical_relabeling_key", "depth", "g_profile"):
+            monkeypatch.setattr(search, name, counting(name, getattr(search, name)))
+        runs = []
+        for remember in (search._remember, never_remember):
+            monkeypatch.setattr(search, "_remember", remember)
+            reached.clear()
+            log = tmp_path / f"run{len(runs)}.jsonl"
+            result = scan(cfg, log_path=str(log))
+            assert sorted(reached) == ["canonical_relabeling_key", "depth", "g_profile"]
+            for name, ideals in reached.items():
+                assert not [i for i in ideals if i in nu_one], name
+            findings = json.dumps([f.to_json_dict() for f in result.findings])
+            runs.append((json.dumps(result.summary), findings, log.read_bytes()))
+        assert runs[0] == runs[1]
+        summary = json.loads(runs[0][0])
+        assert summary["by_nu"] == dict(sorted(by_nu.items()))
+        assert summary["by_nu"]["1"] == 2 * len(nu_one)
+        assert summary["evaluated"] == 2 * len(samples)
+        assert [f["index"] for f in json.loads(runs[0][1])][:2] == [-1, -1]
 
 
 class TestCanonicalKey:
