@@ -28,6 +28,9 @@ Everything is serial; ``search`` re-keys one Philox generator per index
 (the stream of a new generator per sample), counts samples with nu = 1
 without a key or a profile, and computes each other g-profile once per
 orbit of ideals under relabeling, and each depth once per orbit of powers.
+The orbit key of an ideal with at most five generators comes from one
+cached table of generator orders, that of a larger one from a refinement
+search.
 """
 
 from .betti import (

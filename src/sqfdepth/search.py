@@ -7,11 +7,15 @@ which draws the same stream as a new generator keyed (seed << 64) | index.
 A sample whose generators pairwise meet has nu = 1, so one g value and no
 finding: it is counted and gets no key, profile or depth.  Each other
 sample and each power is keyed once by an exact canonical form under
-relabeling of the variables.  That one key memoises the g-profile per
-prime and per orbit of the ideals, depth per prime and per orbit of the
-powers, and deduplicates findings (profiles with some g(k+1) > g(k)),
-which can be appended to a line-delimited JSON log with an fsync per
-record.
+relabeling of the variables.  An ideal with at most five generators takes
+the least sorted row of its variables' generator sets over all orders of
+the generators, from one cached table per generator count; a larger one
+takes an individualisation-refinement search.  Both return a relabeling of
+the ideal, and relabeling keeps the generator count, so the key is exact
+across the cut.  That one key memoises the g-profile per prime and per
+orbit of the ideals, depth per prime and per orbit of the powers, and
+deduplicates findings (profiles with some g(k+1) > g(k)), which can be
+appended to a line-delimited JSON log with an fsync per record.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import functools
 import itertools
 import json
 import os
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from numbers import Real
 
@@ -256,17 +260,93 @@ def _orbit(seeds: list[int], generators: list, twins: list, fixed: set) -> set[i
     return orbit
 
 
+# Ideals with at most this many generators are keyed by _table_key, the rest by
+# _search_key.  The table's cost grows with m! and barely with n, the search's
+# with n.  Microseconds per key, search -> table, in process (2-vCPU x86_64,
+# Python 3.11.7, numpy 2.4.6; 200 random cubic ideals, median of 5), at
+# n = 8, 11, 14: m = 4: 187 -> 16, 281 -> 17, 426 -> 19; m = 5: 133 -> 28,
+# 234 -> 34, 347 -> 31; m = 6: 82 -> 65, 161 -> 111, 329 -> 141; m = 7:
+# 93 -> 375, 112 -> 442, 228 -> 658.  m = 6 is the crossover (an earlier run
+# had the table 10 % slower at n = 8), and each m past it multiplies the table.
+# The scan-cubic8 samples have 5 generators, their powers I^[2] about 2.
+_TABLE_GENERATORS = 5
+
+
+@functools.cache
+def _generator_orders(m: int) -> np.ndarray:
+    """Every m-bit column under every order of m generators, as m! x 2^m uint8.
+
+    Row r sends the set c of generators (bit j for generator j) to its
+    image when each generator j is renumbered to the j-th entry of the r-th
+    permutation.  Built once per m, on the first key with m generators.
+    """
+    perms = np.array(list(itertools.permutations(range(m))), dtype=np.uint8)
+    bits = np.arange(1 << m, dtype=np.uint8)[:, None] >> np.arange(m, dtype=np.uint8) & 1
+    table = (bits << perms[:, None, :]).sum(axis=2, dtype=np.uint8)
+    table.flags.writeable = False  # one table serves every key with m generators
+    return table
+
+
+def _transpose(rows: Iterable[int], width: int) -> list[int]:
+    """A bit matrix, one int per row, transposed: bit j of row i becomes bit i of row j."""
+    out = [0] * width
+    for i, row in enumerate(rows):
+        while row:
+            low = row & -row
+            out[low.bit_length() - 1] |= 1 << i
+            row ^= low
+    return out
+
+
+def _table_key(ideal: Ideal) -> tuple[int, ...]:
+    """``canonical_relabeling_key`` for few generators, from ``_generator_orders``.
+
+    Variable v's column is the set of generators that contain it.
+    Relabeling the variables permutes the columns, which leaves their sorted
+    row unchanged; renumbering the generators maps every column through one
+    row of the table.  So the least sorted row over all m! orders is the
+    same for every relabeling, and it describes the ideal relabeled so
+    that variable i takes the i-th smallest column: the key is that ideal's
+    generator masks, sorted.
+    """
+    n, m = ideal.ambient_n, len(ideal.masks)
+    rows = _generator_orders(m).take(_transpose(ideal.masks, n), axis=1)
+    rows.sort(axis=1)
+    # as bytes, rows compare entry by entry; numpy drops trailing zero bytes,
+    # but a row ends in zero only when every column is zero, for m = 0
+    least = rows[rows.view(f"S{n}").argmin()].tolist()
+    return tuple(sorted(_transpose(least, m)))
+
+
 def canonical_relabeling_key(ideal: Ideal) -> tuple[int, ...]:
     """Canonical form of an ideal under relabeling of its variables.
 
     Two ideals on the same ambient get equal keys exactly when some
     permutation of the variables maps one onto the other.  The key is the
-    least sorted generator-mask tuple over the leaves of an individualisation-
-    refinement search (McKay & Piperno, "Practical graph isomorphism, II",
-    2014): refine colours on the variable-generator incidence graph, then
-    individualise each vertex of the first non-singleton cell in turn and
-    recurse.  Three prunings keep symmetric inputs cheap, each skipping
-    only subtrees that an automorphism maps onto one already searched:
+    sorted generator masks of one relabeling of the ideal, chosen by one of
+    two routes.  Ideals with at most ``_TABLE_GENERATORS`` generators take
+    the least sorted row of variable columns over all orders of the
+    generators (``_table_key``); the rest take an individualisation-
+    refinement search (``_search_key``).  Either route returns a relabeling
+    of the ideal, so equal keys imply isomorphic ideals; and relabeling
+    keeps the number of generators, so a whole orbit takes one route and
+    gets one key.
+    """
+    if len(ideal.masks) <= _TABLE_GENERATORS:
+        return _table_key(ideal)
+    return _search_key(ideal)
+
+
+def _search_key(ideal: Ideal) -> tuple[int, ...]:
+    """``canonical_relabeling_key`` by a search, for any number of generators.
+
+    The key is the least sorted generator-mask tuple over the leaves of an
+    individualisation-refinement search (McKay & Piperno, "Practical graph
+    isomorphism, II", 2014): refine colours on the variable-generator
+    incidence graph, then individualise each vertex of the first
+    non-singleton cell in turn and recurse.  Three prunings keep symmetric
+    inputs cheap, each skipping only subtrees that an automorphism maps
+    onto one already searched:
 
     - twins (variables whose transposition is an automorphism) are
       interchangeable, so a cell made only of twins is split in label order

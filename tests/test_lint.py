@@ -119,3 +119,23 @@ def test_one_philox_generator_per_sampler():
     inside = {id(node) for node in ast.walk(sampler)} - nested
     lines = [node.lineno for node in calls]
     assert len(calls) == 1 and id(calls[0]) in inside, f"search.py makes a Philox at lines {lines}"
+
+
+def test_one_table_of_generator_orders():
+    # the key enumerates generator orders once per generator count, in the
+    # cached table builder, and never per key
+    path = next(path for path in SOURCES if path.name == "search.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    builder = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_generator_orders"
+    )
+    assert [ast.unparse(d) for d in builder.decorator_list] == ["functools.cache"]
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("permutations")
+    ]
+    inside = {id(node) for node in ast.walk(builder)}
+    lines = [node.lineno for node in calls]
+    assert len(calls) == 1 and id(calls[0]) in inside, f"search.py permutes at lines {lines}"

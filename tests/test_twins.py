@@ -275,8 +275,8 @@ class TestQuotient:
 
 
 def test_canonical_key_splits_twin_cells_without_branching(monkeypatch):
-    # a cell made only of twins is split in label order: after the root
-    # colouring, one refinement gives a leaf and nothing is branched on
+    # the search splits a cell made only of twins in label order: after the
+    # root colouring, one refinement gives a leaf and nothing is branched on
     refinements: list[int] = []
     refine = search._refine
 
@@ -287,5 +287,11 @@ def test_canonical_key_splits_twin_cells_without_branching(monkeypatch):
     monkeypatch.setattr(search, "_refine", counting)
     for ideal in (build_family(14), Ideal.from_supports([[1, 2]], 10)):
         refinements.clear()
-        search.canonical_relabeling_key(ideal)
+        search._search_key(ideal)
         assert len(refinements) == 2
+    # the public key searches only above five generators
+    for m in (5, 6):
+        ideal = Ideal.from_supports([[v, v + 1] for v in range(1, m + 1)], 10)
+        refinements.clear()
+        search.canonical_relabeling_key(ideal)
+        assert (len(refinements) > 0) == (m == 6)
