@@ -34,10 +34,20 @@ the ambient is small enough to sieve whole, and on sigma's own vertices
 past that.  Only the rule that picks the complex differs, each measured
 (``_K_MARGIN``).  The table's walk (``_table_columns``) counts r and the
 cones of all representatives at once (``_generator_counts``), skips the
-cones, and takes K_sigma when r = 0 or r + ``_K_MARGIN`` <= |sigma|; it
-computes each distinct reduced K_sigma once.  ``proj_dim`` and ``depth``
-(and so ``g_profile``) need only the top degree: they take K_sigma when
-|G_sigma| < |sigma|, and stop at the first nonzero degree.
+cones, and takes K_sigma when r = 0 or r + ``_K_MARGIN`` <= |sigma|.
+``proj_dim`` and ``depth`` (and so ``g_profile``) need only the top
+degree: they take K_sigma when |G_sigma| < |sigma|, and stop at the first
+nonzero degree.  The homology of a reduced K_sigma is computed once per
+process (``_Columns._k_dims``) for the table's walk and for ``proj_dim``
+on an ideal with at most ``_LATTICE_GENERATORS`` generators.
+
+Such an ideal's survivors are the nonzero elements of its lcm lattice
+(Gasharov, Peeva and Welker), the unions of its generator subsets, at
+most 2^m - 1 of them: ``proj_dim`` builds them by closure, each with its
+G_sigma (the union of the generator sets whose lcm is x^sigma), and visits
+each, with no twin classes, no numpy and no candidate count, so it needs
+no refusal.  Every K_sigma and Delta_sigma it reaches has at most m
+vertices.
 
 Permuting twin variables (``Ideal.twin_classes``) is an automorphism of the
 complex, so it maps each induced subcomplex onto an isomorphic one and
@@ -49,13 +59,15 @@ class, 2^s * prod(|C| + 1) candidates in all, of which it keeps the
 survivors.  Homology is computed once per representative.
 ``depth_report`` and ``regularity`` weight it by its orbit's size,
 prod C(|C|, c_C); only ``betti_table``, the multigraded API, lists every
-member.  Two refusals bound the work: more than ``MAX_ORBITS`` candidates
-(and, in ``betti_table``, more survivors), and a complex on more than
-``MAX_HOCHSTER_AMBIENT`` vertices.
+member.  ``proj_dim`` walks the orbits of an ideal with more than
+``_LATTICE_GENERATORS`` generators.  Two refusals bound the orbit walks:
+more than ``MAX_ORBITS`` candidates (and, in ``betti_table``, more
+survivors), and a complex on more than ``MAX_HOCHSTER_AMBIENT`` vertices.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Callable, Iterator
@@ -263,14 +275,23 @@ class _Columns:
     Up to ``MAX_HOCHSTER_AMBIENT`` variables every Delta_sigma goes through
     the ideal's one face sieve, built on first need, so each coboundary row
     is built at most once per walk.  Past that, each Delta_sigma is sieved
-    on sigma's own vertices, renumbered.  With ``memo``, for a walk that
-    reads every column to the bottom, the homology of each reduced K_sigma
-    is computed once and shared by every sigma with the same one.
+    on sigma's own vertices, renumbered.  With ``cached``, the homology of
+    each reduced K_sigma comes whole from one cache shared by every walk of
+    the process (``_k_dims``); without, each K_sigma gets a sieve of its
+    own, ranked only down to the consumer's floor.
     """
 
-    def __init__(self, ideal: Ideal, p: int, memo: bool = False) -> None:
-        self._ideal, self._p, self._sieve = ideal, p, None
-        self._k_dims: dict[tuple[int, tuple[int, ...]], list[int]] | None = {} if memo else None
+    def __init__(self, ideal: Ideal, p: int, cached: bool = False) -> None:
+        self._ideal, self._p, self._sieve, self._cached = ideal, p, None, cached
+
+    @staticmethod
+    @functools.lru_cache(maxsize=1 << 14)
+    def _k_dims(r: int, nonfaces: tuple[int, ...], p: int) -> tuple[int, ...]:
+        """Reduced homology dims of a K_sigma on r >= 1 vertices over F_p, by face size.
+
+        Every nonface lies in the r vertices, so faces have at most r - 1.
+        """
+        return tuple(FaceSieve(r, nonfaces, p).homology_dims((1 << r) - 1, r - 1))
 
     def column(self, sigma: int, m: int, on_k: bool, floor: int) -> Iterator[tuple[int, int]]:
         """Nonzero (i, beta_{i,sigma}) from the top degree down to floor, ranked bottom-up.
@@ -288,13 +309,8 @@ class _Columns:
             if r == 0:
                 yield m, 1
                 return
-            if self._k_dims is not None:
-                # every nonface lies in the r vertices, so faces have at most r - 1
-                key = (r, tuple(nonfaces))
-                dims = self._k_dims.get(key)
-                if dims is None:
-                    sieve = FaceSieve(r, nonfaces, self._p)
-                    dims = self._k_dims[key] = list(sieve.homology_dims((1 << r) - 1, r - 1))
+            if self._cached:
+                dims = self._k_dims(r, tuple(nonfaces), self._p)
                 yield from ((m - s, dim) for s, dim in enumerate(dims) if dim and m - s >= floor)
                 return
             base, sieve, sigma = m, FaceSieve(r, nonfaces, self._p), (1 << r) - 1
@@ -325,7 +341,23 @@ class _Columns:
 # -> 0.21 s, graph g-profiles 0.60 -> 1.15 s and dense-quadratic ones 0.13
 # -> 0.38 s (margins 1..3 lost too), and counting r for all cost 0.42 s
 # against 0.10 s on graph g-profiles.
+# proj_dim walks the lcm lattice of an ideal with at most _LATTICE_GENERATORS
+# generators and the twin quotient of any other; ms per 40 random cubics at
+# p = 2, orbit walk -> lattice walk, interleaved (median of 7, loaded box):
+#   n = 8, m = 5: 9.6 -> 4.1;  n = 12, m = 6: 21.1 -> 5.9;  n = 16, m = 8: 153 -> 17.
+# Twin-rich ideals lose as m grows, since their lattice dwarfs the twin
+# quotient (ms per call, empty cache): family(9), m = 8: 0.33 -> 0.26;
+# family(12), m = 11: 0.26 -> 0.77.
+# Lost as well (s, committed -> variant): a 2^m <= quotient-size rule, which
+# needs a second twin_classes (family g-profiles, n = 8..30: 0.020 -> 0.022),
+# numpy arrays on the lattice (three p = 3 scans of 250 cubics: 0.088 ->
+# 0.113), a count of G_sigma per union in place of the closure's (the 335
+# depths of two scan-cubic8 jobs: 0.020 -> 0.024) and Delta_sigma on its own
+# vertices there (90 small-graph g-profiles: 0.029 -> 0.032).  The orbit
+# walk's K_sigma stay uncached and floored: ranked whole and cached, two
+# twin-free cubic g-profiles at n = 14 (28 generators) took 1.05 -> 1.08 s.
 _K_MARGIN = 5
+_LATTICE_GENERATORS = 6
 
 
 def _table_columns(
@@ -346,7 +378,7 @@ def _table_columns(
             f"a complex on {vertices.max()} vertices: more than {MAX_HOCHSTER_AMBIENT}, "
             "the cap on the sweep over all 2^n vertex subsets"
         )
-    columns = _Columns(ideal, field.characteristic, memo=True)
+    columns = _Columns(ideal, field.characteristic, cached=True)
     for rep, gens, use_k, is_cone in zip(reps.tolist(), m.tolist(), on_k.tolist(), cone.tolist()):
         yield [] if is_cone else list(columns.column(rep, gens, use_k, 1))
 
@@ -395,22 +427,37 @@ def proj_dim(ideal: Ideal, field: FieldSpec = FieldSpec(2)) -> int:
 
     pd is the largest i with beta_{i,sigma} nonzero for some survivor
     sigma.  Delta_sigma bounds i by |sigma| and K_sigma by m = |G_sigma|,
-    so orbit representatives are visited by descending w = min(|sigma|, m),
-    ties by ascending mask, each on its complex with w vertices, and only
-    down to degree best + 1; the walk stops at the first sigma with
-    w <= best.
+    so survivors are visited by descending w = min(|sigma|, m), ties by
+    ascending mask, each on its complex with w vertices, and only down to
+    degree best + 1; the walk stops at the first sigma with w <= best.
+    An ideal with at most ``_LATTICE_GENERATORS`` generators visits every
+    survivor, the nonzero elements of its lcm lattice (the unions of its
+    generator subsets), with no twin classes; a larger one visits the
+    orbit representatives of ``_orbits``.
     """
     if ideal.is_zero:
         raise ZeroIdeal("projective dimension of S requested")
-    reps, gens_inside, _ = _orbits(ideal)
-    weights = np.minimum(np.bitwise_count(reps), gens_inside)
-    order = np.argsort(-weights, kind="stable")
-    columns = _Columns(ideal, field.characteristic)
+    masks = ideal.masks
+    lattice = len(masks) <= _LATTICE_GENERATORS
+    if lattice:
+        # each union of generators, with the union of the generator sets
+        # that give it: every g dividing sigma joins one, so that is G_sigma
+        lcms = {0: 0}
+        for j, g in enumerate(masks):
+            for u, gens in list(lcms.items()):
+                lcms[u | g] = lcms.get(u | g, 0) | gens | 1 << j
+        del lcms[0]
+        inside = [(s, gens.bit_count()) for s, gens in lcms.items()]
+        visits = sorted((-min(s.bit_count(), m), s, m) for s, m in inside)
+    else:
+        reps, gens_inside, _ = _orbits(ideal)
+        weights = np.minimum(np.bitwise_count(reps), gens_inside)
+        order = np.argsort(-weights, kind="stable")
+        visits = zip((-weights[order]).tolist(), reps[order].tolist(), gens_inside[order].tolist())
+    columns = _Columns(ideal, field.characteristic, cached=lattice)
     best = 0
-    for sigma, w, m in zip(
-        reps[order].tolist(), weights[order].tolist(), gens_inside[order].tolist()
-    ):
-        if w <= best:
+    for neg_w, sigma, m in visits:  # by (-w, sigma)
+        if -neg_w <= best:
             break
         for i, _ in columns.column(sigma, m, m < sigma.bit_count(), best + 1):
             best = i

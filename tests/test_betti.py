@@ -1,6 +1,7 @@
 """Betti tables, depth, regularity, g profiles, and their cross-checks."""
 
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -32,7 +33,7 @@ from sqfdepth.family import build_family
 from sqfdepth import homology
 from sqfdepth.homology import MAX_HOCHSTER_AMBIENT, FieldSpec, induced_faces
 from sqfdepth.ideals import Ideal
-from sqfdepth.search import SearchConfig, random_ideal
+from sqfdepth.search import SearchConfig, random_ideal, scan
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -418,6 +419,9 @@ class TestSmallerComplexWalk:
 
         monkeypatch.setattr(homology.FaceSieve, "homology_dims", recording_dims)
         monkeypatch.setattr(homology.FaceSieve, "__init__", recording_init)
+        # the K_sigma homology of the lattice route is cached for the process:
+        # start empty, so earlier calls hide no sieve
+        betti._Columns._k_dims.cache_clear()
         return calls, sizes
 
     def test_family_needs_two_homology_walks(self, monkeypatch):
@@ -441,6 +445,20 @@ class TestSmallerComplexWalk:
                 proj_dim(ideal, FieldSpec(p))
         assert calls and max(sizes) <= 5
 
+    def test_cubic_samples_walk_the_lattice_and_reuse_every_k_sigma(self, monkeypatch):
+        # five generators: no twin quotient, and the second pass finds the
+        # homology of every reduced K_sigma in the process-wide cache
+        cfg = SearchConfig(ambient_n=8, seed=1, gen_degree=3, gen_count=5)
+        ideals = [random_ideal(cfg, i) for i in range(100)]
+        monkeypatch.setattr(betti, "_orbits", None)  # a call would raise TypeError
+        calls, sizes = self.recording(monkeypatch)
+        first = [proj_dim(ideal, FieldSpec(p)) for p in (2, 3) for ideal in ideals]
+        assert calls and sizes
+        calls.clear()
+        sizes.clear()
+        assert [proj_dim(ideal, FieldSpec(p)) for p in (2, 3) for ideal in ideals] == first
+        assert sizes == [] and calls == []
+
     def test_no_sieve_on_zero_vertices(self, monkeypatch):
         # K_sigma = {empty face} gives beta_{|G_sigma|,sigma} = 1 with no sieve
         cfg = SearchConfig(ambient_n=8, seed=1, gen_degree=3, gen_count=5)
@@ -451,6 +469,97 @@ class TestSmallerComplexWalk:
             for ideal in ideals:
                 proj_dim(ideal, FieldSpec(p))
         assert sizes and 0 not in sizes
+
+
+def transposed_rp2() -> Ideal:
+    """The 6-vertex projective plane with the roles of vertices and nonfaces swapped.
+
+    One variable per non-facet triangle, and generator j is the triangles
+    that contain vertex j.  At the full support K_sigma is the projective
+    plane itself, so beta_{4,sigma} over F_2 is its torsion.
+    """
+    missing = sorted(set(itertools.combinations(range(1, 7), 3)) - set(RP2_FACETS))
+    supports = [[t + 1 for t, tri in enumerate(missing) if j in tri] for j in range(1, 7)]
+    return Ideal.from_supports(supports, len(missing))
+
+
+def boolean_lattice_ideal(n: int) -> Ideal:
+    """Six generators on 25 variables of distinct columns, padded to n variables.
+
+    The variables' generator sets are the 6 singletons, the 15 pairs and 4
+    triples of the generators.  Each generator has a private variable, so
+    the lcm lattice is Boolean, the Taylor resolution is minimal and pd = 6.
+    """
+    columns = [c for k in (1, 2) for c in itertools.combinations(range(6), k)]
+    columns += list(itertools.combinations(range(6), 3))[:4]
+    supports = [[v + 1 for v, c in enumerate(columns) if j in c] for j in range(6)]
+    return Ideal.from_supports(supports, n)
+
+
+class TestLatticeRoute:
+    """proj_dim on the lcm lattice of an ideal with at most six generators.
+
+    The cut is moved to send every ideal down one route: 0 gives the orbit
+    walk to all, 12 the lattice walk to every ideal here.
+    """
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(2020)
+        out = [
+            random_test_ideal(rng, int(rng.integers(1, 11)), max_degree=4, max_gens=10)
+            for _ in range(16)
+        ]
+        # five to eight quadrics and cubics, on both sides of the cut
+        cfg = SearchConfig(ambient_n=8, seed=2020, gen_degree=(2, 3), gen_count=(5, 8))
+        out += [random_ideal(cfg, i) for i in range(6)]
+        out += [
+            Ideal.from_supports([[1]], 1),  # one generator, K_sigma = {empty face}
+            Ideal.from_supports([[2, 4, 5]], 7),  # one generator and free variables
+            Ideal.from_supports([[1], [2, 3]], 4),  # degree one and a free variable
+            Ideal.from_supports([[1], [2], [3], [3, 4, 5]], 6),
+            Ideal.from_supports([[i, i % 6 + 1] for i in range(1, 7)], 8),  # 6-cycle
+            build_family(7),
+            rp2_ideal(),
+        ]
+        return out
+
+    @pytest.mark.parametrize("p", (2, 3, 5))
+    def test_both_routes_match_the_table_and_link_oracle(self, p, monkeypatch):
+        field = FieldSpec(p)
+        for ideal in self.cases():
+            table = betti_table(ideal, field).proj_dim()
+            assert table == ideal.ambient_n - depth_via_links(ideal, p)
+            for cut in (0, 12):
+                monkeypatch.setattr(betti, "_LATTICE_GENERATORS", cut)
+                betti._Columns._k_dims.cache_clear()
+                assert proj_dim(ideal, field) == table
+            monkeypatch.undo()
+
+    def test_torsion_of_the_transposed_projective_plane(self, monkeypatch):
+        ideal = transposed_rp2()
+        assert (ideal.ambient_n, len(ideal.masks)) == (10, 6)
+        assert {g.bit_count() for g in ideal.masks} == {5}
+        reports = {p: depth_report(ideal, FieldSpec(p)).proj_dim for p in (2, 3, 5)}
+        assert reports == {2: 4, 3: 3, 5: 3}
+        monkeypatch.setattr(betti, "_orbits", None)  # the lattice route never calls it
+        betti._Columns._k_dims.cache_clear()
+        assert {p: proj_dim(ideal, FieldSpec(p)) for p in (2, 3, 5)} == reports
+
+    def test_scan_is_the_same_on_either_route(self, tmp_path, monkeypatch):
+        cfg = SearchConfig(
+            ambient_n=8, seed=7, sample_count=150, gen_degree=3, gen_count=(4, 7),
+            primes=(2, 3), inject=(build_family(8),),
+        )
+        runs = []
+        for cut in (betti._LATTICE_GENERATORS, 0):
+            monkeypatch.setattr(betti, "_LATTICE_GENERATORS", cut)
+            log = tmp_path / f"cut{cut}.jsonl"
+            result = scan(cfg, log_path=str(log))
+            findings = json.dumps([f.to_json_dict() for f in result.findings])
+            runs.append((json.dumps(result.summary), findings, log.read_bytes()))
+        assert runs[0] == runs[1]
+        assert json.loads(runs[0][1])
 
 
 class TestRegularity:
@@ -494,6 +603,20 @@ class TestRefusals:
             lambda: depth(path, F2), "33554432 orbit representatives to test on n=25 variables"
         )
         refused_before_allocation(lambda: depth_report(path, F3), "more than 2\\^24 = 16777216")
+
+    def test_few_generators_past_the_candidate_cap(self):
+        # 25 twin-free variables and 15 free ones: 2^25 * 16 candidates for
+        # the orbit walk, but only 63 lattice elements for depth
+        ideal = boolean_lattice_ideal(40)
+        assert len(ideal.masks) == 6
+        for field in (F2, F3):
+            assert depth(ideal, field) == 34
+            profile = g_profile(ideal, field)
+            assert profile.nu == 1 and profile.rows[0].depth == 34
+        refused_before_allocation(
+            lambda: depth_report(ideal, F2),
+            "536870912 orbit representatives to test on n=40 variables",
+        )
 
     def test_twins_admit_more_than_24_variables(self):
         # x1x2 on 25 variables: two twin classes, 3 * 24 candidates

@@ -76,7 +76,8 @@ def test_one_column_evaluator():
 
 
 def test_betti_walks_the_twin_quotient():
-    # the Betti walks enumerate orbit representatives as uint64 masks: no
+    # the Betti walks enumerate orbit representatives as uint64 masks, and
+    # proj_dim on at most six generators the lcm lattice as Python ints: no
     # 2^n subset sweep of the ambient, and no 32-bit masks that stop at n = 32
     path = next(path for path in SOURCES if path.name == "betti.py")
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))

@@ -161,7 +161,9 @@ class TestOrbitReduction:
         # cone K_sigma or on K_sigma = {empty face}: each goes either to its
         # reduced K_sigma (one build; one sieve and walk per distinct K_sigma)
         # or to the ideal's sieve; an r = 0 representative gets its K build
-        # and no sieve
+        # and no sieve.  The K_sigma homology is cached for the process, so
+        # the cache starts empty: earlier calls must not hide a sieve
+        betti._Columns._k_dims.cache_clear()
         calls: list[tuple[bool, int]] = []
         sieves: list[tuple[bool, int]] = []
         built: list[int] = []
