@@ -29,40 +29,59 @@ it, and keeps r generators; the Betti numbers still read off at face size
 
 Both walks evaluate a sigma through one evaluator (``_Columns``), on the
 reduced K_sigma with a face sieve of its own, or on Delta_sigma: through
-the ideal's one ``FaceSieve``, whose rows every sigma there shares, while
-the ambient is small enough to sieve whole, and on sigma's own vertices
-past that.  Only the rule that picks the complex differs, each measured
-(``_K_MARGIN``).  The table's walk (``_table_columns``) counts r and the
-cones of all representatives at once (``_generator_counts``), skips the
-cones, and takes K_sigma when r = 0 or r + ``_K_MARGIN`` <= |sigma|.
-``proj_dim`` and ``depth`` (and so ``g_profile``) need only the top
-degree: they take K_sigma when |G_sigma| < |sigma|, and stop at the first
-nonzero degree.  The homology of a reduced K_sigma is computed once per
-process (``_Columns._k_dims``) for the table's walk and for ``proj_dim``
-on an ideal with at most ``_LATTICE_GENERATORS`` generators.
+the ideal's one ``FaceSieve`` on the variables its generators use, whose
+rows every sigma there shares, while they are few enough to sieve whole,
+and on sigma's own vertices past that.  Only the rule that picks the
+complex differs, each measured (``_K_MARGIN``).  The table's orbit walk
+(``_table_columns``) counts r and the cones of all representatives at
+once (``_generator_counts``), skips the cones, and takes K_sigma when
+r = 0 or r + ``_K_MARGIN`` <= |sigma|.  ``proj_dim`` and ``depth`` (and
+so ``g_profile``) need only the top degree: they take K_sigma when
+|G_sigma| < |sigma|, and stop at the first nonzero degree.
 
-Such an ideal's survivors are the nonzero elements of its lcm lattice
-(Gasharov, Peeva and Welker), the unions of its generator subsets, at
-most 2^m - 1 of them: ``proj_dim`` builds them by closure, each with its
-G_sigma (the union of the generator sets whose lcm is x^sigma), and visits
-each, with no twin classes, no numpy and no candidate count, so it needs
-no refusal.  Every K_sigma and Delta_sigma it reaches has at most m
-vertices.
+An ideal with at most ``_LATTICE_GENERATORS`` generators has as survivors
+the nonzero elements of its lcm lattice (Gasharov, Peeva and Welker), the
+unions of its generator subsets, at most 2^m - 1 of them.  Both walks
+build them by closure (``_lattice``), each with its G_sigma, and visit
+each with no twin classes, no numpy and no candidate count, so they need
+no refusal; the table's walk takes every one to K_sigma.  The homology of
+a reduced K_sigma on this route is computed once per process
+(``_Columns._k_dims``).
 
 Permuting twin variables (``Ideal.twin_classes``) is an automorphism of the
 complex, so it maps each induced subcomplex onto an isomorphic one and
-leaves the Betti numbers alone over every field.  Every orbit of subsets
-holds one representative that takes, within each twin class C, the first
-c_C members of C, and ``_orbits`` enumerates those directly: the
-variables in no class, in every combination, times a count c_C for each
-class, 2^s * prod(|C| + 1) candidates in all, of which it keeps the
-survivors.  Homology is computed once per representative.
-``depth_report`` and ``regularity`` weight it by its orbit's size,
-prod C(|C|, c_C); only ``betti_table``, the multigraded API, lists every
-member.  ``proj_dim`` walks the orbits of an ideal with more than
-``_LATTICE_GENERATORS`` generators.  Two refusals bound the orbit walks:
-more than ``MAX_ORBITS`` candidates (and, in ``betti_table``, more
-survivors), and a complex on more than ``MAX_HOCHSTER_AMBIENT`` vertices.
+leaves the Betti numbers alone over every field.  Call a twin class C
+independent when no generator holds two of its members (free variables
+form one).  For a, b in C, both in sigma, the link of b in Delta_sigma is
+a cone on a: a face F + b with F + a + b not a face would hold a
+generator with a, and swapping a for b gives one inside F + b.  So
+Delta_sigma and Delta_{sigma - b} are homotopy equivalent (equal when b
+is no vertex), and with c = |sigma & C|
+
+    beta_{i,sigma}(I) = beta_{i-(c-1),sigma'}(I'),
+
+where sigma' keeps only a and I' drops every generator holding another
+member of C.  This cone-link lemma is the fold lemma of Engstrom,
+"Independence complexes of claw-free graphs" (Eur. J. Combin. 29, 2008),
+for graphs.  Every walk but ``proj_dim`` on at most
+``_LATTICE_GENERATORS`` generators first collapses each independent
+class to its first member (``_collapse``) and renumbers I' onto the
+variables it uses; the paper's family becomes 7 variables and 6
+generators for every n >= 7.  Each nonzero beta_{i',sigma'} of I' stands,
+for a collapsed a in sigma' of class size t, for the C(t, c) ways to
+take c = 1..t members, shifted by c - 1 in i and in |sigma|.
+
+The dependent classes stay: every orbit of subsets holds one
+representative that takes, within each class C, the first c_C members of
+C, and ``_orbits`` enumerates those directly: the variables in no class,
+in every combination, times a count c_C for each class, 2^s * prod(|C| +
+1) candidates in all, of which it keeps the survivors.  Homology is
+computed once per representative.  ``depth_report`` and ``regularity``
+weight it by its orbit's size, prod C(|C|, c_C); only ``betti_table``,
+the multigraded API, lists every member.  Two refusals bound the orbit
+walks: more than ``MAX_ORBITS`` candidates (and, in ``betti_table``,
+more survivors), and a complex on more than ``MAX_HOCHSTER_AMBIENT``
+vertices.
 """
 
 from __future__ import annotations
@@ -76,8 +95,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpaceTooLarge, ZeroIdeal
-from .homology import MAX_HOCHSTER_AMBIENT, FaceSieve, FieldSpec, InducedComplex
-from .ideals import Ideal
+from .homology import MAX_HOCHSTER_AMBIENT, FaceSieve, FieldSpec, InducedComplex, _pack, _unpack
+from .ideals import Ideal, _indices_from_mask
 
 # A walk takes at most as many representatives as the largest complex has
 # vertex subsets, so no input costs more than the 2^n sweep it replaced.
@@ -136,11 +155,12 @@ _BLOCK = 1 << 16
 
 
 def _orbits(
-    ideal: Ideal, sized: bool = False
+    ideal: Ideal, sized: bool = False, classes: list[tuple[int, ...]] | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The survivors' orbit representatives, ascending, as uint64 masks; the
     number |G_sigma| of generators dividing each; and, when ``sized``, the
-    member count of each orbit (else None).
+    member count of each orbit (else None).  The orbits are those of the
+    twin ``classes`` given, by default ``ideal.twin_classes()``.
 
     A survivor is a nonempty sigma that is the union of the generators it
     contains; every other subset induces a cone and has no Betti numbers.
@@ -152,7 +172,8 @@ def _orbits(
     More than ``MAX_ORBITS`` candidates are refused before any is built.
     """
     n, masks = ideal.ambient_n, ideal.masks
-    classes = ideal.twin_classes()
+    if classes is None:
+        classes = ideal.twin_classes()
     free = ((1 << n) - 1) & ~sum(1 << (v - 1) for cls in classes for v in cls)
     count = (1 << free.bit_count()) * math.prod(len(cls) + 1 for cls in classes)
     if count > MAX_ORBITS:
@@ -272,10 +293,11 @@ def _generator_nonfaces(masks: tuple[int, ...], sigma: int) -> tuple[int, list[i
 class _Columns:
     """One ideal's Betti numbers, one multidegree sigma at a time, on one complex.
 
-    Up to ``MAX_HOCHSTER_AMBIENT`` variables every Delta_sigma goes through
-    the ideal's one face sieve, built on first need, so each coboundary row
-    is built at most once per walk.  Past that, each Delta_sigma is sieved
-    on sigma's own vertices, renumbered.  With ``cached``, the homology of
+    While the ideal's generators use at most ``MAX_HOCHSTER_AMBIENT``
+    variables, every Delta_sigma goes through the ideal's one face sieve on
+    those variables, built on first need, so each coboundary row is built
+    at most once per walk.  Past that, each Delta_sigma is sieved on
+    sigma's own vertices, renumbered.  With ``cached``, the homology of
     each reduced K_sigma comes whole from one cache shared by every walk of
     the process (``_k_dims``); without, each K_sigma gets a sieve of its
     own, ranked only down to the consumer's floor.
@@ -283,6 +305,7 @@ class _Columns:
 
     def __init__(self, ideal: Ideal, p: int, cached: bool = False) -> None:
         self._ideal, self._p, self._sieve, self._cached = ideal, p, None, cached
+        self._bits: list[int] | None = None  # the shared sieve's variables, when renumbered
 
     @staticmethod
     @functools.lru_cache(maxsize=1 << 14)
@@ -314,16 +337,33 @@ class _Columns:
                 yield from ((m - s, dim) for s, dim in enumerate(dims) if dim and m - s >= floor)
                 return
             base, sieve, sigma = m, FaceSieve(r, nonfaces, self._p), (1 << r) - 1
-        elif self._ideal.ambient_n > MAX_HOCHSTER_AMBIENT:
-            sieve, bits = InducedComplex(sigma, self._ideal.masks)._sieve(self._p)
-            base, sigma = len(bits), (1 << len(bits)) - 1
         else:
-            if self._sieve is None:
-                self._sieve = FaceSieve(self._ideal.ambient_n, self._ideal.masks, self._p)
-            base, sieve = sigma.bit_count(), self._sieve
+            sieve, sigma = self._delta(sigma)
+            base = sigma.bit_count()
         for s, dim in enumerate(sieve.homology_dims(sigma, base - floor)):
             if dim:
                 yield base - s, dim
+
+    def _delta(self, sigma: int) -> tuple[FaceSieve, int]:
+        """A sieve holding Delta_sigma, and sigma as a mask of its vertices:
+        the ideal's one sieve on the variables its generators use, renumbered
+        only when some variable is in none, or past ``MAX_HOCHSTER_AMBIENT``
+        of them a sieve on sigma's own vertices."""
+        masks = self._ideal.masks
+        if self._sieve is None:
+            support = 0
+            for g in masks:
+                support |= g
+            if support.bit_count() > MAX_HOCHSTER_AMBIENT:
+                self._sieve = False
+            elif support == (1 << self._ideal.ambient_n) - 1:
+                self._sieve = FaceSieve(self._ideal.ambient_n, masks, self._p)
+            else:
+                self._sieve, self._bits = InducedComplex(support, masks)._sieve(self._p)
+        if self._sieve is False:
+            sieve, bits = InducedComplex(sigma, masks)._sieve(self._p)
+            return sieve, (1 << len(bits)) - 1
+        return self._sieve, sigma if self._bits is None else _pack(sigma, self._bits)
 
 
 # The walks pick the complex by different rules, each the faster one measured
@@ -356,6 +396,10 @@ class _Columns:
 # vertices there (90 small-graph g-profiles: 0.029 -> 0.032).  The orbit
 # walk's K_sigma stay uncached and floored: ranked whole and cached, two
 # twin-free cubic g-profiles at n = 14 (28 generators) took 1.05 -> 1.08 s.
+# The table's walk takes the lattice at the same cut, every sigma on its
+# cached K_sigma; ms per 60 random ideals at p = 2 and 3, orbit walk ->
+# lattice walk (best of 7): cubics n = 8, m = 5: 37..63 -> 17..26; n = 12,
+# m = 6: 72..103 -> 29..44; quadrics n = 10, m = 6: 47..49 -> 22..28.
 _K_MARGIN = 5
 _LATTICE_GENERATORS = 6
 
@@ -383,42 +427,177 @@ def _table_columns(
         yield [] if is_cone else list(columns.column(rep, gens, use_k, 1))
 
 
+def _lattice(masks: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The nonzero elements sigma of the lcm lattice, the unions of generator
+    subsets, each with |G_sigma|.
+
+    The closure carries with each union the union of the generator sets
+    that give it: every g dividing sigma joins one, so that is G_sigma.
+    """
+    lcms = {0: 0}
+    for j, g in enumerate(masks):
+        for u, gens in list(lcms.items()):
+            lcms[u | g] = lcms.get(u | g, 0) | gens | 1 << j
+    del lcms[0]
+    return [(s, gens.bit_count()) for s, gens in lcms.items()]
+
+
+# A walk's ideal, its twin classes, its collapsed variables (by bit, with
+# their classes' bits in the ideal asked about), and its variables' bits there
+_Reduced = tuple[Ideal, list[tuple[int, ...]], dict[int, tuple[int, ...]], list[int] | None]
+
+
+def _collapse(ideal: Ideal, classes: list[tuple[int, ...]]) -> _Reduced | None:
+    """The ideal with its independent twin classes collapsed, or None when
+    that changes nothing.
+
+    A class of ``classes`` is independent when no generator holds two of
+    its members.  Its first member stays and every generator holding
+    another member is dropped; the rest are renumbered onto the variables
+    they use, so free variables go too.  Returns that ideal; the dependent
+    classes in its numbering, whose transpositions stay automorphisms of
+    it; the bit there of each kept first member, mapped to its class's bits
+    in ``ideal``; and the bit in ``ideal`` of each new variable, ascending.
+    """
+    dropped, independent, dependent = 0, [], []
+    for cls in classes:
+        if ideal.is_independent(cls):
+            independent.append(cls)
+            dropped |= sum(1 << (v - 1) for v in cls[1:])
+        else:
+            dependent.append(cls)
+    kept = [g for g in ideal.masks if not g & dropped]
+    support = 0
+    for g in kept:
+        support |= g
+    if support == (1 << ideal.ambient_n) - 1:
+        return None
+    index = {v: k for k, v in enumerate(_indices_from_mask(support))}
+    bits = [1 << (v - 1) for v in index]
+    twins = {
+        1 << index[cls[0]]: tuple(1 << (v - 1) for v in cls)
+        for cls in independent
+        if cls[0] in index
+    }
+    dependent = [tuple(index[v] + 1 for v in cls) for cls in dependent]
+    return Ideal(len(bits), [_pack(g, bits) for g in kept]), dependent, twins, bits
+
+
+def _reduced(ideal: Ideal) -> _Reduced:
+    """What a walk of ``ideal`` runs on: ``_collapse`` of its twin classes,
+    or the ideal itself with its classes, no collapsed variable and no
+    renumbering (None)."""
+    classes = ideal.twin_classes()
+    return _collapse(ideal, classes) or (ideal, classes, {}, None)
+
+
+def _shifts(sigma: int, twins: dict[int, tuple[int, ...]]) -> list[int]:
+    """How many of the multidegrees a collapsed sigma stands for have each
+    shift s: the coefficients of the product, over the collapsed variables
+    a in sigma with classes of t members, of sum_{c=1..t} C(t, c) x^(c-1)."""
+    counts = [1]
+    for a, cls in twins.items():
+        if sigma & a:
+            t = len(cls)
+            grown = [0] * (len(counts) + t - 1)
+            for s, x in enumerate(counts):
+                for c in range(1, t + 1):
+                    grown[s + c - 1] += x * math.comb(t, c)
+            counts = grown
+    return counts
+
+
+def _excess(sigma: int, twins: dict[int, tuple[int, ...]]) -> int:
+    """The largest shift of a collapsed sigma: t - 1 summed over its
+    collapsed variables, with classes of t members."""
+    return sum(len(cls) - 1 for a, cls in twins.items() if sigma & a)
+
+
+def _unfolded(
+    sigma: int, twins: dict[int, tuple[int, ...]], bits: list[int] | None
+) -> list[tuple[int, int]]:
+    """(shift, multidegree) for each multidegree of the uncollapsed ideal
+    that the collapsed sigma stands for: every collapsed variable a in
+    sigma becomes each c-subset of its class, c >= 1, with shift c - 1."""
+    if bits is None:
+        return [(0, sigma)]
+    out = [(0, _unpack(sigma, bits))]
+    for a, cls in twins.items():
+        if sigma & a:
+            out = [
+                (s + c - 1, m ^ cls[0] | sum(chosen))
+                for s, m in out
+                for c in range(1, len(cls) + 1)
+                for chosen in itertools.combinations(cls, c)
+            ]
+    return out
+
+
+def _walk(
+    ideal: Ideal, classes: list[tuple[int, ...]], field: FieldSpec
+) -> tuple[list[int], list[int], Iterator[list], list[tuple[int, ...]]]:
+    """The table's walk: the survivors' representatives, their orbit sizes,
+    each one's nonzero (i, beta_{i,sigma}) computed as they are drawn, and
+    the twin classes of the orbits.
+
+    An ideal with at most ``_LATTICE_GENERATORS`` generators lists every
+    element of its lcm lattice, each on its reduced K_sigma with the
+    process-wide homology cache, and needs no orbits; a larger one takes
+    the orbit representatives of ``classes``.
+    """
+    if len(ideal.masks) <= _LATTICE_GENERATORS:
+        lattice = _lattice(ideal.masks)
+        columns = _Columns(ideal, field.characteristic, cached=True)
+        reps = [sigma for sigma, _ in lattice]
+        lazy = (list(columns.column(sigma, m, True, 1)) for sigma, m in lattice)
+        return reps, [1] * len(reps), lazy, []
+    reps, m, sizes = _orbits(ideal, sized=True, classes=classes)
+    return reps.tolist(), sizes.tolist(), _table_columns(ideal, field, reps, m), classes
+
+
 def betti_table(ideal: Ideal, field: FieldSpec = FieldSpec(2)) -> BettiTable:
     """All nonzero multigraded Betti numbers of S/I over F_p.
 
-    Homology is computed once per orbit representative and listed for
-    every member of its orbit.  More than ``MAX_ORBITS`` survivors are
-    refused before any homology: ``depth_report`` gives the aggregated table.
+    Homology is computed once per survivor of the collapsed ideal's walk
+    and listed for every multidegree it stands for.  More than
+    ``MAX_ORBITS`` survivors are refused before any homology:
+    ``depth_report`` gives the aggregated table.
     """
     if ideal.is_zero:
         raise ZeroIdeal("Betti table of S requested; the zero ideal has no table")
-    reps, m, sizes = _orbits(ideal, sized=True)
-    survivors = int(sizes.sum())
+    quotient, classes, twins, bits = _reduced(ideal)
+    reps, sizes, columns, classes = _walk(quotient, classes, field)
+    survivors = sum(size * sum(_shifts(rep, twins)) for rep, size in zip(reps, sizes))
     if survivors > MAX_ORBITS:
         raise SpaceTooLarge(
             f"a multigraded table over {survivors} survivors: more than "
             f"2^{MAX_HOCHSTER_AMBIENT} = {MAX_ORBITS}; depth_report aggregates per orbit"
         )
-    classes = ideal.twin_classes()
     entries = []
-    for rep, column in zip(reps.tolist(), _table_columns(ideal, field, reps, m)):
-        if column:
-            members = _members(rep, classes)
-            entries.extend((i, sigma, dim) for i, dim in column for sigma in members)
+    for rep, column in zip(reps, columns):
+        if not column:
+            continue
+        for member in _members(rep, classes):
+            for shift, sigma in _unfolded(member, twins, bits):
+                entries.extend((i + shift, sigma, dim) for i, dim in column)
     entries.sort()
     return BettiTable(ideal.ambient_n, field, tuple(entries))
 
 
 def _aggregated(ideal: Ideal, field: FieldSpec) -> dict[tuple[int, int], int]:
-    """The coarse table beta_{i,j} of a nonzero ideal, each orbit's column
-    weighted by its size: beta_{i,|sigma|} += size * beta_{i,sigma}."""
-    reps, m, sizes = _orbits(ideal, sized=True)
-    columns = _table_columns(ideal, field, reps, m)
+    """The coarse table beta_{i,j} of a nonzero ideal, each survivor's column
+    weighted by its orbit's size and spread over the shifts of the
+    collapsed multidegrees it stands for."""
+    quotient, classes, twins, _ = _reduced(ideal)
+    reps, sizes, columns, _ = _walk(quotient, classes, field)
     agg: dict[tuple[int, int], int] = {}
-    for rep, size, column in zip(reps.tolist(), sizes.tolist(), columns):
+    for rep, size, column in zip(reps, sizes, columns):
+        if not column:
+            continue
         j = rep.bit_count()
-        for i, dim in column:
-            agg[i, j] = agg.get((i, j), 0) + size * dim
+        for s, count in enumerate(_shifts(rep, twins)):
+            for i, dim in column:
+                agg[i + s, j + s] = agg.get((i + s, j + s), 0) + size * count * dim
     return agg
 
 
@@ -431,36 +610,38 @@ def proj_dim(ideal: Ideal, field: FieldSpec = FieldSpec(2)) -> int:
     ascending mask, each on its complex with w vertices, and only down to
     degree best + 1; the walk stops at the first sigma with w <= best.
     An ideal with at most ``_LATTICE_GENERATORS`` generators visits every
-    survivor, the nonzero elements of its lcm lattice (the unions of its
-    generator subsets), with no twin classes; a larger one visits the
-    orbit representatives of ``_orbits``.
+    element of its lcm lattice, with no twin classes.  A larger one is
+    collapsed first (``_collapse``); a collapsed sigma with excess e, the
+    sum of t - 1 over its collapsed variables, bounds i by w + e, and its
+    degree i' counts as i' + e.  The collapsed ideal takes the lattice
+    route if it has at most ``_LATTICE_GENERATORS`` generators, and the
+    orbit representatives of ``_orbits`` otherwise.
     """
     if ideal.is_zero:
         raise ZeroIdeal("projective dimension of S requested")
-    masks = ideal.masks
-    lattice = len(masks) <= _LATTICE_GENERATORS
+    classes, twins = None, {}
+    if len(ideal.masks) > _LATTICE_GENERATORS:
+        ideal, classes, twins, _ = _reduced(ideal)
+    lattice = len(ideal.masks) <= _LATTICE_GENERATORS
     if lattice:
-        # each union of generators, with the union of the generator sets
-        # that give it: every g dividing sigma joins one, so that is G_sigma
-        lcms = {0: 0}
-        for j, g in enumerate(masks):
-            for u, gens in list(lcms.items()):
-                lcms[u | g] = lcms.get(u | g, 0) | gens | 1 << j
-        del lcms[0]
-        inside = [(s, gens.bit_count()) for s, gens in lcms.items()]
-        visits = sorted((-min(s.bit_count(), m), s, m) for s, m in inside)
+        visits = sorted((-min(s.bit_count(), m), s, m) for s, m in _lattice(ideal.masks))
+        if twins:
+            visits = sorted((w - _excess(s, twins), s, m) for w, s, m in visits)
     else:
-        reps, gens_inside, _ = _orbits(ideal)
+        reps, gens_inside, _ = _orbits(ideal, classes=classes)
         weights = np.minimum(np.bitwise_count(reps), gens_inside)
+        for a, cls in twins.items():
+            weights += ((reps & np.uint64(a)) != 0) * (len(cls) - 1)
         order = np.argsort(-weights, kind="stable")
         visits = zip((-weights[order]).tolist(), reps[order].tolist(), gens_inside[order].tolist())
     columns = _Columns(ideal, field.characteristic, cached=lattice)
     best = 0
-    for neg_w, sigma, m in visits:  # by (-w, sigma)
+    for neg_w, sigma, m in visits:  # by (-w - e, sigma)
         if -neg_w <= best:
             break
-        for i, _ in columns.column(sigma, m, m < sigma.bit_count(), best + 1):
-            best = i
+        e = _excess(sigma, twins) if twins else 0
+        for i, _ in columns.column(sigma, m, m < sigma.bit_count(), best + 1 - e):
+            best = i + e
             break
     return best
 

@@ -337,11 +337,7 @@ class InducedComplex:
         sieve mask stands for the i-th of them.
         """
         bits = [1 << (i - 1) for i in _indices_from_mask(self.sigma)]
-        packed = [
-            sum(1 << i for i, b in enumerate(bits) if g & b)
-            for g in self.nonfaces
-            if not g & ~self.sigma
-        ]
+        packed = [_pack(g, bits) for g in self.nonfaces if not g & ~self.sigma]
         return FaceSieve(len(bits), packed, p), bits
 
     def faces_by_size(self) -> list[list[int]]:
@@ -363,6 +359,11 @@ class InducedComplex:
 def _unpack(m: int, bits: list[int]) -> int:
     """The mask whose bit bits[i] is set for each set bit i of m."""
     return sum(b for i, b in enumerate(bits) if m >> i & 1)
+
+
+def _pack(m: int, bits: list[int]) -> int:
+    """The mask whose bit i is set for each bits[i] in m: the inverse of ``_unpack``."""
+    return sum(1 << i for i, b in enumerate(bits) if m & b)
 
 
 def induced_faces(ideal: Ideal, sigma: Iterable[int]) -> InducedComplex:

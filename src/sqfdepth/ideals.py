@@ -305,6 +305,11 @@ class Ideal:
             if len(members) > 1
         )
 
+    def is_independent(self, variables: Iterable[int]) -> bool:
+        """Whether no generator contains two of the variables."""
+        mask = _mask_from_indices(variables, self.ambient_n)
+        return all((g & mask).bit_count() <= 1 for g in self.masks)
+
     def min_gen_degree(self) -> int:
         """Minimum degree of a monomial in the ideal (= of a minimal generator)."""
         if not self.masks:
@@ -451,6 +456,22 @@ class Ideal:
         if not self.masks:
             return "(0)"
         return "(" + ", ".join(map(str, self.gens)) + ")"
+
+
+def blow_up(ideal: Ideal, v: int, copies: int) -> Ideal:
+    """The ideal with x_v replaced by x_v and ``copies - 1`` new variables, each
+    in every generator that held x_v, appended after the ambient's variables."""
+    n = ideal.ambient_n
+    if not 1 <= v <= n:
+        raise InvalidGenerator(f"variable index {v} out of range 1..{n}")
+    if copies < 1:
+        raise InvalidExponent(f"copies must be >= 1, got {copies}")
+    bit = 1 << (v - 1)
+    clones = [bit, *(1 << u for u in range(n, n + copies - 1))]
+    masks = []
+    for g in ideal.masks:
+        masks.extend([g ^ bit | c for c in clones] if g & bit else [g])
+    return Ideal(n + copies - 1, masks)
 
 
 def minimize_generators(

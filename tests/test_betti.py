@@ -84,7 +84,9 @@ class TestBettiTable:
     def test_each_face_row_is_built_at_most_once(self, monkeypatch):
         # rows are built at most once per sieve; every Delta_sigma of one call
         # goes through at most one sieve of the ideal, and a fresh call
-        # (another ideal, or another prime) builds its own
+        # (another ideal, or another prime) builds its own.  The orbit walk
+        # of the family itself: collapsed, it would walk its lcm lattice
+        monkeypatch.setattr(betti, "_collapse", lambda ideal, classes: None)
         builds: list[tuple[int, int, int]] = []
         sieves: list[tuple[homology.FaceSieve, bool]] = []
         build, init = homology.FaceSieve._build_row, homology.FaceSieve.__init__
@@ -425,16 +427,16 @@ class TestSmallerComplexWalk:
         return calls, sizes
 
     def test_family_needs_two_homology_walks(self, monkeypatch):
+        # every member collapses to the same 7 variables and 6 generators:
+        # the first call at each prime ranks one reduced K_sigma on 5
+        # vertices, and every later member finds it in the cache
         calls, sizes = self.recording(monkeypatch)
-        for n in (8, 12, 16):
-            for p in (2, 3):
+        for p in (2, 3):
+            for n in (8, 12, 16, 40):
                 calls.clear()
                 sizes.clear()
                 assert proj_dim(build_family(n), FieldSpec(p)) == n - 3
-                assert len(calls) == 2
-                # both on reduced generator complexes; the 2^n face sieve
-                # is never built
-                assert sizes == [5, 5]
+                assert sizes == ([5] if n == 8 else []) and len(calls) == len(sizes)
 
     def test_cubic_samples_never_sieve_all_eight_variables(self, monkeypatch):
         cfg = SearchConfig(ambient_n=8, seed=1, gen_degree=3, gen_count=5)
@@ -458,6 +460,21 @@ class TestSmallerComplexWalk:
         sizes.clear()
         assert [proj_dim(ideal, FieldSpec(p)) for p in (2, 3) for ideal in ideals] == first
         assert sizes == [] and calls == []
+
+    def test_delta_sieve_spans_only_the_support(self, monkeypatch):
+        # a triangle padded to 24 variables: its one Delta_sigma, at
+        # sigma = x5x9x24, goes through a sieve of the 3 support variables,
+        # renumbered, not of all 2^24 subsets of the ambient
+        triangle = Ideal.from_supports([[5, 9], [9, 24], [5, 24]], 24)
+        calls, sizes = self.recording(monkeypatch)
+        tracemalloc.start()
+        try:
+            assert [depth(triangle, FieldSpec(p)) for p in (2, 3, 5)] == [22] * 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        assert sizes == [3] * 3 and calls == [0b111] * 3
 
     def test_no_sieve_on_zero_vertices(self, monkeypatch):
         # K_sigma = {empty face} gives beta_{|G_sigma|,sigma} = 1 with no sieve
@@ -606,17 +623,22 @@ class TestRefusals:
 
     def test_few_generators_past_the_candidate_cap(self):
         # 25 twin-free variables and 15 free ones: 2^25 * 16 candidates for
-        # the orbit walk, but only 63 lattice elements for depth
+        # the orbit walk, but only 63 lattice elements for depth, and the
+        # table's walk drops the free variables and walks the same lattice
         ideal = boolean_lattice_ideal(40)
         assert len(ideal.masks) == 6
+        refused_before_allocation(
+            lambda: _orbits(ideal), "536870912 orbit representatives to test on n=40 variables"
+        )
         for field in (F2, F3):
             assert depth(ideal, field) == 34
             profile = g_profile(ideal, field)
             assert profile.nu == 1 and profile.rows[0].depth == 34
-        refused_before_allocation(
-            lambda: depth_report(ideal, F2),
-            "536870912 orbit representatives to test on n=40 variables",
-        )
+            report = depth_report(ideal, field)
+            assert report.proj_dim == proj_dim(ideal, field) == 6
+            # the Taylor resolution is minimal: beta_i is C(6, i)
+            totals = [sum(v for i, _, v in report.betti if i == k) for k in range(1, 7)]
+            assert totals == [6, 15, 20, 15, 6, 1]
 
     def test_twins_admit_more_than_24_variables(self):
         # x1x2 on 25 variables: two twin classes, 3 * 24 candidates

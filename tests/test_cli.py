@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from sqfdepth.betti import depth_report
+from sqfdepth.betti import betti_table, depth_report
 from sqfdepth import cli
 from sqfdepth.cli import main
 from sqfdepth.errors import (
@@ -543,7 +543,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ("depth", "gprofile"))
     def test_blow_up_with_a_complex_past_24_vertices(self, capsys, tmp_path, command):
         # x4 of (x1x4x5, x2x4x7, x3x6x7, x5x6x7) blown up to 20 twins: 26
-        # variables and a complex on all 26; refused, not killed for memory
+        # variables.  No generator holds two twins, so the depth report
+        # collapses them and gets pd = max of i + 19 [x4 in sigma] over the
+        # core's table.  In the square each product holds two twins: the
+        # g profile needs a complex on all 26, refused, not killed for memory
+        core = Ideal.from_supports([[1, 4, 5], [2, 4, 7], [3, 6, 7], [5, 6, 7]], 7)
         twins = (4, *range(8, 27))
         gens = [[1, 5, v] for v in twins] + [[2, 7, v] for v in twins] + [[3, 6, 7], [5, 6, 7]]
         ideal = Ideal.from_supports(gens, 26)
@@ -551,8 +555,13 @@ class TestExitCodes:
         path = tmp_path / "blow-up.ideal"
         path.write_text(ideal.to_text())
         code, out, err = run(capsys, command, str(path))
-        assert (code, out) == (2, "")
-        assert "complex on" in err and "26 vertices" in err
+        if command == "depth":
+            pd = max(i + 19 * (sigma >> 3 & 1) for i, sigma, _ in betti_table(core).entries)
+            report = json.loads(out)
+            assert code == 0 and (report["proj_dim"], report["depth"]) == (pd, 26 - pd) == (22, 4)
+        else:
+            assert (code, out) == (2, "")
+            assert "complex on" in err and "26 vertices" in err
 
     def test_bad_characteristic(self, capsys, family6_file):
         code, _, err = run(capsys, "depth", family6_file, "--char", "4")

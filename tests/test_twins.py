@@ -1,11 +1,13 @@
-"""Twin variables and the orbit reduction of the Hochster walks.
+"""Twin variables, their collapse, and the orbit reduction of the Hochster walks.
 
 ``Ideal.twin_classes`` is checked against a search over every
 transposition, and ``betti_table`` and ``proj_dim``, which compute homology
 once per orbit of survivors under the twin permutations, are checked
 against the same walks with no twins and against the Koszul and link
-oracles.  The inputs have planted twins: blown-up variables, complete
-multipartite graphs, K_n, free variables and the paper's family.
+oracles.  The collapse of independent twin classes is checked against the
+uncollapsed walks and the same oracles, and against the closed form of
+pd for a blow-up.  The inputs have planted twins: blown-up variables,
+complete multipartite graphs, K_n, free variables and the paper's family.
 """
 
 import itertools
@@ -23,16 +25,18 @@ from oracles import (
 )
 from sqfdepth import betti, homology, search
 from sqfdepth.betti import (
+    _collapse,
     _generator_nonfaces,
     _orbits,
     betti_table,
+    depth,
     depth_report,
     proj_dim,
     regularity,
 )
 from sqfdepth.family import build_family
 from sqfdepth.homology import FieldSpec
-from sqfdepth.ideals import Ideal
+from sqfdepth.ideals import Ideal, blow_up
 
 PRIMES = (2, 3, 5)
 
@@ -59,20 +63,6 @@ def twin_classes_brute(ideal: Ideal) -> list[tuple[int, ...]]:
         same = any(a in cls and b in cls for cls in classes)
         assert swap_fixes(a, b) == same
     return sorted(tuple(cls) for cls in classes if len(cls) > 1)
-
-
-def blow_up(ideal: Ideal, v: int, copies: int) -> Ideal:
-    """Replace variable v by v and ``copies - 1`` new variables in every generator."""
-    n = ideal.ambient_n
-    clones = [v, *range(n + 1, n + copies)]
-    supports = []
-    for g in ideal.gens:
-        if v in g.indices:
-            rest = [u for u in g.indices if u != v]
-            supports.extend(rest + [c] for c in clones)
-        else:
-            supports.append(list(g.indices))
-    return Ideal.from_supports(supports, n + copies - 1)
 
 
 def planted_ideals() -> list[Ideal]:
@@ -162,7 +152,9 @@ class TestOrbitReduction:
         # reduced K_sigma (one build; one sieve and walk per distinct K_sigma)
         # or to the ideal's sieve; an r = 0 representative gets its K build
         # and no sieve.  The K_sigma homology is cached for the process, so
-        # the cache starts empty: earlier calls must not hide a sieve
+        # the cache starts empty: earlier calls must not hide a sieve.  The
+        # family's own orbits: collapsed, it would walk its lcm lattice
+        monkeypatch.setattr(betti, "_collapse", lambda ideal, classes: None)
         betti._Columns._k_dims.cache_clear()
         calls: list[tuple[bool, int]] = []
         sieves: list[tuple[bool, int]] = []
@@ -297,3 +289,136 @@ def test_canonical_key_splits_twin_cells_without_branching(monkeypatch):
         refinements.clear()
         search.canonical_relabeling_key(ideal)
         assert (len(refinements) > 0) == (m == 6)
+
+
+# (x1x4x5, x2x4x7, x3x6x7, x5x6x7): no two of its variables are twins
+CORE = Ideal.from_supports([[1, 4, 5], [2, 4, 7], [3, 6, 7], [5, 6, 7]], 7)
+
+
+def collapse_cases() -> list[Ideal]:
+    """Ideals with independent twin classes, one or several, and some with
+    a dependent class as well."""
+    rng = np.random.default_rng(2121)
+    out = []
+    for _ in range(12):  # random blow-ups of one or two variables
+        ideal = random_test_ideal(rng, int(rng.integers(2, 7)), max_gens=7)
+        for _ in range(int(rng.integers(1, 3))):
+            v = int(rng.integers(1, ideal.ambient_n + 1))
+            ideal = blow_up(ideal, v, int(rng.integers(2, 4)))
+        out.append(ideal)
+    out += [build_family(n) for n in range(6, 17)]
+    out += [
+        blow_up(blow_up(CORE, 1, 3), 6, 2),  # two classes at once
+        blow_up(blow_up(blow_up(CORE, 4, 2), 5, 3), 7, 2),  # three
+        # degree-one generators: the other members are no vertex of Delta
+        Ideal.from_supports([[1], [2], [3], [4, 5]], 5),
+        Ideal.from_supports([[1], [2], [3, 4], [3, 5], [4, 5, 6]], 8),  # and free variables
+        Ideal.from_supports([[1, 2], [2, 3]], 6),
+        # a dependent class (x1, x2) beside an independent one (x4, x5), on
+        # the lattice and, with K_4 on x1..x4, on the orbit walk
+        Ideal.from_supports([[1, 2, 3], [3, 4], [3, 5]], 5),
+        Ideal.from_supports([*itertools.combinations(range(1, 5), 2), [4, 5], [4, 6], [4, 7]], 7),
+        complete_multipartite([2, 3]),
+        complete_multipartite([2, 2, 2]),
+    ]
+    return out
+
+
+COLLAPSE = collapse_cases()
+# the oracles on at most eight variables; family(9) is checked above
+SMALL_COLLAPSE = [ideal for ideal in COLLAPSE if ideal.ambient_n <= 8]
+
+
+def uncollapsed(monkeypatch) -> None:
+    """Every walk as before the collapse: the twin quotient of the ideal itself."""
+    monkeypatch.setattr(betti, "_collapse", lambda ideal, classes: None)
+    monkeypatch.setattr(betti, "_LATTICE_GENERATORS", 0)
+
+
+class TestCollapse:
+    def test_cases_collapse(self):
+        kinds = [_collapse(ideal, ideal.twin_classes()) for ideal in COLLAPSE]
+        # all but the two members of the family with no twins
+        assert [ideal for ideal, k in zip(COLLAPSE, kinds) if not k] == [
+            build_family(6), build_family(7)
+        ]
+        kinds = [k for k in kinds if k]
+        assert any(len(twins) >= 2 for _, _, twins, _ in kinds)
+        assert any(dependent for _, dependent, _, _ in kinds)
+        assert any(len(ideal.masks) > betti._LATTICE_GENERATORS for ideal, _, _, _ in kinds)
+
+    @pytest.mark.parametrize("index", range(len(COLLAPSE)))
+    def test_matches_the_uncollapsed_walk(self, index, monkeypatch):
+        ideal = COLLAPSE[index]
+
+        def answers():
+            out = []
+            for p in PRIMES:
+                field = FieldSpec(p)
+                report = depth_report(ideal, field)
+                out.append((betti_table(ideal, field), report, proj_dim(ideal, field)))
+            return out
+
+        collapsed = answers()
+        monkeypatch.setattr(betti, "_LATTICE_GENERATORS", 0)  # the orbit walk after collapse
+        assert answers() == collapsed
+        uncollapsed(monkeypatch)
+        assert answers() == collapsed
+
+    @pytest.mark.parametrize("index", range(len(SMALL_COLLAPSE)))
+    def test_matches_the_oracles(self, index):
+        ideal = SMALL_COLLAPSE[index]
+        for p in PRIMES:
+            field = FieldSpec(p)
+            table = {(i, s): v for i, s, v in betti_table(ideal, field).entries}
+            assert table == koszul_betti_table(ideal, p)
+            assert depth(ideal, field) == depth_report(ideal, field).depth
+            assert depth(ideal, field) == depth_via_links(ideal, p)
+
+    def test_independence_matches_co_occurrence(self):
+        rng = np.random.default_rng(21)
+        ideals = PLANTED + COLLAPSE + [
+            random_test_ideal(rng, int(rng.integers(2, 9)), max_degree=4, max_gens=8)
+            for _ in range(40)
+        ]
+        flags = []
+        for ideal in ideals:
+            supports = [set(g.indices) for g in ideal.gens]
+            n = ideal.ambient_n
+            subsets = [*ideal.twin_classes(), *itertools.combinations(range(1, n + 1), 2)]
+            for cls in subsets:
+                brute = all(len(support & set(cls)) <= 1 for support in supports)
+                assert ideal.is_independent(cls) == brute
+                flags.append(brute)
+            classes = ideal.twin_classes()
+            collapsed = _collapse(ideal, classes)
+            independent = [cls for cls in classes if ideal.is_independent(cls)]
+            if collapsed is None:
+                assert not independent and set().union(*supports) == set(range(1, n + 1))
+                continue
+            quotient, dependent, twins, bits = collapsed
+            assert len(dependent) == len(classes) - len(independent)
+            # the collapsed ideal keeps every used variable but the later
+            # members of independent classes; each kept first member stands
+            # for its whole class
+            used = set().union(*supports) - {v for cls in independent for v in cls[1:]}
+            assert bits == [1 << (v - 1) for v in sorted(used)] and quotient.ambient_n == len(used)
+            assert {bits[a.bit_length() - 1]: cls for a, cls in twins.items()} == {
+                1 << (cls[0] - 1): tuple(1 << (v - 1) for v in cls)
+                for cls in independent
+                if cls[0] in used
+            }
+        assert True in flags and False in flags
+
+    @pytest.mark.parametrize("v", (1, 2, 4))
+    def test_blow_up_closed_form(self, v):
+        # with the clones of x_v as their own class, pd is the largest
+        # i + (t - 1) [x_v in tau] over the core's nonzero beta_{i,tau}
+        for p in (2, 3):
+            field = FieldSpec(p)
+            entries = betti_table(CORE, field).entries
+            for t in range(1, 31):
+                ideal = blow_up(CORE, v, t)
+                assert ideal.twin_classes() == ([(v, *range(8, 7 + t))] if t > 1 else [])
+                closed = max(i + (t - 1) * (tau >> (v - 1) & 1) for i, tau, _ in entries)
+                assert proj_dim(ideal, field) == depth_report(ideal, field).proj_dim == closed
