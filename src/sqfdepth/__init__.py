@@ -6,31 +6,21 @@ nonzero homological degree, and depth by Auslander-Buchsbaum.
 
 Two walks share one evaluator of a multidegree sigma on one of two
 complexes with the same Betti numbers: Hochster's on the |sigma|
-variables, through the ideal's one face sieve (``homology.FaceSieve``: the
-faces sorted by size, each coboundary row built once) up to 24 variables
-and on sigma's own vertices past that, and a complex on the generators
-dividing x^sigma, less those private to sigma (Gasharov-Peeva-Welker's
-lcm lattice, by Alexander duality), with a sieve of its own.  Ranks are
-exact: ``rank_gf2``, ``rank_gf3`` or ``rank_mod_p``, chosen by p.  Both
-walks visit one representative per orbit of sigma under the ideal's twin
-variables, enumerated directly from the twin classes, not from the 2^n
-subsets.  The table's walk (``depth_report``, ``regularity``, the
-``depth`` and ``betti`` commands) weights each representative by its
-orbit's size, and ``betti_table`` lists every member; it takes the
-generator complex when it has at least five fewer vertices.  ``proj_dim``
-and ``depth`` (and ``g_profile``, ``verify_theorem``, the ``gprofile``,
-``verify-family``, ``graph-depth`` and ``search`` commands) stop at the
-first nonzero homology degree and take it when fewer generators divide
-x^sigma than sigma has variables.  The rules differ on purpose: each is
-the faster one, measured, for its walk.  A walk refuses more than 2^24
-candidate representatives, and any complex on more than 24 vertices.
-Everything is serial; ``search`` re-keys one Philox generator per index
-(the stream of a new generator per sample), counts samples with nu = 1
-without a key or a profile, and computes each other g-profile once per
-orbit of ideals under relabeling, and each depth once per orbit of powers.
-The orbit key of an ideal with at most five generators comes from one
-cached table of generator orders, that of a larger one from a refinement
-search.
+variables, and K_sigma on the generators dividing x^sigma (the lcm
+lattice of Gasharov, Peeva and Welker, by Alexander duality).  The
+table's walk (``depth_report``, ``betti_table``) lists every Betti
+number; ``proj_dim`` and ``depth`` stop at the first nonzero degree.
+Both take one route: an ideal with at most six generators walks its lcm
+lattice, each sigma on K_sigma with homology cached for the process; a
+larger one first collapses its independent twin classes, then walks the
+lattice if at most six generators are left, and otherwise one
+representative per orbit of its twin variables.  Ranks are exact.  The
+orbit walk refuses more than 2^24 candidates and any complex on more
+than 24 vertices.
+
+Everything is serial.  ``search`` re-keys one Philox generator per
+sample index, and computes each g-profile once per orbit of ideals under
+relabeling and each depth once per orbit of powers.
 """
 
 from .betti import (

@@ -27,26 +27,30 @@ K_sigma (``_generator_nonfaces``) drops it, with every nonface that meets
 it, and keeps r generators; the Betti numbers still read off at face size
 |G_sigma| - i.
 
-Both walks evaluate a sigma through one evaluator (``_Columns``), on the
-reduced K_sigma with a face sieve of its own, or on Delta_sigma: through
-the ideal's one ``FaceSieve`` on the variables its generators use, whose
-rows every sigma there shares, while they are few enough to sieve whole,
-and on sigma's own vertices past that.  Only the rule that picks the
-complex differs, each measured (``_K_MARGIN``).  The table's orbit walk
-(``_table_columns``) counts r and the cones of all representatives at
-once (``_generator_counts``), skips the cones, and takes K_sigma when
-r = 0 or r + ``_K_MARGIN`` <= |sigma|.  ``proj_dim`` and ``depth`` (and
-so ``g_profile``) need only the top degree: they take K_sigma when
-|G_sigma| < |sigma|, and stop at the first nonzero degree.
+Both walks run on the same ideal (``_reduced``), pick its route by one
+rule, and evaluate each sigma through one evaluator (``_Columns``).  An
+ideal with at most ``_LATTICE_GENERATORS`` generators walks its own lcm
+lattice: its survivors are the nonzero elements of that lattice
+(Gasharov, Peeva and Welker), the unions of its generator subsets, at
+most 2^m - 1 of them.  Both walks build them by closure (``_lattice``),
+each with its G_sigma, with no twin classes, no numpy and no candidate
+count, so they need no refusal, and take every one to its reduced
+K_sigma, whose homology is computed once per process
+(``_Columns._k_dims``).  A larger ideal is collapsed first (below), and
+takes the lattice if that leaves at most ``_LATTICE_GENERATORS``
+generators, and the orbit walk of its twin quotient otherwise.
 
-An ideal with at most ``_LATTICE_GENERATORS`` generators has as survivors
-the nonzero elements of its lcm lattice (Gasharov, Peeva and Welker), the
-unions of its generator subsets, at most 2^m - 1 of them.  Both walks
-build them by closure (``_lattice``), each with its G_sigma, and visit
-each with no twin classes, no numpy and no candidate count, so they need
-no refusal; the table's walk takes every one to K_sigma.  The homology of
-a reduced K_sigma on this route is computed once per process
-(``_Columns._k_dims``).
+On the orbit walk a sigma goes to the reduced K_sigma, with a face sieve
+of its own, or to Delta_sigma, through the ideal's one ``FaceSieve`` on
+its ambient, whose rows every sigma shares, and past
+``MAX_HOCHSTER_AMBIENT`` variables through a sieve on sigma's own
+vertices.  Only the rule that picks the complex differs, each measured
+(``_K_MARGIN``).  The table's walk (``_table_columns``) counts r and the
+cones of all representatives at once (``_generator_counts``), skips the
+cones, and takes K_sigma when r = 0 or r + ``_K_MARGIN`` <= |sigma|.
+``proj_dim`` and ``depth`` (and so ``g_profile``) need only the top
+degree: they take K_sigma when |G_sigma| < |sigma|, and stop at the
+first nonzero degree.
 
 Permuting twin variables (``Ideal.twin_classes``) is an automorphism of the
 complex, so it maps each induced subcomplex onto an isomorphic one and
@@ -63,13 +67,14 @@ is no vertex), and with c = |sigma & C|
 where sigma' keeps only a and I' drops every generator holding another
 member of C.  This cone-link lemma is the fold lemma of Engstrom,
 "Independence complexes of claw-free graphs" (Eur. J. Combin. 29, 2008),
-for graphs.  Every walk but ``proj_dim`` on at most
-``_LATTICE_GENERATORS`` generators first collapses each independent
-class to its first member (``_collapse``) and renumbers I' onto the
-variables it uses; the paper's family becomes 7 variables and 6
-generators for every n >= 7.  Each nonzero beta_{i',sigma'} of I' stands,
-for a collapsed a in sigma' of class size t, for the C(t, c) ways to
-take c = 1..t members, shifted by c - 1 in i and in |sigma|.
+for graphs.  A walk of an ideal with more than ``_LATTICE_GENERATORS``
+generators first collapses each independent class to its first member
+(``_collapse``) and renumbers I' onto the variables it uses, so every
+orbit walk's ideal uses all of its variables; the paper's family becomes
+7 variables and 6 generators for every n >= 7.  Each nonzero
+beta_{i',sigma'} of I' stands, for a collapsed a in sigma' of class size
+t, for the C(t, c) ways to take c = 1..t members, shifted by c - 1 in i
+and in |sigma|.
 
 The dependent classes stay: every orbit of subsets holds one
 representative that takes, within each class C, the first c_C members of
@@ -293,19 +298,19 @@ def _generator_nonfaces(masks: tuple[int, ...], sigma: int) -> tuple[int, list[i
 class _Columns:
     """One ideal's Betti numbers, one multidegree sigma at a time, on one complex.
 
-    While the ideal's generators use at most ``MAX_HOCHSTER_AMBIENT``
-    variables, every Delta_sigma goes through the ideal's one face sieve on
-    those variables, built on first need, so each coboundary row is built
-    at most once per walk.  Past that, each Delta_sigma is sieved on
-    sigma's own vertices, renumbered.  With ``cached``, the homology of
-    each reduced K_sigma comes whole from one cache shared by every walk of
-    the process (``_k_dims``); without, each K_sigma gets a sieve of its
-    own, ranked only down to the consumer's floor.
+    On at most ``MAX_HOCHSTER_AMBIENT`` variables every Delta_sigma goes
+    through the ideal's one face sieve on its ambient, built on first need,
+    so each coboundary row is built at most once per walk; only the orbit
+    walk takes Delta_sigma, and its ideal uses every variable
+    (``_reduced``).  Past that, each Delta_sigma is sieved on sigma's own
+    vertices.  With ``cached``, the homology of each reduced K_sigma comes
+    whole from one cache shared by every walk of the process
+    (``_k_dims``); without, each K_sigma gets a sieve of its own, ranked
+    only down to the consumer's floor.
     """
 
     def __init__(self, ideal: Ideal, p: int, cached: bool = False) -> None:
         self._ideal, self._p, self._sieve, self._cached = ideal, p, None, cached
-        self._bits: list[int] | None = None  # the shared sieve's variables, when renumbered
 
     @staticmethod
     @functools.lru_cache(maxsize=1 << 14)
@@ -346,28 +351,20 @@ class _Columns:
 
     def _delta(self, sigma: int) -> tuple[FaceSieve, int]:
         """A sieve holding Delta_sigma, and sigma as a mask of its vertices:
-        the ideal's one sieve on the variables its generators use, renumbered
-        only when some variable is in none, or past ``MAX_HOCHSTER_AMBIENT``
-        of them a sieve on sigma's own vertices."""
-        masks = self._ideal.masks
-        if self._sieve is None:
-            support = 0
-            for g in masks:
-                support |= g
-            if support.bit_count() > MAX_HOCHSTER_AMBIENT:
-                self._sieve = False
-            elif support == (1 << self._ideal.ambient_n) - 1:
-                self._sieve = FaceSieve(self._ideal.ambient_n, masks, self._p)
-            else:
-                self._sieve, self._bits = InducedComplex(support, masks)._sieve(self._p)
-        if self._sieve is False:
+        the ideal's one sieve on its ambient, or past ``MAX_HOCHSTER_AMBIENT``
+        variables a sieve on sigma's own vertices."""
+        n, masks = self._ideal.ambient_n, self._ideal.masks
+        if n > MAX_HOCHSTER_AMBIENT:
             sieve, bits = InducedComplex(sigma, masks)._sieve(self._p)
             return sieve, (1 << len(bits)) - 1
-        return self._sieve, sigma if self._bits is None else _pack(sigma, self._bits)
+        if self._sieve is None:
+            self._sieve = FaceSieve(n, masks, self._p)
+        return self._sieve, sigma
 
 
-# The walks pick the complex by different rules, each the faster one measured
-# in process (2-vCPU x86_64, Python 3.11.7, numpy 2.4.6).  The table's walk
+# One rule picks the route of both walks; on the orbit walk each picks the
+# complex by its own rule.  Each is the faster one measured in process
+# (2-vCPU x86_64, Python 3.11.7, numpy 2.4.6).  The table's orbit walk
 # takes K_sigma when r + _K_MARGIN <= |sigma|: a K_sigma sieve serves one sigma,
 # while every Delta_sigma shares the ideal's sieve and rows.  Against
 # Delta_sigma for all (median of 5, best of 3): family tables (n = 10..13)
@@ -376,30 +373,36 @@ class _Columns:
 # graphs 1.7x slower, and the pd rule 0.118 -> 0.134 s (6 of 6 runs).  It
 # counts r for all at once: a per-sigma builder took twin-free tables from
 # 0.61..0.75 to 0.74..1.06 s.
-# proj_dim takes K_sigma when m < |sigma|, from a cheap count of m: the
-# table's rule there, even with r counted lazily, took twin-free depth 0.14
-# -> 0.21 s, graph g-profiles 0.60 -> 1.15 s and dense-quadratic ones 0.13
-# -> 0.38 s (margins 1..3 lost too), and counting r for all cost 0.42 s
-# against 0.10 s on graph g-profiles.
-# proj_dim walks the lcm lattice of an ideal with at most _LATTICE_GENERATORS
-# generators and the twin quotient of any other; ms per 40 random cubics at
-# p = 2, orbit walk -> lattice walk, interleaved (median of 7, loaded box):
-#   n = 8, m = 5: 9.6 -> 4.1;  n = 12, m = 6: 21.1 -> 5.9;  n = 16, m = 8: 153 -> 17.
-# Twin-rich ideals lose as m grows, since their lattice dwarfs the twin
-# quotient (ms per call, empty cache): family(9), m = 8: 0.33 -> 0.26;
-# family(12), m = 11: 0.26 -> 0.77.
+# proj_dim's orbit walk takes K_sigma when m < |sigma|, from a cheap count of
+# m: the table's rule there, even with r counted lazily, took twin-free depth
+# 0.14 -> 0.21 s, graph g-profiles 0.60 -> 1.15 s and dense-quadratic ones
+# 0.13 -> 0.38 s (margins 1..3 lost too), and counting r for all cost 0.42 s
+# against 0.10 s on graph g-profiles.  Its K_sigma stay uncached and floored:
+# ranked whole and cached, two twin-free cubic g-profiles at n = 14 (28
+# generators) took 1.05 -> 1.08 s.
+# An ideal with at most _LATTICE_GENERATORS generators walks its lcm lattice
+# as given, and any other the twin quotient of its collapse; ms per 40 random
+# cubics at p = 2 in proj_dim, orbit walk -> lattice walk, interleaved
+# (median of 7, loaded box):
+#   n = 8, m = 5: 9.6 -> 4.1;  n = 12, m = 6: 21.1 -> 5.9;  n = 16, m = 8: 153 -> 17;
+# and per 60 random ideals at p = 2 and 3 in the table (best of 7): cubics
+# n = 8, m = 5: 37..63 -> 17..26; n = 12, m = 6: 72..103 -> 29..44;
+# quadrics n = 10, m = 6: 47..49 -> 22..28.  Twin-rich ideals lose as m
+# grows, since their lattice dwarfs the twin quotient (ms per call, empty
+# cache): family(9), m = 8: 0.33 -> 0.26; family(12), m = 11: 0.26 -> 0.77.
+# Collapsing the small ideals first cost the table's 60 cubics at n = 12
+# 17.7..18.9 -> 23.2..23.6 ms (best of 7, 7 runs each).  On the lattice
+# every sigma takes its cached K_sigma.  Taking Delta_sigma there when
+# m >= |sigma|, through a sieve of the ideal's support, sieved 2^24 subsets
+# for the 4-vertex Delta_sigma of the 4-cycle plus x1x3x5..x24 (0.4 ms and
+# 29 MB -> 0.28..0.38 s and 265 MB), and did no better on the 2 x 563 depths
+# of 300 seeded cubic samples (31.8..32.5 -> 31.6..32.7 ms, best of 15, 6
+# runs each).
 # Lost as well (s, committed -> variant): a 2^m <= quotient-size rule, which
 # needs a second twin_classes (family g-profiles, n = 8..30: 0.020 -> 0.022),
 # numpy arrays on the lattice (three p = 3 scans of 250 cubics: 0.088 ->
-# 0.113), a count of G_sigma per union in place of the closure's (the 335
-# depths of two scan-cubic8 jobs: 0.020 -> 0.024) and Delta_sigma on its own
-# vertices there (90 small-graph g-profiles: 0.029 -> 0.032).  The orbit
-# walk's K_sigma stay uncached and floored: ranked whole and cached, two
-# twin-free cubic g-profiles at n = 14 (28 generators) took 1.05 -> 1.08 s.
-# The table's walk takes the lattice at the same cut, every sigma on its
-# cached K_sigma; ms per 60 random ideals at p = 2 and 3, orbit walk ->
-# lattice walk (best of 7): cubics n = 8, m = 5: 37..63 -> 17..26; n = 12,
-# m = 6: 72..103 -> 29..44; quadrics n = 10, m = 6: 47..49 -> 22..28.
+# 0.113), and a count of G_sigma per union in place of the closure's (the
+# 335 depths of two scan-cubic8 jobs: 0.020 -> 0.024).
 _K_MARGIN = 5
 _LATTICE_GENERATORS = 6
 
@@ -484,9 +487,12 @@ def _collapse(ideal: Ideal, classes: list[tuple[int, ...]]) -> _Reduced | None:
 
 
 def _reduced(ideal: Ideal) -> _Reduced:
-    """What a walk of ``ideal`` runs on: ``_collapse`` of its twin classes,
-    or the ideal itself with its classes, no collapsed variable and no
-    renumbering (None)."""
+    """What a walk of ``ideal`` runs on: the ideal itself, with no classes,
+    when it has at most ``_LATTICE_GENERATORS`` generators and so walks its
+    own lcm lattice; else ``_collapse`` of its twin classes, or the ideal
+    with its classes, no collapsed variable and no renumbering (None)."""
+    if len(ideal.masks) <= _LATTICE_GENERATORS:
+        return ideal, [], {}, None
     classes = ideal.twin_classes()
     return _collapse(ideal, classes) or (ideal, classes, {}, None)
 
@@ -607,21 +613,16 @@ def proj_dim(ideal: Ideal, field: FieldSpec = FieldSpec(2)) -> int:
     pd is the largest i with beta_{i,sigma} nonzero for some survivor
     sigma.  Delta_sigma bounds i by |sigma| and K_sigma by m = |G_sigma|,
     so survivors are visited by descending w = min(|sigma|, m), ties by
-    ascending mask, each on its complex with w vertices, and only down to
-    degree best + 1; the walk stops at the first sigma with w <= best.
-    An ideal with at most ``_LATTICE_GENERATORS`` generators visits every
-    element of its lcm lattice, with no twin classes.  A larger one is
-    collapsed first (``_collapse``); a collapsed sigma with excess e, the
-    sum of t - 1 over its collapsed variables, bounds i by w + e, and its
-    degree i' counts as i' + e.  The collapsed ideal takes the lattice
-    route if it has at most ``_LATTICE_GENERATORS`` generators, and the
-    orbit representatives of ``_orbits`` otherwise.
+    ascending mask, and only down to degree best + 1; the walk stops at
+    the first sigma with w <= best.  It runs on ``_reduced(ideal)``: a
+    collapsed sigma with excess e, the sum of t - 1 over its collapsed
+    variables, bounds i by w + e, and its degree i' counts as i' + e.  On
+    the lcm lattice every sigma goes to its cached K_sigma; the orbit
+    representatives of ``_orbits`` go to the complex with w vertices.
     """
     if ideal.is_zero:
         raise ZeroIdeal("projective dimension of S requested")
-    classes, twins = None, {}
-    if len(ideal.masks) > _LATTICE_GENERATORS:
-        ideal, classes, twins, _ = _reduced(ideal)
+    ideal, classes, twins, _ = _reduced(ideal)
     lattice = len(ideal.masks) <= _LATTICE_GENERATORS
     if lattice:
         visits = sorted((-min(s.bit_count(), m), s, m) for s, m in _lattice(ideal.masks))
@@ -640,7 +641,7 @@ def proj_dim(ideal: Ideal, field: FieldSpec = FieldSpec(2)) -> int:
         if -neg_w <= best:
             break
         e = _excess(sigma, twins) if twins else 0
-        for i, _ in columns.column(sigma, m, m < sigma.bit_count(), best + 1 - e):
+        for i, _ in columns.column(sigma, m, lattice or m < sigma.bit_count(), best + 1 - e):
             best = i + e
             break
     return best

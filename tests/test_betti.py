@@ -388,9 +388,7 @@ class TestComplexChoice:
 
 
     @pytest.mark.parametrize("p", (2, 3, 5))
-    def test_delta_on_its_own_vertices_past_24_variables(self, p, monkeypatch):
-        # free variables change no Betti number; past 24 variables each
-        # Delta_sigma is sieved on sigma's own vertices, not the shared sieve
+    def test_free_variables_change_no_betti_number(self, p, monkeypatch):
         field = FieldSpec(p)
         for ideal in self.cases():
             wide = Ideal(30, ideal.masks)
@@ -401,6 +399,31 @@ class TestComplexChoice:
                 assert depth_report(wide, field).betti == depth_report(ideal, field).betti
             monkeypatch.undo()
             assert proj_dim(wide, field) == proj_dim(ideal, field)
+
+    @pytest.mark.parametrize("p", (2, 3, 5))
+    def test_delta_on_its_own_vertices_past_24_variables(self, p, monkeypatch):
+        # K5's edge ideal with x1x2 stretched to x1x2x6..x25: its twin classes
+        # {x1, x2}, {x3, x4, x5} and {x6..x25} are all dependent, so the orbit
+        # walk keeps 25 variables and sieves each Delta_sigma on sigma's own
+        # vertices; the lcm lattice of the same ten generators is the reference
+        edges = [list(e) for e in itertools.combinations(range(1, 6), 2) if e != (1, 2)]
+        ideal = Ideal.from_supports([[1, 2, *range(6, 26)], *edges], 25)
+        field = FieldSpec(p)
+        own, sieve = [], homology.InducedComplex._sieve
+
+        def recording_sieve(induced, p=2):
+            own.append(induced.sigma)
+            return sieve(induced, p)
+
+        def answers():
+            return depth(ideal, field), depth_report(ideal, field), betti_table(ideal, field)
+
+        monkeypatch.setattr(homology.InducedComplex, "_sieve", recording_sieve)
+        orbit_walk = answers()
+        assert own and orbit_walk[0] == 21
+        monkeypatch.setattr(betti, "_LATTICE_GENERATORS", 12)
+        own.clear()
+        assert answers() == orbit_walk and own == []
 
 
 class TestSmallerComplexWalk:
@@ -461,20 +484,28 @@ class TestSmallerComplexWalk:
         assert [proj_dim(ideal, FieldSpec(p)) for p in (2, 3) for ideal in ideals] == first
         assert sizes == [] and calls == []
 
-    def test_delta_sieve_spans_only_the_support(self, monkeypatch):
-        # a triangle padded to 24 variables: its one Delta_sigma, at
-        # sigma = x5x9x24, goes through a sieve of the 3 support variables,
-        # renumbered, not of all 2^24 subsets of the ambient
-        triangle = Ideal.from_supports([[5, 9], [9, 24], [5, 24]], 24)
-        calls, sizes = self.recording(monkeypatch)
-        tracemalloc.start()
-        try:
-            assert [depth(triangle, FieldSpec(p)) for p in (2, 3, 5)] == [22] * 3
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 << 20
-        assert sizes == [3] * 3 and calls == [0b111] * 3
+    def test_lattice_walks_build_no_delta_sieve(self, monkeypatch):
+        # the 4-cycle plus one generator over 22 of the 24 variables walks its
+        # lcm lattice in both walks, every sigma on a K_sigma of at most 5
+        # generators, never on a sieve of the 2^24 subsets of the ambient; the
+        # 7-cycle padded to 24 variables collapses to its 7 for the orbit
+        # walk, whose one sieve is the Delta sieve on those 7
+        cycle = [[1, 2], [2, 3], [3, 4], [1, 4]]
+        wide = Ideal.from_supports([*cycle, [1, 3, *range(5, 25)]], 24)
+        heptagon = Ideal.from_supports([[i, i % 7 + 1] for i in range(1, 8)], 24)
+        _, sizes = self.recording(monkeypatch)
+        for p in (2, 3, 5):
+            for walk in (depth, lambda ideal, field: depth_report(ideal, field).depth):
+                for ideal, expected, widest in ((wide, 21, 6), (heptagon, 19, 7)):
+                    sizes.clear()
+                    tracemalloc.start()
+                    try:
+                        assert walk(ideal, FieldSpec(p)) == expected
+                        peak = tracemalloc.get_traced_memory()[1]
+                    finally:
+                        tracemalloc.stop()
+                    assert peak < 4 << 20 and max(sizes, default=0) <= widest
+                    assert ideal is wide or sizes == [7]
 
     def test_no_sieve_on_zero_vertices(self, monkeypatch):
         # K_sigma = {empty face} gives beta_{|G_sigma|,sigma} = 1 with no sieve
@@ -623,8 +654,7 @@ class TestRefusals:
 
     def test_few_generators_past_the_candidate_cap(self):
         # 25 twin-free variables and 15 free ones: 2^25 * 16 candidates for
-        # the orbit walk, but only 63 lattice elements for depth, and the
-        # table's walk drops the free variables and walks the same lattice
+        # the orbit walk, but only 63 lattice elements for both walks
         ideal = boolean_lattice_ideal(40)
         assert len(ideal.masks) == 6
         refused_before_allocation(

@@ -75,10 +75,29 @@ def test_one_column_evaluator():
     assert homology and outside == [], f"betti.py computes homology outside _Columns at {outside}"
 
 
+def test_shared_sieve_is_never_renumbered():
+    # _Columns sieves Delta_sigma on the walk ideal's own ambient or on
+    # sigma's own vertices; a renumbered shared sieve is a second route
+    path = next(path for path in SOURCES if path.name == "betti.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    evaluator = next(
+        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Columns"
+    )
+    packs = [
+        node.lineno
+        for node in ast.walk(evaluator)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "_pack"
+    ]
+    assert packs == [], f"_Columns renumbers sigma onto a sieve at lines {packs}"
+
+
 def test_betti_walks_the_twin_quotient():
     # the Betti walks enumerate orbit representatives as uint64 masks, and
-    # proj_dim on at most six generators the lcm lattice as Python ints: no
-    # 2^n subset sweep of the ambient, and no 32-bit masks that stop at n = 32
+    # the lcm lattice of an ideal with at most six generators as Python
+    # ints: no 2^n subset sweep of the ambient, and no 32-bit masks that
+    # stop at n = 32
     path = next(path for path in SOURCES if path.name == "betti.py")
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     sweeps = [
