@@ -18,8 +18,9 @@ representative per orbit of its twin variables.  Ranks are exact.  The
 orbit walk refuses more than 2^24 candidates and any complex on more
 than 24 vertices.
 
-Everything is serial.  ``search`` re-keys one Philox generator per
-sample index, and computes each g-profile once per orbit of ideals under
+Everything is serial.  ``search`` draws each sample as a Philox generator
+keyed (seed, index) would, in plain Python for a generator count, and
+computes each g-profile once per orbit of ideals under
 relabeling and each depth once per orbit of powers.
 """
 

@@ -2,8 +2,10 @@
 
 Samples are a pure function of (seed, index) through a counter-based
 Philox stream, so a scan is reproducible and a prefix of it does not
-depend on where it stops.  Each pass re-keys one generator per index,
-which draws the same stream as a new generator keyed (seed << 64) | index.
+depend on where it stops.  Each sample is the one a new numpy generator
+keyed (seed << 64) | index draws.  A generator count is drawn in plain
+Python, word for word, so such a scan never loads numpy.random; a density
+is drawn by one numpy generator per pass, re-keyed for each index.
 A sample whose generators pairwise meet has nu = 1, so one g value and no
 finding: it is counted and gets no key, profile or depth.  Each other
 sample and each power is keyed once by an exact canonical form under
@@ -115,6 +117,8 @@ class SearchConfig:
             raise ValueError(f"primes must be distinct, got {list(self.primes)}")
         if not self.exhaustive and self.density is None and self.gen_count is None:
             raise ValueError("need density or gen_count for random sampling")
+        if self.density is not None and self.gen_count is not None:
+            raise ValueError("density and gen_count pick two sampling modes: set one, not both")
         if self.exhaustive_cap < 1:
             raise ValueError("exhaustive_cap must be at least 1")
         for ideal in self.inject:
@@ -146,43 +150,128 @@ def candidate_pool(cfg: SearchConfig) -> tuple[int, ...]:
     return _supports(cfg.ambient_n, *cfg.gen_degree)
 
 
+# Philox4x64-10 (Salmon, Moraes, Dror and Shaw, "Parallel random numbers: as
+# easy as 1, 2, 3", SC 2011): the round multipliers and the key increments
+_PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+_WORD64 = (1 << 64) - 1
+_WORD32 = (1 << 32) - 1
+
+
+def _philox_words(seed: int, index: int) -> Iterator[int]:
+    """The 32-bit words of numpy's ``Philox(key=(seed << 64) | index)``, in its order.
+
+    Block c = 1, 2, ... is the counter (c, 0, 0, 0) after ten Philox4x64
+    rounds under the key (index, seed), bumped between rounds; its four
+    64-bit outputs are handed out in turn, each low half first, as
+    ``next_uint32`` does on a fresh generator.  A draw reads far fewer than
+    2^64 blocks, so the counter never carries into its second word.
+    """
+    counter = 0
+    while True:
+        counter += 1
+        x0, x1, x2, x3 = counter, 0, 0, 0
+        k0, k1 = index, seed
+        for _ in range(10):
+            p0, p1 = _PHILOX_M0 * x0, _PHILOX_M1 * x2
+            x0, x1, x2, x3 = (p1 >> 64) ^ x1 ^ k0, p1 & _WORD64, (p0 >> 64) ^ x3 ^ k1, p0 & _WORD64
+            k0, k1 = (k0 + _PHILOX_W0) & _WORD64, (k1 + _PHILOX_W1) & _WORD64
+        for x in (x0, x1, x2, x3):
+            yield x & _WORD32
+            yield x >> 32
+
+
+def _bounded(words: Iterator[int], top: int) -> int:
+    """A uniform integer in 0..top from 32-bit words, as numpy's ``integers``
+    and ``choice`` draw it: Lemire's multiply-and-reject (ACM TOMACS 2019),
+    and no word read for top = 0."""
+    if not 0 <= top < _WORD32:  # numpy takes 64-bit words past this
+        raise ValueError(f"bounded draw needs 0 <= top < 2**32 - 1, got {top}")
+    if top == 0:
+        return 0
+    span = top + 1
+    m = next(words) * span
+    if m & _WORD32 < span:
+        threshold = (1 << 32) % span
+        while m & _WORD32 < threshold:
+            m = next(words) * span
+    return m >> 32
+
+
+def _distinct(words: Iterator[int], population: int, size: int) -> list[int]:
+    """``size`` distinct integers in 0..population - 1, ascending: the set
+    numpy's ``choice(population, size, replace=False)`` picks.
+
+    numpy shuffles the tail of 0..population - 1 when population > 10000
+    and size > population // 50, and else runs Floyd's algorithm.  Its
+    final shuffle of the picks is left out: it reorders them and draws
+    after them, and the picks are sorted and the last draw of a sample.
+    """
+    if population > 10000 and size > population // 50:
+        idx = list(range(population))
+        for i in range(population - 1, max(population - size, 1) - 1, -1):
+            j = _bounded(words, i)
+            idx[i], idx[j] = idx[j], idx[i]
+        return sorted(idx[population - size:])
+    picks: set[int] = set()
+    for j in range(population - size, population):
+        value = _bounded(words, j)
+        picks.add(j if value in picks else value)
+    return sorted(picks)
+
+
 def _sampler(cfg: SearchConfig) -> Callable[[int], Ideal]:
     """A draw of the index-th sampled ideal, deterministic in (cfg.seed, index).
 
-    One Philox generator serves every draw.  Each index sets its key to
-    (seed << 64) | index, with counter 0, an empty buffer and no spare
-    32-bit half: the state of a fresh ``Philox(key=(seed << 64) | index)``,
-    so the draws are that generator's, for about a tenth of the cost of
-    building one.  Every call makes its own generator, so no two scans share one.
+    Each draw is the one a fresh numpy ``Philox(key=(seed << 64) | index)``
+    generator makes.  In the count mode, plain Python reproduces its words
+    (``_philox_words``), then the count as ``integers`` draws it and the
+    supports as ``choice(replace=False)`` picks them, so the scan never
+    loads ``numpy.random``; a count of at least one from a nonempty pool is
+    never empty.  The density mode keeps numpy's vectorised coins: one
+    Philox generator, made per call so no two scans share one, has its key
+    set per index with counter 0, an empty buffer and no spare 32-bit half,
+    the state of a fresh generator, for about a tenth of the cost of
+    building one; after ``_SAMPLE_RETRIES`` empty draws it raises
+    ``DegenerateSample``.
     """
-    bits = np.random.Philox(key=cfg.seed << 64)
-    rng = np.random.Generator(bits)
-    fresh = bits.state
-    key = fresh["state"]["key"]  # [index, seed]: the key's low and high words
     pool = candidate_pool(cfg)
 
-    def draw(index: int) -> Ideal:
+    def check(index: int) -> None:
         if not 0 <= index < 1 << 64:
             raise ValueError(f"sample index {index} outside 0..2**64 - 1")
-        key[0] = index
-        bits.state = fresh
-        for _ in range(_SAMPLE_RETRIES):
-            if cfg.density is not None:
+
+    if cfg.density is not None:
+        bits = np.random.Philox(key=cfg.seed << 64)
+        rng = np.random.Generator(bits)
+        fresh = bits.state
+        key = fresh["state"]["key"]  # [index, seed]: the key's low and high words
+
+        def by_density(index: int) -> Ideal:
+            check(index)
+            key[0] = index
+            bits.state = fresh
+            for _ in range(_SAMPLE_RETRIES):
                 coins = rng.random(len(pool))
                 chosen = [m for m, c in zip(pool, coins) if c < cfg.density]
-            else:
-                lo, hi = cfg.gen_count
-                count = int(rng.integers(lo, hi + 1)) if lo < hi else lo
-                count = min(count, len(pool))
-                picks = sorted(rng.choice(len(pool), size=count, replace=False).tolist())
-                chosen = [pool[i] for i in picks]
-            if chosen:
-                return Ideal(cfg.ambient_n, chosen)
-        raise DegenerateSample(
-            f"sample {index} stayed zero after {_SAMPLE_RETRIES} attempts"
-        )
+                if chosen:
+                    return Ideal(cfg.ambient_n, chosen)
+            raise DegenerateSample(
+                f"sample {index} stayed zero after {_SAMPLE_RETRIES} attempts"
+            )
 
-    return draw
+        return by_density
+    if cfg.gen_count is None:
+        raise ValueError("need density or gen_count for random sampling")
+    lo, hi = cfg.gen_count
+
+    def by_count(index: int) -> Ideal:
+        check(index)
+        words = _philox_words(cfg.seed, index)
+        count = min(lo + _bounded(words, hi - lo), len(pool))
+        return Ideal(cfg.ambient_n, [pool[i] for i in _distinct(words, len(pool), count)])
+
+    return by_count
 
 
 def random_ideal(cfg: SearchConfig, index: int) -> Ideal:

@@ -373,7 +373,32 @@ class TestComplexChoice:
             Ideal.from_supports([[1, 2], [2, 3], [3, 4]], 4),
             Ideal.from_supports([[1, 2], [2, 3], [3, 4], [1, 4], [4, 5]], 5),
         ]
+        # twin-free cubics and graphs with more than six generators: nothing
+        # collapses, so they take the orbit walk, where _K_MARGIN is read
+        for d, n, m in [
+            (3, 7, 7), (3, 7, 8), (3, 8, 8), (3, 8, 9), (3, 8, 10), (3, 9, 9), (3, 9, 11),
+            (3, 10, 12), (2, 6, 7), (2, 6, 9), (2, 7, 8), (2, 7, 10), (2, 8, 9), (2, 8, 12),
+            (2, 9, 11),
+        ]:
+            supports = list(itertools.combinations(range(1, n + 1), d))
+            while True:
+                ideal = Ideal.from_supports(
+                    [supports[i] for i in rng.choice(len(supports), m, replace=False)], n
+                )
+                if not ideal.twin_classes():
+                    out.append(ideal)
+                    break
         return out
+
+    def test_cases_reach_the_orbit_walk(self):
+        # the lcm lattice takes every sigma to K_sigma, so only ideals that
+        # keep more than _LATTICE_GENERATORS generators after the collapse
+        # test the rule
+        walked = [
+            ideal for ideal in self.cases()
+            if len(betti._reduced(ideal)[0].masks) > betti._LATTICE_GENERATORS
+        ]
+        assert len(walked) >= 20
 
     @pytest.mark.parametrize("p", (2, 3, 5))
     def test_rule_matches_all_delta_and_all_k(self, p, monkeypatch):

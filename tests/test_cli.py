@@ -483,8 +483,15 @@ class TestExitCodes:
                 ["search", "--ambient-n", "7", "--exhaustive", "--edge-ideals-only"],
                 "exhaustive space 2^21 exceeds cap 65536",
             ),
+            (
+                ["search", "--ambient-n", "6", "--density", "0.5", "--gen-count", "2"],
+                "density and gen_count pick two sampling modes: set one, not both",
+            ),
         ],
-        ids=["power-k0", "family-n5", "family-n70", "graph-header-v70", "search-over-cap"],
+        ids=[
+            "power-k0", "family-n5", "family-n70", "graph-header-v70", "search-over-cap",
+            "search-density-and-count",
+        ],
     )
     def test_bad_arguments_exit_2(self, capsys, tmp_path, family6_file, argv, message):
         graph = tmp_path / "big.graph"

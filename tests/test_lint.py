@@ -118,27 +118,44 @@ def test_betti_walks_the_twin_quotient():
 
 
 def test_one_philox_generator_per_sampler():
-    # a scan pass re-keys one generator per index: no Philox made per sample
-    # (in the sampler's inner draw) or shared by every scan (at module level)
+    # the count mode draws from a pure-Python Philox stream; numpy.random is
+    # the density mode's alone, which re-keys one generator per sampler: no
+    # np.random outside the density branch of _sampler, none in its inner
+    # draw (a generator per sample) or at module level (one for every scan)
     path = next(path for path in SOURCES if path.name == "search.py")
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     sampler = next(
         node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_sampler"
     )
+    density = next(
+        node for node in sampler.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "cfg.density is not None"
+    )
     nested = {
         id(node)
-        for inner in ast.walk(sampler)
-        if isinstance(inner, ast.FunctionDef) and inner is not sampler
+        for inner in ast.walk(density)
+        if isinstance(inner, ast.FunctionDef)
         for node in ast.walk(inner)
     }
-    calls = [
+    inside = {id(node) for node in ast.walk(density)} - nested
+    uses = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and ast.unparse(node) == "np.random"
+    ]
+    outside = [node.lineno for node in uses if id(node) not in inside]
+    imports = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and "random" in ast.unparse(node)
+    ]
+    philox = [
         node
         for node in ast.walk(tree)
         if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.random.Philox"
     ]
-    inside = {id(node) for node in ast.walk(sampler)} - nested
-    lines = [node.lineno for node in calls]
-    assert len(calls) == 1 and id(calls[0]) in inside, f"search.py makes a Philox at lines {lines}"
+    assert uses and outside == [] and imports == [], f"search.py uses np.random at {outside + imports}"
+    assert len(philox) == 1, f"search.py makes a Philox at lines {[n.lineno for n in philox]}"
 
 
 def test_one_table_of_generator_orders():

@@ -2,6 +2,10 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +44,11 @@ class TestConfig:
     def test_density_range(self):
         with pytest.raises(ValueError):
             base_cfg(density=1.5, gen_count=None)
+
+    def test_density_and_gen_count_refused_together(self):
+        # each picks a sampling mode; the density one used to win silently
+        with pytest.raises(ValueError, match="density and gen_count"):
+            base_cfg(density=0.5, gen_count=2)
 
     def test_primes_validated(self):
         with pytest.raises(ValueError):
@@ -159,6 +168,11 @@ class TestRandomIdeal:
         with pytest.raises(DegenerateSample):
             random_ideal(cfg, 0)
 
+    def test_exhaustive_config_has_no_random_draw(self):
+        cfg = SearchConfig(ambient_n=4, exhaustive=True)
+        with pytest.raises(ValueError, match="need density or gen_count"):
+            random_ideal(cfg, 0)
+
     def test_pool_respects_degree_range(self):
         cfg = base_cfg(gen_degree=(2, 3))
         sizes = {m.bit_count() for m in candidate_pool(cfg)}
@@ -191,9 +205,12 @@ class TestSampler:
             dict(ambient_n=8, seed=7, gen_degree=3, gen_count=5),
             # a count range draws the count first, through rng.integers
             dict(ambient_n=7, seed=2**64 - 1, gen_degree=(2, 3), gen_count=(3, 6)),
+            # a count equal to the pool, and counts past it cut to the pool
+            dict(ambient_n=5, seed=0, gen_degree=2, gen_count=10),
+            dict(ambient_n=5, seed=0, gen_degree=2, gen_count=(8, 14)),
             dict(ambient_n=8, seed=3, edge_ideals_only=True, density=0.3),
         ],
-        ids=["count", "count-range", "edges"],
+        ids=["count", "count-range", "count-is-pool", "count-past-pool", "edges"],
     )
     def test_matches_a_fresh_generator_per_index(self, kw):
         cfg = SearchConfig(sample_count=80, **kw)
@@ -234,10 +251,96 @@ class TestSampler:
             both_b += outcomes(draw_b, [39 - i])
         assert (both_a, both_b) == (alone_a, alone_b)
 
+    def test_tail_shuffle_matches_a_fresh_generator(self):
+        # a pool of 15444 supports: numpy's choice shuffles the tail of the
+        # pool for counts above 15444 // 50 = 308, and runs Floyd's below
+        cfg = SearchConfig(
+            ambient_n=14, seed=2**64 - 1, sample_count=8, gen_degree=(4, 10), gen_count=(300, 320)
+        )
+        assert len(candidate_pool(cfg)) == 15444
+        indices = [0, 1, 2, 3, 4, 5, 2**64 - 1]
+        counts = [300 + search._bounded(search._philox_words(cfg.seed, i), 20) for i in indices]
+        assert min(counts) <= 308 < max(counts)
+        draw = search._sampler(cfg)
+        assert [draw(i) for i in indices] == [sampled_ideal_fresh(cfg, i)[0] for i in indices]
+
     @pytest.mark.parametrize("index", [-1, 2**64])
     def test_index_outside_the_key_refused(self, index):
         with pytest.raises(ValueError, match="outside 0..2\\*\\*64 - 1"):
             random_ideal(base_cfg(), index)
+
+    @pytest.mark.parametrize("mode, loaded", [("--gen-count=3-5", False), ("--density=0.3", True)])
+    def test_only_the_density_mode_loads_numpy_random(self, mode, loaded):
+        # the count mode draws from _philox_words in a fresh interpreter
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        code = (
+            "import sys\n"
+            "from sqfdepth.cli import main\n"
+            f"main(['search', '--ambient-n', '6', '--samples', '40', '{mode}'])\n"
+            "print('numpy' in sys.modules, 'numpy.random' in sys.modules)\n"
+        )
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, check=True,
+        )
+        assert run.stdout.splitlines()[-1] == f"True {loaded}"
+
+
+class TestPhiloxStream:
+    """The count mode's pure-Python draws against numpy's own Philox generator."""
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+    @pytest.mark.parametrize("index", [0, 7, 2**64 - 1])
+    def test_words_are_the_raw_words_low_half_first(self, seed, index):
+        raw = np.random.Philox(key=(seed << 64) | index).random_raw(12).tolist()
+        halves = [half for word in raw for half in (word & 0xFFFFFFFF, word >> 32)]
+        assert list(itertools.islice(search._philox_words(seed, index), 24)) == halves
+
+    @pytest.mark.parametrize(
+        "population, size",
+        [(1, 1), (56, 5), (56, 56), (10000, 9000), (10001, 200), (10001, 201), (15444, 15444)],
+    )
+    def test_distinct_picks_what_choice_picks(self, population, size):
+        # the tail shuffle runs for population > 10000 and size > population // 50
+        for seed, index in [(0, 0), (3, 11), (2**64 - 1, 2**64 - 1)]:
+            rng = np.random.Generator(np.random.Philox(key=(seed << 64) | index))
+            expected = sorted(rng.choice(population, size=size, replace=False).tolist())
+            words = search._philox_words(seed, index)
+            assert search._distinct(words, population, size) == expected
+
+    def test_bounded_draws_what_integers_draws_through_rejections(self):
+        # a span of 2**31 + 1 rejects about half of the words
+        top, rejected = 2**31, 0
+        for index in range(40):
+            rng = np.random.Generator(np.random.Philox(key=(1 << 64) | index))
+            read = []
+            words = (read.append(w) or w for w in search._philox_words(1, index))
+            assert search._bounded(words, top) == int(rng.integers(0, top, endpoint=True))
+            rejected += len(read) > 1
+            # the next draw starts on the same word, spare half included
+            assert search._bounded(words, 999) == int(rng.integers(0, 999, endpoint=True))
+        assert rejected >= 10
+
+    def test_bounded_rejects_crafted_words(self):
+        # span 2**31 + 1: w * span has low word w + (w & 1) * 2**31 mod 2**32,
+        # and a low word below 2**32 mod span = 2**31 - 1 is rejected
+        words = iter([2, 4, 2**30, 1, 99])
+        assert search._bounded(words, 2**31) == 0
+        assert next(words) == 99
+        assert search._bounded(iter([2**32 - 1]), 2**31) == 2**31
+        # span 3: 3 * 0x55555556 = 2**32 + 2 has a low word below the span but
+        # not below 2**32 mod 3 = 1, so it stands; 3 * 0 is rejected
+        assert search._bounded(iter([0x55555556]), 2) == 1
+        assert search._bounded(iter([0, 0, 0x55555556]), 2) == 1
+
+    def test_bounded_reads_no_word_for_one_value(self):
+        assert search._bounded(iter([]), 0) == 0
+
+    @pytest.mark.parametrize("top", [-1, 2**32 - 1, 2**32])
+    def test_bounded_refuses_tops_past_32_bits(self, top):
+        with pytest.raises(ValueError, match="0 <= top < 2\\*\\*32 - 1"):
+            search._bounded(iter([5]), top)
 
 
 class TestScan:
