@@ -19,9 +19,10 @@ orbit walk refuses more than 2^24 candidates and any complex on more
 than 24 vertices.
 
 Everything is serial.  ``search`` draws each sample as a Philox generator
-keyed (seed, index) would, in plain Python for a generator count, and
-computes each g-profile once per orbit of ideals under
-relabeling and each depth once per orbit of powers.
+keyed (seed, index) would, without numpy.random for a generator count,
+draws and keys its samples in blocks of up to 128, and computes each
+g-profile once per orbit of ideals under relabeling and each depth once
+per orbit of powers.
 """
 
 from .betti import (

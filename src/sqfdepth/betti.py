@@ -101,7 +101,7 @@ import numpy as np
 
 from .errors import SpaceTooLarge, ZeroIdeal
 from .homology import MAX_HOCHSTER_AMBIENT, FaceSieve, FieldSpec, InducedComplex, _pack, _unpack
-from .ideals import Ideal, _indices_from_mask
+from .ideals import Ideal, _indices_from_mask, _minimal_masks
 
 # A walk takes at most as many representatives as the largest complex has
 # vertex subsets, so no input costs more than the 2^n sweep it replaced.
@@ -264,10 +264,11 @@ def _generator_nonfaces(masks: tuple[int, ...], sigma: int) -> tuple[int, list[i
     v, has C_v = {g}, so g is no vertex: it is dropped, with every nonface
     that meets it, which leaves the faces and the homology as they were.
     The r kept generators are numbered 0..r-1 in the order of ``masks``,
-    and the kept nonfaces C_v are listed by ascending v: bit j is set when
-    the j-th kept generator contains v.  A kept generator in no kept
-    nonface makes K_sigma a cone on it, with no homology.  With r = 0,
-    K_sigma is {empty face}.
+    and a kept nonface C_v has bit j set when the j-th kept generator
+    contains v.  A kept generator in no kept nonface makes K_sigma a cone
+    on it, with no homology.  The minimal nonfaces determine the complex,
+    so only they are listed, ascending: one complex, one listing, one
+    entry of the ``_k_dims`` cache.  With r = 0, K_sigma is {empty face}.
     """
     inside = [g for g in masks if g & sigma == g]
     seen = twice = 0
@@ -292,7 +293,7 @@ def _generator_nonfaces(masks: tuple[int, ...], sigma: int) -> tuple[int, list[i
         rest ^= b
     if covered != (1 << len(kept)) - 1:
         return None
-    return len(kept), nonfaces
+    return len(kept), _minimal_masks(nonfaces)
 
 
 class _Columns:
@@ -702,20 +703,23 @@ def g_profile(
     """Normalized depth function of a nonzero squarefree ideal.
 
     ``depth_fn(power, field)`` gives depth(S/I^[k]); it defaults to
-    ``depth``.  ``search.scan`` passes a memoised one.
+    ``depth``.  ``search.scan`` passes a memoised one.  I^[k] is nonzero
+    exactly when some k generators are pairwise disjoint, so nu is the k
+    before the first zero power.
     """
     if ideal.is_zero:
         raise ZeroIdeal("g profile undefined for the zero ideal")
     if depth_fn is None:
         depth_fn = depth
-    nu = ideal.nu()
     rows = []
-    for k in range(1, nu + 1):
-        power = ideal.squarefree_power(k)
+    power = ideal
+    while not power.is_zero:
+        k = len(rows) + 1
         d_k = power.min_gen_degree()
         depth_k = depth_fn(power, field)
         rows.append(GRow(k, d_k, depth_k, depth_k - (d_k - 1)))
-    return GProfile(nu, tuple(rows))
+        power = ideal.squarefree_power(k + 1)
+    return GProfile(len(rows), tuple(rows))
 
 
 @dataclass(frozen=True)

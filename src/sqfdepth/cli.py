@@ -161,6 +161,10 @@ def cmd_search(args) -> int:
         value = getattr(args, name)
         if value is not None:  # a flag that was given wins over the config file
             fields[name] = tuple(value) if isinstance(value, list) else value
+    # a flag for one sampling mode drops the file's other mode; both flags are refused
+    for flag, other in (("density", "gen_count"), ("gen_count", "density")):
+        if getattr(args, flag) is not None and getattr(args, other) is None:
+            fields.pop(other, None)
     if "ambient_n" not in fields:
         raise ValueError("search: --ambient-n (or a config file) is required")
     if args.inject:

@@ -149,6 +149,10 @@ def _minimal_masks(masks: Iterable[int]) -> list[int]:
     by_degree: dict[int, list[int]] = {}
     for m in set(masks):
         by_degree.setdefault(m.bit_count(), []).append(m)
+    if len(by_degree) == 1:  # distinct masks of one degree never divide each other
+        (same,) = by_degree.values()
+        same.sort()
+        return same
     kept: list[int] = []
     for d in sorted(by_degree):
         kept += [m for m in by_degree[d] if not any(k & m == k for k in kept)]
@@ -235,7 +239,7 @@ class Ideal:
             ) from None
         masks = []
         for raw in raws:
-            m = _integer(raw, "generator mask", InvalidGenerator)
+            m = raw if type(raw) is int else _integer(raw, "generator mask", InvalidGenerator)
             if m <= 0 or m >> self.ambient_n:  # mask 0 would make the unit ideal
                 raise InvalidGenerator(
                     f"generator mask {m} is not a nonempty support in 1..{self.ambient_n}"

@@ -3,21 +3,24 @@
 Samples are a pure function of (seed, index) through a counter-based
 Philox stream, so a scan is reproducible and a prefix of it does not
 depend on where it stops.  Each sample is the one a new numpy generator
-keyed (seed << 64) | index draws.  A generator count is drawn in plain
-Python, word for word, so such a scan never loads numpy.random; a density
-is drawn by one numpy generator per pass, re-keyed for each index.
-A sample whose generators pairwise meet has nu = 1, so one g value and no
-finding: it is counted and gets no key, profile or depth.  Each other
-sample and each power is keyed once by an exact canonical form under
-relabeling of the variables.  An ideal with at most five generators takes
-the least sorted row of its variables' generator sets over all orders of
-the generators, from one cached table per generator count; a larger one
-takes an individualisation-refinement search.  Both return a relabeling of
-the ideal, and relabeling keeps the generator count, so the key is exact
-across the cut.  That one key memoises the g-profile per prime and per
-orbit of the ideals, depth per prime and per orbit of the powers, and
-deduplicates findings (profiles with some g(k+1) > g(k)), which can be
-appended to a line-delimited JSON log with an fsync per record.
+keyed (seed << 64) | index draws.  A generator count is drawn without
+numpy.random: the Philox words of a block of up to 128 indices come from
+one vectorised numpy pass, the rest of the draw from plain Python, word
+for word.  A density is drawn by one numpy generator per pass, re-keyed
+for each index.  A sample whose generators pairwise meet has nu = 1, so
+one g value and no finding: it is counted and gets no key, profile or
+depth.  Each other sample and each power is keyed once by an exact
+canonical form under relabeling of the variables.  An ideal with at most
+five generators takes the least sorted row of its variables' generator
+sets over all orders of the generators, from one cached table per
+generator count, and a block's samples are keyed together; a larger one
+takes an individualisation-refinement search.  Both return a relabeling
+of the ideal, and relabeling keeps the generator count, so the key is
+exact across the cut.  That one key memoises the g-profile per prime and
+per orbit of the ideals, depth per prime and per orbit of the powers, and
+deduplicates findings (profiles with some g(k+1) > g(k)), which are
+evaluated in index order and can be appended to a line-delimited JSON
+log with an fsync per record.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import functools
 import itertools
 import json
 import os
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from numbers import Real
 
@@ -43,6 +46,12 @@ MAX_SEARCH_AMBIENT = 14
 # long scans in bounded memory.
 _MEMO_LIMIT = 1 << 16
 _SAMPLE_RETRIES = 16
+# Samples drawn and keyed together.  The keys' temporaries, (samples x
+# orders x code words) integers, grow with the block, and peak RSS with them.
+_BLOCK = 128
+# Counter blocks of Philox words a count-mode draw takes from its block's
+# row; a draw that reads past them goes on in plain Python.
+_ROW_BLOCKS = 8
 
 
 def _normalize_range(value, name: str, lo_ok: int, hi_ok: int) -> tuple[int, int]:
@@ -158,8 +167,9 @@ _WORD64 = (1 << 64) - 1
 _WORD32 = (1 << 32) - 1
 
 
-def _philox_words(seed: int, index: int) -> Iterator[int]:
-    """The 32-bit words of numpy's ``Philox(key=(seed << 64) | index)``, in its order.
+def _philox_words(seed: int, index: int, counter: int = 1) -> Iterator[int]:
+    """The 32-bit words of numpy's ``Philox(key=(seed << 64) | index)``, in its order,
+    from counter block ``counter`` on.
 
     Block c = 1, 2, ... is the counter (c, 0, 0, 0) after ten Philox4x64
     rounds under the key (index, seed), bumped between rounds; its four
@@ -167,9 +177,7 @@ def _philox_words(seed: int, index: int) -> Iterator[int]:
     ``next_uint32`` does on a fresh generator.  A draw reads far fewer than
     2^64 blocks, so the counter never carries into its second word.
     """
-    counter = 0
-    while True:
-        counter += 1
+    for counter in itertools.count(counter):
         x0, x1, x2, x3 = counter, 0, 0, 0
         k0, k1 = index, seed
         for _ in range(10):
@@ -179,6 +187,43 @@ def _philox_words(seed: int, index: int) -> Iterator[int]:
         for x in (x0, x1, x2, x3):
             yield x & _WORD32
             yield x >> 32
+
+
+def _mul_halves(a: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 64-bit words of each a * m, from 32-bit halves in uint64."""
+    half, low = np.uint64(32), np.uint64(_WORD32)
+    a_lo, a_hi, m_lo, m_hi = a & low, a >> half, m & low, m >> half
+    t = a_lo * m_lo
+    u = a_hi * m_lo + (t >> half)
+    v = a_lo * m_hi + (u & low)
+    return a_hi * m_hi + (u >> half) + (v >> half), a * m
+
+
+def _philox_block(seed: int, indices: Sequence[int], blocks: int) -> np.ndarray:
+    """Counter blocks 1..``blocks`` of many keys (seed, index) in one vectorised pass.
+
+    Row i holds the first 4 * blocks 64-bit words that numpy's
+    ``Philox(key=(seed << 64) | indices[i]).random_raw`` gives, computed
+    as ``_philox_words`` does with plain uint64 ufuncs, which wrap; each
+    64 x 64-bit product is split into 32-bit halves.  The pairs (x0, x2),
+    (x1, x3) and (k0, k1) are stacked, so a round takes one product.  For
+    one index, ``_philox_words`` is faster.
+    """
+    shape = (len(indices), blocks)
+    multiplied = np.zeros((2, *shape), dtype=np.uint64)
+    multiplied[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    xored = np.zeros_like(multiplied)
+    key = np.empty((2, len(indices), 1), dtype=np.uint64)
+    key[0, :, 0] = indices
+    key[1] = seed
+    factor = np.array([_PHILOX_M0, _PHILOX_M1], dtype=np.uint64)[:, None, None]
+    bump = np.array([_PHILOX_W0, _PHILOX_W1], dtype=np.uint64)[:, None, None]
+    for _ in range(10):
+        hi, lo = _mul_halves(multiplied, factor)
+        multiplied, xored = hi[::-1] ^ xored ^ key, lo[::-1]
+        key = key + bump
+    words = (multiplied[0], xored[0], multiplied[1], xored[1])
+    return np.stack(words, axis=2).reshape(len(indices), 4 * blocks)
 
 
 def _bounded(words: Iterator[int], top: int) -> int:
@@ -224,11 +269,19 @@ def _sampler(cfg: SearchConfig) -> Callable[[int], Ideal]:
     """A draw of the index-th sampled ideal, deterministic in (cfg.seed, index).
 
     Each draw is the one a fresh numpy ``Philox(key=(seed << 64) | index)``
-    generator makes.  In the count mode, plain Python reproduces its words
-    (``_philox_words``), then the count as ``integers`` draws it and the
-    supports as ``choice(replace=False)`` picks them, so the scan never
-    loads ``numpy.random``; a count of at least one from a nonempty pool is
-    never empty.  The density mode keeps numpy's vectorised coins: one
+    generator makes.  The count mode reproduces its words, then draws the
+    count as ``integers`` does and picks the supports as
+    ``choice(replace=False)`` does, so the scan never loads
+    ``numpy.random``; a count of at least one from a nonempty pool is never
+    empty.  On a multiple of ``_BLOCK`` that it has no words for, it takes
+    the first counter blocks of that index and of the ones after it, up to
+    ``_BLOCK`` indices below ``cfg.sample_count``, from one
+    ``_philox_block`` call, and keeps them as one row per index; a draw
+    that reads past its row goes on in ``_philox_words``.  Any other index,
+    and a block of one, is drawn by ``_philox_words`` alone.  So a scan's
+    draws in index order take one numpy call per block, and a single draw
+    takes one only on a block's first index.  The density mode keeps
+    numpy's vectorised coins: one
     Philox generator, made per call so no two scans share one, has its key
     set per index with counter 0, an empty buffer and no spare 32-bit half,
     the state of a fresh generator, for about a tenth of the cost of
@@ -264,10 +317,27 @@ def _sampler(cfg: SearchConfig) -> Callable[[int], Ideal]:
     if cfg.gen_count is None:
         raise ValueError("need density or gen_count for random sampling")
     lo, hi = cfg.gen_count
+    # a draw without rejections reads a word for the count, if it has a range,
+    # and one per pick: 8 words a counter block
+    blocks = min(-(-((lo < hi) + min(hi, len(pool))) // 8), _ROW_BLOCKS)
+    ahead, rows = range(0), []
 
     def by_count(index: int) -> Ideal:
+        nonlocal ahead, rows
         check(index)
-        words = _philox_words(cfg.seed, index)
+        if index % _BLOCK == 0 and index not in ahead:
+            ahead = range(index, min(index + _BLOCK, cfg.sample_count))
+            if len(ahead) > 1:
+                raw = _philox_block(cfg.seed, ahead, blocks)
+                halves = np.stack((raw & np.uint64(_WORD32), raw >> np.uint64(32)), axis=2)
+                rows = halves.reshape(len(ahead), -1).tolist()
+            else:
+                ahead = range(0)
+        if index in ahead:
+            row = rows[index - ahead.start]
+            words = itertools.chain(row, _philox_words(cfg.seed, index, blocks + 1))
+        else:
+            words = _philox_words(cfg.seed, index)
         count = min(lo + _bounded(words, hi - lo), len(pool))
         return Ideal(cfg.ambient_n, [pool[i] for i in _distinct(words, len(pool), count)])
 
@@ -407,6 +477,57 @@ def _table_key(ideal: Ideal) -> tuple[int, ...]:
     return tuple(sorted(_transpose(least, m)))
 
 
+@functools.cache
+def _code_weights(m: int, width: int) -> np.ndarray:
+    """Each column's weight in each word of a count code under each
+    generator order, as 2^m x (words * m!) uint64: the column c, mapped to
+    c', adds one to the ``width``-bit digit of c' in its word, the least c'
+    most significant."""
+    digits = 64 // width
+    table = _generator_orders(m).T.astype(np.int64)
+    words = []
+    for first in range(0, 1 << m, digits):
+        place = first + digits - 1 - table  # the digit of c', from the word's right end
+        inside = (place >= 0) & (place < digits)
+        shift = np.where(inside, place * width, 0).astype(np.uint64)
+        words.append(np.where(inside, np.uint64(1) << shift, np.uint64(0)))
+    weights = np.ascontiguousarray(np.concatenate(words, axis=1))
+    weights.flags.writeable = False
+    return weights
+
+
+def _table_keys(n: int, m: int, masks_block: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """``_table_key`` of every ideal with n variables and the m generators in
+    ``masks_block``, in one pass.
+
+    Under each generator order, an ideal's count code lists how many
+    variables have each column, in ``n.bit_length()``-bit digits, column 0
+    most significant.  The sorted row of fewer small columns is the larger,
+    so the largest code is the least sorted row: orders are narrowed word by
+    word to those with the largest word among the ones left, and the first
+    left gives the row.
+    """
+    gens = np.array(masks_block, dtype=np.uint64).reshape(len(masks_block), m)
+    bits = gens[:, :, None] >> np.arange(n, dtype=np.uint64) & np.uint64(1)
+    columns = (bits << np.arange(m, dtype=np.uint64)[:, None]).sum(axis=1).astype(np.intp)
+    weights = _code_weights(m, n.bit_length())
+    codes = weights[columns[:, 0]]  # a variable at a time keeps temporaries small
+    for v in range(1, n):
+        codes += weights[columns[:, v]]
+    orders = _generator_orders(m).shape[0]
+    alive = np.ones((len(masks_block), orders), dtype=bool)
+    for word in range(0, codes.shape[1], orders):
+        code = np.where(alive, codes[:, word:word + orders], np.uint64(0))
+        # an order out of the running may tie a zero word, so it stays out
+        alive &= code == code.max(axis=1, keepdims=True)
+    rows = _generator_orders(m)[alive.argmax(axis=1)[:, None], columns]
+    rows.sort(axis=1)
+    row_bits = (rows[:, None, :] >> np.arange(m, dtype=np.uint8)[:, None] & 1).astype(np.uint64)
+    keys = (row_bits << np.arange(n, dtype=np.uint64)).sum(axis=2)
+    keys.sort(axis=1)
+    return list(map(tuple, keys.tolist()))
+
+
 def canonical_relabeling_key(ideal: Ideal) -> tuple[int, ...]:
     """Canonical form of an ideal under relabeling of its variables.
 
@@ -526,29 +647,49 @@ def _search_key(ideal: Ideal) -> tuple[int, ...]:
     return best[0]
 
 
-def _samples(cfg: SearchConfig) -> Iterator[tuple[int, Ideal]]:
-    """The (index, ideal) pairs of one pass: injected ideals at -1, -2, ...,
-    then the random or exhaustive stream in index order.
+def _samples(cfg: SearchConfig) -> Iterator[list[tuple[int, Ideal]]]:
+    """The (index, ideal) pairs of one pass, in blocks: the injected ideals
+    at -1, -2, ... in one block, then the random or exhaustive stream in
+    index order, ``_BLOCK`` pairs a block.
 
-    An exhaustive space over the cap raises ``SpaceTooLarge`` here, on the
-    call, not on the first pair.
+    A draw that raises ends the stream: the pairs drawn before it in its
+    block come first, then the error.  An exhaustive space over the cap
+    raises ``SpaceTooLarge`` here, on the call, not on the first block.
     """
-    injected = ((-(j + 1), ideal) for j, ideal in enumerate(cfg.inject))
+    injected = [(-(j + 1), ideal) for j, ideal in enumerate(cfg.inject)]
     if not cfg.exhaustive:
         draw = _sampler(cfg)
-        drawn = ((i, draw(i)) for i in range(cfg.sample_count))
-        return itertools.chain(injected, drawn)
-    pool = candidate_pool(cfg)
-    space = 1 << len(pool)
-    if space > cfg.exhaustive_cap:
-        raise SpaceTooLarge(
-            f"exhaustive space 2^{len(pool)} exceeds cap {cfg.exhaustive_cap}"
+        stream = ((i, draw(i)) for i in range(cfg.sample_count))
+    else:
+        pool = candidate_pool(cfg)
+        space = 1 << len(pool)
+        if space > cfg.exhaustive_cap:
+            raise SpaceTooLarge(
+                f"exhaustive space 2^{len(pool)} exceeds cap {cfg.exhaustive_cap}"
+            )
+        stream = (
+            (i, Ideal(cfg.ambient_n, [m for j, m in enumerate(pool) if i >> j & 1]))
+            for i in range(1, space)
         )
-    subsets = (
-        (i, Ideal(cfg.ambient_n, [m for j, m in enumerate(pool) if i >> j & 1]))
-        for i in range(1, space)
-    )
-    return itertools.chain(injected, subsets)
+    return itertools.chain([injected] if injected else [], _blocks(stream))
+
+
+def _blocks(pairs: Iterator[tuple[int, Ideal]]) -> Iterator[list[tuple[int, Ideal]]]:
+    """``pairs`` in lists of at most ``_BLOCK``; if ``pairs`` raises, the
+    pairs before the error are yielded first, then it is raised."""
+    block: list[tuple[int, Ideal]] = []
+    try:
+        for pair in pairs:
+            block.append(pair)
+            if len(block) == _BLOCK:
+                yield block
+                block = []
+    except Exception:
+        if block:
+            yield block
+        raise
+    if block:
+        yield block
 
 
 def _remember(memo: dict, key, compute):
@@ -588,6 +729,18 @@ def scan(cfg: SearchConfig, log_path: str | None = None) -> ScanResult:
         """The canonical form, cached by labelled generator masks for all primes."""
         return _remember(forms, ideal.masks, lambda: canonical_relabeling_key(ideal))
 
+    def table_forms(ideals: list[Ideal]) -> None:
+        """Cache the forms of the ideals that ``_table_keys`` keys and that
+        are not cached yet, one call per generator count."""
+        groups: dict[int, dict] = {}
+        for ideal in ideals:
+            m = len(ideal.masks)
+            if m <= _TABLE_GENERATORS and ideal.masks not in forms:
+                groups.setdefault(m, {})[ideal.masks] = None
+        for m, group in groups.items():
+            for masks, key in zip(group, _table_keys(cfg.ambient_n, m, list(group))):
+                _remember(forms, masks, lambda: key)
+
     by_nu: dict[int, int] = {}
     max_gap: int | None = None
     evaluated = 0
@@ -610,30 +763,35 @@ def scan(cfg: SearchConfig, log_path: str | None = None) -> ScanResult:
                 gap = max((g[k] - g[k - 1] for k in range(1, len(g))), default=None)
                 return profile, gap, tuple(profile.violations())
 
-            for index, ideal in samples:
-                evaluated += 1
-                if all(a & b for a, b in itertools.combinations(ideal.masks, 2)):
-                    by_nu[1] = by_nu.get(1, 0) + 1  # nu = 1: one g value, no gap
-                    continue
-                key = form(ideal)
-                profile, gap, violations = _remember(profiles, key, lambda: evaluate(ideal))
-                by_nu[profile.nu] = by_nu.get(profile.nu, 0) + 1
-                if gap is not None and (max_gap is None or gap > max_gap):
-                    max_gap = gap
-                if not violations:
-                    continue
-                findings_total += 1
-                if key in seen:
-                    continue
-                seen.add(key)
-                finding = Finding(
-                    ideal, profile, violations, field.characteristic, cfg.seed, index
-                )
-                findings.append(finding)
-                if log is not None:
-                    log.write(json.dumps(finding.to_json_dict()) + "\n")
-                    log.flush()
-                    os.fsync(log.fileno())
+            for block in samples:
+                evaluated += len(block)
+                wide = [
+                    (index, ideal) for index, ideal in block
+                    if not all(a & b for a, b in itertools.combinations(ideal.masks, 2))
+                ]
+                if len(wide) < len(block):  # nu = 1: one g value, no gap
+                    by_nu[1] = by_nu.get(1, 0) + len(block) - len(wide)
+                table_forms([ideal for _, ideal in wide])
+                for index, ideal in wide:
+                    key = form(ideal)
+                    profile, gap, violations = _remember(profiles, key, lambda: evaluate(ideal))
+                    by_nu[profile.nu] = by_nu.get(profile.nu, 0) + 1
+                    if gap is not None and (max_gap is None or gap > max_gap):
+                        max_gap = gap
+                    if not violations:
+                        continue
+                    findings_total += 1
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    finding = Finding(
+                        ideal, profile, violations, field.characteristic, cfg.seed, index
+                    )
+                    findings.append(finding)
+                    if log is not None:
+                        log.write(json.dumps(finding.to_json_dict()) + "\n")
+                        log.flush()
+                        os.fsync(log.fileno())
     finally:
         if log is not None:
             log.close()

@@ -323,9 +323,17 @@ class TestGeneratorComplex:
         # kept generator, lies in no kept nonface: a cone
         assert _generator_nonfaces(path, 0b1111) is None
         # the 4-cycle x1x2, x2x3, x1x4, x3x4 with the pendant x4x5: x4x5
-        # owns x5, so it goes with C_4 and C_5, and C_1, C_2, C_3 remain
+        # owns x5, so it goes with C_4 and C_5, and C_1, C_2, C_3 remain,
+        # listed ascending
         pendant = Ideal.from_supports([[1, 2], [2, 3], [3, 4], [1, 4], [4, 5]], 5).masks
-        assert _generator_nonfaces(pendant, 0b11111) == (4, [0b0101, 0b0011, 0b1010])
+        assert _generator_nonfaces(pendant, 0b11111) == (4, [0b0011, 0b0101, 0b1010])
+        # x1x2x3, x1x2x4 and x1x3x4: C_1 = {0, 1, 2} holds C_2 = {0, 1},
+        # so only C_2, C_3 = {0, 2} and C_4 = {1, 2} are listed
+        cone_free = Ideal.from_supports([[1, 2, 3], [1, 2, 4], [1, 3, 4]], 4).masks
+        assert _generator_nonfaces(cone_free, 0b1111) == (3, [0b011, 0b101, 0b110])
+        # x1x2x3, x1x2x4 and x3x4: C_1 = C_2 = {0, 1} is listed once
+        twice = Ideal.from_supports([[1, 2, 3], [1, 2, 4], [3, 4]], 4).masks
+        assert _generator_nonfaces(twice, 0b1111) == (3, [0b011, 0b101, 0b110])
 
     def test_counts_match_the_builder(self):
         # the vectorised count that picks each complex agrees with the builder
@@ -746,6 +754,20 @@ class TestGProfile:
     def test_zero_ideal(self):
         with pytest.raises(ZeroIdeal):
             g_profile(Ideal.zero(3), F2)
+
+    def test_nu_is_read_off_the_powers(self):
+        # g_profile stops at the first zero power; Ideal.nu() packs generators
+        rng = np.random.default_rng(41)
+        ideals = [
+            random_test_ideal(rng, int(rng.integers(1, 11)), max_degree=4, max_gens=9)
+            for _ in range(80)
+        ]
+        ideals += [build_family(n) for n in range(6, 16)]
+        assert {ideal.nu() for ideal in ideals} >= {1, 2, 3}
+        for ideal in ideals:
+            profile = g_profile(ideal, F2, lambda power, field: power.ambient_n)
+            assert profile.nu == ideal.nu() == len(profile.rows)
+            assert [r.k for r in profile.rows] == list(range(1, profile.nu + 1))
 
 
 class TestFieldSensitivity:

@@ -323,6 +323,32 @@ class TestSearchCommand:
         code, out, _ = run(capsys, "search", "--config", str(cfgfile), "--seed", "99")
         assert json.loads(out)["summary"]["seed"] == 99
 
+    @pytest.mark.parametrize(
+        "in_file, flag",
+        [("gen_count = 3", ["--density", "0.4"]), ("density = 0.4", ["--gen-count", "3"])],
+        ids=["density-over-count", "count-over-density"],
+    )
+    def test_mode_flag_overrides_the_other_mode_of_the_config(
+        self, capsys, tmp_path, in_file, flag
+    ):
+        cfgfile = tmp_path / "scan.cfg"
+        cfgfile.write_text(f"ambient_n = 5\nseed = 12\nsample_count = 8\n{in_file}\n")
+        by_config = run(capsys, "search", "--config", str(cfgfile), *flag)
+        by_flags = run(
+            capsys, "search", "--ambient-n", "5", "--seed", "12", "--samples", "8", *flag
+        )
+        assert by_config == by_flags
+        assert by_config[0] == 0 and json.loads(by_config[1])["summary"]["evaluated"] == 8
+
+    def test_both_mode_flags_refused_over_a_config(self, capsys, tmp_path):
+        cfgfile = tmp_path / "scan.cfg"
+        cfgfile.write_text("ambient_n = 5\nsample_count = 8\ngen_count = 3\n")
+        code, out, err = run(
+            capsys, "search", "--config", str(cfgfile), "--density", "0.4", "--gen-count", "2"
+        )
+        assert (code, out) == (2, "")
+        assert "density and gen_count pick two sampling modes" in err
+
     def test_search_requires_ambient(self, capsys):
         code, _, err = run(capsys, "search", "--samples", "3")
         assert code == 2

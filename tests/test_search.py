@@ -264,6 +264,23 @@ class TestSampler:
         draw = search._sampler(cfg)
         assert [draw(i) for i in indices] == [sampled_ideal_fresh(cfg, i)[0] for i in indices]
 
+    def test_draws_past_the_row_go_on_from_the_next_counter(self, monkeypatch):
+        # one counter block is 8 words, and a count of 8..12 reads 9 to 13
+        monkeypatch.setattr(search, "_ROW_BLOCKS", 1)
+        cfg = SearchConfig(ambient_n=8, seed=9, sample_count=300, gen_degree=3, gen_count=(8, 12))
+        indices = [*range(0, 300, 7), 299]
+        draw = search._sampler(cfg)
+        assert [draw(i) for i in indices] == [sampled_ideal_fresh(cfg, i)[0] for i in indices]
+
+    def test_rows_serve_only_their_own_block(self):
+        # rows are taken on 0, 128 and 256.  300, past sample_count, and 3
+        # and 129, whose block's rows are gone, are drawn alone; 0 and 128
+        # take their rows again
+        cfg = SearchConfig(ambient_n=7, seed=2**64 - 1, sample_count=300, gen_count=(2, 6))
+        draw = search._sampler(cfg)
+        indices = [*range(299), 300, 299, 2**64 - 1, 3, 0, 129, 128, 129]
+        assert [draw(i) for i in indices] == [sampled_ideal_fresh(cfg, i)[0] for i in indices]
+
     @pytest.mark.parametrize("index", [-1, 2**64])
     def test_index_outside_the_key_refused(self, index):
         with pytest.raises(ValueError, match="outside 0..2\\*\\*64 - 1"):
@@ -296,6 +313,29 @@ class TestPhiloxStream:
         raw = np.random.Philox(key=(seed << 64) | index).random_raw(12).tolist()
         halves = [half for word in raw for half in (word & 0xFFFFFFFF, word >> 32)]
         assert list(itertools.islice(search._philox_words(seed, index), 24)) == halves
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize(
+        "indices, blocks",
+        [
+            ([0], 1),
+            ([2**64 - 1], 2),
+            (list(range(2**64 - 5, 2**64)), 3),
+            ([0, 9, 2**63, 2**64 - 1, 9], 2),
+        ],
+        ids=["zero", "last", "ends-at-last", "mixed"],
+    )
+    def test_block_is_the_raw_words_of_each_key(self, seed, indices, blocks):
+        got = search._philox_block(seed, indices, blocks)
+        assert got.dtype == np.uint64 and got.shape == (len(indices), 4 * blocks)
+        for row, index in zip(got.tolist(), indices):
+            raw = np.random.Philox(key=(seed << 64) | index).random_raw(4 * blocks).tolist()
+            assert row == raw
+            halves = [half for word in row for half in (word & 0xFFFFFFFF, word >> 32)]
+            assert list(itertools.islice(search._philox_words(seed, index), 8 * blocks)) == halves
+            # from counter c on, the words skip the 8 (c - 1) before it
+            later = itertools.islice(search._philox_words(seed, index, blocks), 8)
+            assert list(later) == halves[-8:]
 
     @pytest.mark.parametrize(
         "population, size",
@@ -470,6 +510,30 @@ class TestScan:
             scan(cfg, log_path=str(log))
         (line,) = log.read_text().splitlines()
         assert json.loads(line)["index"] == -1
+        assert json.loads(line)["violations"] == [1]
+
+    def test_log_keeps_the_block_drawn_before_the_scan_dies(self, tmp_path, monkeypatch):
+        # index 200 is in the middle of its block; the block's finding at 150,
+        # drawn before it, is still evaluated and logged before the error
+        fam = build_family(8)
+        single = Ideal.from_supports([[1, 2, 3]], 8)
+
+        def sampler(cfg):
+            def draw(index):
+                if index == 200:
+                    raise RuntimeError(f"sample {index} killed")
+                return fam if index == 150 else single
+
+            return draw
+
+        monkeypatch.setattr(search, "_sampler", sampler)
+        assert 200 % search._BLOCK and 200 // search._BLOCK == 150 // search._BLOCK
+        cfg = SearchConfig(ambient_n=8, seed=0, sample_count=400, gen_count=1)
+        log = tmp_path / "findings.jsonl"
+        with pytest.raises(RuntimeError, match="sample 200 killed"):
+            scan(cfg, log_path=str(log))
+        (line,) = log.read_text().splitlines()
+        assert json.loads(line)["index"] == 150
         assert json.loads(line)["violations"] == [1]
 
     def test_exhaustive_small_edge_ideals_find_nothing(self):
@@ -685,3 +749,48 @@ class TestCanonicalKey:
         a = Ideal.from_supports([[1, 2]], 3)
         b = Ideal.from_supports([[1, 2], [1, 3]], 3)
         assert canonical_relabeling_key(a) != canonical_relabeling_key(b)
+
+
+def table_test_ideals(rng, n: int, m: int, count: int) -> list[Ideal]:
+    """``count`` random ideals on n variables with exactly m generators of one random degree."""
+    out = []
+    while len(out) < count:
+        d = int(rng.integers(1, min(n - 1, 6) + 1))
+        masks = [sum(1 << int(v) for v in rng.choice(n, size=d, replace=False)) for _ in range(m)]
+        ideal = Ideal(n, masks)
+        if len(ideal.masks) == m:
+            out.append(ideal)
+    return out
+
+
+class TestTableKeys:
+    """The block keyer against ``_table_key``, one ideal at a time."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [5, 8, 14, 40, 63])
+    def test_block_keys_are_the_table_keys(self, n, m):
+        rng = np.random.default_rng(100 * n + m)
+        ideals = table_test_ideals(rng, n, m, 30)
+        # relabeled copies share the block with their originals
+        for ideal in ideals[:6]:
+            perm = rng.permutation(n) + 1
+            ideals.append(relabel_ideal(ideal, {i + 1: int(perm[i]) for i in range(n)}))
+        block = [ideal.masks for ideal in ideals]
+        keys = search._table_keys(n, m, block)
+        assert keys == [search._table_key(ideal) for ideal in ideals]
+        assert keys[-6:] == keys[:6]
+        # a key does not depend on its neighbours
+        assert search._table_keys(n, m, block[::-1]) == keys[::-1]
+        assert [search._table_keys(n, m, [masks])[0] for masks in block[:4]] == keys[:4]
+
+    @pytest.mark.parametrize("n", [32, 63])
+    def test_orders_tied_on_a_zero_word_stay_out(self, n):
+        # from n = 32 on a code word holds ten 6-bit digits: columns 0-9,
+        # 10-19, 20-29 and 30-31.  In x1x2, x1x3, x1x4, x1x5, x6 every column
+        # but x1's is a single bit under every order; x1's is 15 when x6
+        # comes last, which wins the second word, and 30 when x6 comes
+        # first.  Both leave the third word zero; an order dropped on the
+        # second word must not come back on it and win the fourth.
+        ideal = Ideal.from_supports([[1, 2], [1, 3], [1, 4], [1, 5], [6]], n)
+        keys = search._table_keys(n, 5, [ideal.masks] * 3)
+        assert keys == [search._table_key(ideal)] * 3
