@@ -19,10 +19,12 @@ orbit walk refuses more than 2^24 candidates and any complex on more
 than 24 vertices.
 
 Everything is serial.  ``search`` draws each sample as a Philox generator
-keyed (seed, index) would, without numpy.random for a generator count,
-draws and keys its samples in blocks of up to 128, and computes each
-g-profile once per orbit of ideals under relabeling and each depth once
-per orbit of powers.
+keyed (seed, index) would.  It asks its sample source for ranges of up
+to 128 indices; for a generator count, one numpy pass of the package's
+one Philox implementation gives a whole range's words, without
+numpy.random, so a lone ``random_ideal`` pays a whole pass.  It keys each
+range's samples together, and computes each g-profile once per orbit of
+ideals under relabeling and each depth once per orbit of powers.
 """
 
 from .betti import (

@@ -3,24 +3,27 @@
 Samples are a pure function of (seed, index) through a counter-based
 Philox stream, so a scan is reproducible and a prefix of it does not
 depend on where it stops.  Each sample is the one a new numpy generator
-keyed (seed << 64) | index draws.  A generator count is drawn without
-numpy.random: the Philox words of a block of up to 128 indices come from
-one vectorised numpy pass, the rest of the draw from plain Python, word
-for word.  A density is drawn by one numpy generator per pass, re-keyed
-for each index.  A sample whose generators pairwise meet has nu = 1, so
-one g value and no finding: it is counted and gets no key, profile or
-depth.  Each other sample and each power is keyed once by an exact
-canonical form under relabeling of the variables.  An ideal with at most
-five generators takes the least sorted row of its variables' generator
-sets over all orders of the generators, from one cached table per
-generator count, and a block's samples are keyed together; a larger one
-takes an individualisation-refinement search.  Both return a relabeling
-of the ideal, and relabeling keeps the generator count, so the key is
-exact across the cut.  That one key memoises the g-profile per prime and
-per orbit of the ideals, depth per prime and per orbit of the powers, and
-deduplicates findings (profiles with some g(k+1) > g(k)), which are
-evaluated in index order and can be appended to a line-delimited JSON
-log with an fsync per record.
+keyed (seed << 64) | index draws.  Every source maps a range of indices
+to its ideals, and a scan asks for up to 128 indices a range.  A
+generator count is drawn without numpy.random: the Philox words of the
+whole range come from one vectorised numpy pass of ``_philox_block``, the
+package's one Philox implementation, and the count and the picks from
+plain Python, word for word.  A lone draw is a range of one and pays a
+whole pass, about 0.15 ms.  A density is drawn by numpy's own generator,
+one per pass, re-keyed for each index.  A sample whose generators
+pairwise meet has nu = 1, so one g value and no finding: it is counted
+and gets no key, profile or depth.  Each other sample and each power is
+keyed once by an exact canonical form under relabeling of the variables.
+An ideal with at most five generators takes the least sorted row of its
+variables' generator sets over all orders of the generators, from one
+cached table per generator count, and a block's samples are keyed
+together; a larger one takes an individualisation-refinement search.
+Both return a relabeling of the ideal, and relabeling keeps the
+generator count, so the key is exact across the cut.  That one key
+memoises the g-profile per prime and per orbit of the ideals, depth per
+prime and per orbit of the powers, and deduplicates findings (profiles
+with some g(k+1) > g(k)), which are evaluated in index order and can be
+appended to a line-delimited JSON log with an fsync per record.
 """
 
 from __future__ import annotations
@@ -49,8 +52,8 @@ _SAMPLE_RETRIES = 16
 # Samples drawn and keyed together.  The keys' temporaries, (samples x
 # orders x code words) integers, grow with the block, and peak RSS with them.
 _BLOCK = 128
-# Counter blocks of Philox words a count-mode draw takes from its block's
-# row; a draw that reads past them goes on in plain Python.
+# Counter blocks of Philox words a count-mode draw takes from its range's
+# pass; a draw that reads past them goes on in passes of its own.
 _ROW_BLOCKS = 8
 
 
@@ -69,7 +72,8 @@ def _normalize_range(value, name: str, lo_ok: int, hi_ok: int) -> tuple[int, int
 class SearchConfig:
     """A scan's settings, checked when made; integer fields are stored as
     plain ints, ``gen_degree`` and ``gen_count`` as (lo, hi) pairs, the two
-    modes as bools, ``density`` as a float and ``primes`` as a tuple."""
+    modes as bools, ``density`` as a float, and ``primes`` and ``inject``
+    as tuples."""
 
     ambient_n: int
     seed: int = 0
@@ -98,6 +102,9 @@ class SearchConfig:
         if not isinstance(self.primes, (tuple, list)):
             raise ValueError(f"primes must be a tuple of primes, got {self.primes!r}")
         object.__setattr__(self, "primes", tuple(self.primes))
+        if not isinstance(self.inject, (tuple, list)):
+            raise ValueError(f"inject must be a tuple of ideals, got {self.inject!r}")
+        object.__setattr__(self, "inject", tuple(self.inject))
         if not 1 <= self.ambient_n <= MAX_SEARCH_AMBIENT:
             raise ValueError(f"search ambient_n must be 1..{MAX_SEARCH_AMBIENT}")
         if not 0 <= self.seed < 1 << 64:
@@ -131,6 +138,8 @@ class SearchConfig:
         if self.exhaustive_cap < 1:
             raise ValueError("exhaustive_cap must be at least 1")
         for ideal in self.inject:
+            if not isinstance(ideal, Ideal):
+                raise ValueError(f"inject entries must be ideals, got {ideal!r}")
             if ideal.ambient_n != self.ambient_n:
                 raise ValueError("injected ideal ambient differs from config ambient")
             if ideal.is_zero:
@@ -163,30 +172,7 @@ def candidate_pool(cfg: SearchConfig) -> tuple[int, ...]:
 # easy as 1, 2, 3", SC 2011): the round multipliers and the key increments
 _PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
 _PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
-_WORD64 = (1 << 64) - 1
 _WORD32 = (1 << 32) - 1
-
-
-def _philox_words(seed: int, index: int, counter: int = 1) -> Iterator[int]:
-    """The 32-bit words of numpy's ``Philox(key=(seed << 64) | index)``, in its order,
-    from counter block ``counter`` on.
-
-    Block c = 1, 2, ... is the counter (c, 0, 0, 0) after ten Philox4x64
-    rounds under the key (index, seed), bumped between rounds; its four
-    64-bit outputs are handed out in turn, each low half first, as
-    ``next_uint32`` does on a fresh generator.  A draw reads far fewer than
-    2^64 blocks, so the counter never carries into its second word.
-    """
-    for counter in itertools.count(counter):
-        x0, x1, x2, x3 = counter, 0, 0, 0
-        k0, k1 = index, seed
-        for _ in range(10):
-            p0, p1 = _PHILOX_M0 * x0, _PHILOX_M1 * x2
-            x0, x1, x2, x3 = (p1 >> 64) ^ x1 ^ k0, p1 & _WORD64, (p0 >> 64) ^ x3 ^ k1, p0 & _WORD64
-            k0, k1 = (k0 + _PHILOX_W0) & _WORD64, (k1 + _PHILOX_W1) & _WORD64
-        for x in (x0, x1, x2, x3):
-            yield x & _WORD32
-            yield x >> 32
 
 
 def _mul_halves(a: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -199,19 +185,23 @@ def _mul_halves(a: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a_hi * m_hi + (u >> half) + (v >> half), a * m
 
 
-def _philox_block(seed: int, indices: Sequence[int], blocks: int) -> np.ndarray:
-    """Counter blocks 1..``blocks`` of many keys (seed, index) in one vectorised pass.
+def _philox_block(seed: int, indices: Sequence[int], blocks: int, start: int = 1) -> np.ndarray:
+    """Counter blocks start..start + blocks - 1 of many keys (seed, index) in one pass.
 
-    Row i holds the first 4 * blocks 64-bit words that numpy's
-    ``Philox(key=(seed << 64) | indices[i]).random_raw`` gives, computed
-    as ``_philox_words`` does with plain uint64 ufuncs, which wrap; each
-    64 x 64-bit product is split into 32-bit halves.  The pairs (x0, x2),
-    (x1, x3) and (k0, k1) are stacked, so a round takes one product.  For
-    one index, ``_philox_words`` is faster.
+    Row i holds the 4 * blocks 64-bit words that numpy's
+    ``Philox(key=(seed << 64) | indices[i]).random_raw`` gives after its
+    first 4 * (start - 1).  Block c is the counter (c, 0, 0, 0) after ten
+    Philox4x64 rounds under the key (index, seed), bumped between rounds,
+    computed with plain uint64 ufuncs, which wrap; each 64 x 64-bit product
+    is split into 32-bit halves.  The pairs (x0, x2), (x1, x3) and (k0, k1)
+    are stacked, so a round takes one product.  A draw reads far fewer than
+    2^64 blocks, so the counter never carries into its second word.  One
+    key costs about as much as 128: 0.18 against 0.19 ms a call (2-vCPU
+    x86_64, numpy 2.4.6).
     """
     shape = (len(indices), blocks)
     multiplied = np.zeros((2, *shape), dtype=np.uint64)
-    multiplied[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    multiplied[0] = np.arange(start, start + blocks, dtype=np.uint64)
     xored = np.zeros_like(multiplied)
     key = np.empty((2, len(indices), 1), dtype=np.uint64)
     key[0, :, 0] = indices
@@ -265,53 +255,43 @@ def _distinct(words: Iterator[int], population: int, size: int) -> list[int]:
     return sorted(picks)
 
 
-def _sampler(cfg: SearchConfig) -> Callable[[int], Ideal]:
-    """A draw of the index-th sampled ideal, deterministic in (cfg.seed, index).
+def _sampler(cfg: SearchConfig) -> Callable[[range], Iterator[Ideal]]:
+    """The sampled ideals of a range of indices, lazily and in index order:
+    each the one a fresh numpy ``Philox(key=(seed << 64) | index)``
+    generator draws, so a draw that raises leaves the ones before it drawn.
 
-    Each draw is the one a fresh numpy ``Philox(key=(seed << 64) | index)``
-    generator makes.  The count mode reproduces its words, then draws the
-    count as ``integers`` does and picks the supports as
-    ``choice(replace=False)`` does, so the scan never loads
-    ``numpy.random``; a count of at least one from a nonempty pool is never
-    empty.  On a multiple of ``_BLOCK`` that it has no words for, it takes
-    the first counter blocks of that index and of the ones after it, up to
-    ``_BLOCK`` indices below ``cfg.sample_count``, from one
-    ``_philox_block`` call, and keeps them as one row per index; a draw
-    that reads past its row goes on in ``_philox_words``.  Any other index,
-    and a block of one, is drawn by ``_philox_words`` alone.  So a scan's
-    draws in index order take one numpy call per block, and a single draw
-    takes one only on a block's first index.  The density mode keeps
-    numpy's vectorised coins: one
-    Philox generator, made per call so no two scans share one, has its key
-    set per index with counter 0, an empty buffer and no spare 32-bit half,
-    the state of a fresh generator, for about a tenth of the cost of
-    building one; after ``_SAMPLE_RETRIES`` empty draws it raises
-    ``DegenerateSample``.
+    The count mode takes the first counter blocks of the whole range from
+    one ``_philox_block`` call, and a draw that reads past its row goes on
+    in single-index calls whose block counts double.  It draws the count as
+    ``integers`` does and the supports as ``choice(replace=False)`` does,
+    in plain Python, so it never loads ``numpy.random``.  A range costs one
+    call whatever its length, so a lone draw costs about 0.15 ms.  The
+    density mode keeps numpy's vectorised coins: one Philox generator, made
+    per call so no two scans share one, is re-keyed per index to the state
+    of a fresh generator, for about a tenth of the cost of building one;
+    after ``_SAMPLE_RETRIES`` empty draws it raises ``DegenerateSample``.
     """
     pool = candidate_pool(cfg)
-
-    def check(index: int) -> None:
-        if not 0 <= index < 1 << 64:
-            raise ValueError(f"sample index {index} outside 0..2**64 - 1")
-
     if cfg.density is not None:
         bits = np.random.Philox(key=cfg.seed << 64)
         rng = np.random.Generator(bits)
-        fresh = bits.state
+        fresh = bits.state  # counter 0, an empty buffer and no spare 32-bit half
         key = fresh["state"]["key"]  # [index, seed]: the key's low and high words
 
-        def by_density(index: int) -> Ideal:
-            check(index)
-            key[0] = index
-            bits.state = fresh
-            for _ in range(_SAMPLE_RETRIES):
-                coins = rng.random(len(pool))
-                chosen = [m for m, c in zip(pool, coins) if c < cfg.density]
-                if chosen:
-                    return Ideal(cfg.ambient_n, chosen)
-            raise DegenerateSample(
-                f"sample {index} stayed zero after {_SAMPLE_RETRIES} attempts"
-            )
+        def by_density(indices: range) -> Iterator[Ideal]:
+            for index in indices:
+                key[0] = index
+                bits.state = fresh
+                for _ in range(_SAMPLE_RETRIES):
+                    coins = rng.random(len(pool))
+                    chosen = [m for m, c in zip(pool, coins) if c < cfg.density]
+                    if chosen:
+                        yield Ideal(cfg.ambient_n, chosen)
+                        break
+                else:
+                    raise DegenerateSample(
+                        f"sample {index} stayed zero after {_SAMPLE_RETRIES} attempts"
+                    )
 
         return by_density
     if cfg.gen_count is None:
@@ -320,33 +300,34 @@ def _sampler(cfg: SearchConfig) -> Callable[[int], Ideal]:
     # a draw without rejections reads a word for the count, if it has a range,
     # and one per pick: 8 words a counter block
     blocks = min(-(-((lo < hi) + min(hi, len(pool))) // 8), _ROW_BLOCKS)
-    ahead, rows = range(0), []
 
-    def by_count(index: int) -> Ideal:
-        nonlocal ahead, rows
-        check(index)
-        if index % _BLOCK == 0 and index not in ahead:
-            ahead = range(index, min(index + _BLOCK, cfg.sample_count))
-            if len(ahead) > 1:
-                raw = _philox_block(cfg.seed, ahead, blocks)
-                halves = np.stack((raw & np.uint64(_WORD32), raw >> np.uint64(32)), axis=2)
-                rows = halves.reshape(len(ahead), -1).tolist()
-            else:
-                ahead = range(0)
-        if index in ahead:
-            row = rows[index - ahead.start]
-            words = itertools.chain(row, _philox_words(cfg.seed, index, blocks + 1))
-        else:
-            words = _philox_words(cfg.seed, index)
-        count = min(lo + _bounded(words, hi - lo), len(pool))
-        return Ideal(cfg.ambient_n, [pool[i] for i in _distinct(words, len(pool), count)])
+    def halves(indices: Sequence[int], count: int, start: int) -> list[list[int]]:
+        """Each index's 32-bit words of counter blocks start.., low half first."""
+        raw = _philox_block(cfg.seed, indices, count, start)
+        return raw.astype("<u8", copy=False).view("<u4").tolist()
+
+    def beyond(index: int) -> Iterator[int]:
+        """The index's words past its row, in single-index calls of doubling length."""
+        start, count = blocks + 1, blocks
+        while True:
+            yield from halves([index], count, start)[0]
+            start, count = start + count, 2 * count
+
+    def by_count(indices: range) -> Iterator[Ideal]:
+        for index, row in zip(indices, halves(indices, blocks, 1)):
+            words = itertools.chain(row, beyond(index))
+            count = min(lo + _bounded(words, hi - lo), len(pool))
+            yield Ideal(cfg.ambient_n, [pool[i] for i in _distinct(words, len(pool), count)])
 
     return by_count
 
 
 def random_ideal(cfg: SearchConfig, index: int) -> Ideal:
     """The index-th sampled ideal: deterministic in (cfg.seed, index)."""
-    return _sampler(cfg)(index)
+    if not 0 <= index < 1 << 64:
+        raise ValueError(f"sample index {index} outside 0..2**64 - 1")
+    (ideal,) = _sampler(cfg)(range(index, index + 1))
+    return ideal
 
 
 @dataclass(frozen=True)
@@ -649,47 +630,47 @@ def _search_key(ideal: Ideal) -> tuple[int, ...]:
 
 def _samples(cfg: SearchConfig) -> Iterator[list[tuple[int, Ideal]]]:
     """The (index, ideal) pairs of one pass, in blocks: the injected ideals
-    at -1, -2, ... in one block, then the random or exhaustive stream in
-    index order, ``_BLOCK`` pairs a block.
+    at -1, -2, ... in one block, then one block per ``_BLOCK`` indices of
+    the source, which maps a range of indices to its ideals.  The
+    exhaustive source, which wins over a sampling mode, maps the subset
+    index i to the pool's supports at the set bits of i.
 
     A draw that raises ends the stream: the pairs drawn before it in its
     block come first, then the error.  An exhaustive space over the cap
     raises ``SpaceTooLarge`` here, on the call, not on the first block.
     """
     injected = [(-(j + 1), ideal) for j, ideal in enumerate(cfg.inject)]
-    if not cfg.exhaustive:
-        draw = _sampler(cfg)
-        stream = ((i, draw(i)) for i in range(cfg.sample_count))
-    else:
+    if cfg.exhaustive:
         pool = candidate_pool(cfg)
         space = 1 << len(pool)
         if space > cfg.exhaustive_cap:
             raise SpaceTooLarge(
                 f"exhaustive space 2^{len(pool)} exceeds cap {cfg.exhaustive_cap}"
             )
-        stream = (
-            (i, Ideal(cfg.ambient_n, [m for j, m in enumerate(pool) if i >> j & 1]))
-            for i in range(1, space)
-        )
-    return itertools.chain([injected] if injected else [], _blocks(stream))
+        indices = range(1, space)
 
+        def draw(span: range) -> Iterator[Ideal]:
+            for i in span:
+                yield Ideal(cfg.ambient_n, [m for j, m in enumerate(pool) if i >> j & 1])
+    else:
+        draw, indices = _sampler(cfg), range(cfg.sample_count)
 
-def _blocks(pairs: Iterator[tuple[int, Ideal]]) -> Iterator[list[tuple[int, Ideal]]]:
-    """``pairs`` in lists of at most ``_BLOCK``; if ``pairs`` raises, the
-    pairs before the error are yielded first, then it is raised."""
-    block: list[tuple[int, Ideal]] = []
-    try:
-        for pair in pairs:
-            block.append(pair)
-            if len(block) == _BLOCK:
-                yield block
-                block = []
-    except Exception:
-        if block:
+    def blocks() -> Iterator[list[tuple[int, Ideal]]]:
+        if injected:
+            yield injected
+        for start in range(indices.start, indices.stop, _BLOCK):
+            span = range(start, min(start + _BLOCK, indices.stop))
+            block: list[tuple[int, Ideal]] = []
+            try:
+                for pair in zip(span, draw(span)):
+                    block.append(pair)
+            except Exception:
+                if block:
+                    yield block
+                raise
             yield block
-        raise
-    if block:
-        yield block
+
+    return blocks()
 
 
 def _remember(memo: dict, key, compute):

@@ -177,6 +177,48 @@ def test_one_philox_generator_per_sampler():
     assert len(philox) == 1, f"search.py makes a Philox at lines {[n.lineno for n in philox]}"
 
 
+def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
+    return next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name
+    )
+
+
+def _reads(tree: ast.AST, predicate) -> list[ast.Name]:
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and predicate(node.id)
+    ]
+
+
+def test_one_philox_implementation():
+    # every Philox word the package computes comes from _philox_block: the
+    # round multipliers and key increments are read nowhere else
+    path = next(path for path in SOURCES if path.name == "search.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    inside = {id(node) for node in ast.walk(_function(tree, "_philox_block"))}
+    reads = _reads(tree, lambda name: name.startswith("_PHILOX_"))
+    outside = [node.lineno for node in reads if id(node) not in inside]
+    assert reads and outside == [], f"search.py reads Philox constants at lines {outside}"
+
+
+def test_samples_alone_cut_the_index_space():
+    # _samples cuts the indices into _BLOCK ranges and asks each source for
+    # one range at a time; a source keeps no rows between calls
+    path = next(path for path in SOURCES if path.name == "search.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    inside = {id(node) for node in ast.walk(_function(tree, "_samples"))}
+    reads = _reads(tree, lambda name: name == "_BLOCK")
+    outside = [node.lineno for node in reads if id(node) not in inside]
+    assert reads and outside == [], f"search.py reads _BLOCK at lines {outside}"
+    kept = [
+        node.lineno
+        for node in ast.walk(_function(tree, "_sampler"))
+        if isinstance(node, (ast.Nonlocal, ast.Global))
+    ]
+    assert kept == [], f"_sampler keeps state between calls at lines {kept}"
+
+
 def test_one_table_of_generator_orders():
     # the key enumerates generator orders once per generator count, in the
     # cached table builder, and never per key

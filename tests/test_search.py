@@ -66,6 +66,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             base_cfg(inject=(build_family(7),))
 
+    def test_inject_stored_as_a_tuple_of_ideals(self):
+        # a list was stored as given, so hash(cfg) raised TypeError
+        fam = build_family(8)
+        cfg = base_cfg(ambient_n=8, inject=[fam])
+        assert cfg.inject == (fam,) and hash(cfg) == hash(base_cfg(ambient_n=8, inject=(fam,)))
+        # each was an AttributeError or a TypeError
+        for inject in (fam, [fam, "n=8\n1 2"], [fam.masks]):
+            with pytest.raises(ValueError, match="inject"):
+                base_cfg(ambient_n=8, inject=inject)
+
     def test_zero_injected_ideal_refused(self):
         with pytest.raises(ValueError, match="zero"):
             base_cfg(ambient_n=8, inject=(build_family(8), Ideal(8, ())))
@@ -196,8 +206,30 @@ def outcomes(draw, indices) -> list:
     return out
 
 
+def ranged(draw, indices: range) -> list:
+    """``outcomes`` of a sampler asked for the whole range at once; a
+    DegenerateSample ends a range, so the next range starts past it."""
+    out = []
+    while len(out) < len(indices):
+        try:
+            out.extend(draw(indices[len(out):]))
+        except DegenerateSample as exc:
+            out.append(str(exc))
+    return out
+
+
+def numpy_words(seed: int, index: int):
+    """The 32-bit words of numpy's ``Philox(key=(seed << 64) | index)``, low
+    half first, as ``next_uint32`` hands them out on a fresh generator."""
+    bits = np.random.Philox(key=(seed << 64) | index)
+    while True:
+        for word in bits.random_raw(64).tolist():
+            yield word & 0xFFFFFFFF
+            yield word >> 32
+
+
 class TestSampler:
-    """The re-keyed per-pass sampler against a fresh Philox generator per index."""
+    """The range sampler against a fresh Philox generator per index."""
 
     @pytest.mark.parametrize(
         "kw",
@@ -214,16 +246,39 @@ class TestSampler:
     )
     def test_matches_a_fresh_generator_per_index(self, kw):
         cfg = SearchConfig(sample_count=80, **kw)
+        draw = search._sampler(cfg)
         indices = [*range(80), 2**63, 2**64 - 1]
         expected = [sampled_ideal_fresh(cfg, i)[0] for i in indices]
-        assert outcomes(search._sampler(cfg), indices) == expected
+        assert ranged(draw, range(80)) == expected[:80]
+        # ranges of one index, as random_ideal draws them
+        assert [ranged(draw, range(i, i + 1))[0] for i in indices] == expected
         assert [random_ideal(cfg, i) for i in indices] == expected
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(ambient_n=8, seed=7, gen_degree=3, gen_count=5),
+            dict(ambient_n=7, seed=2**64 - 1, gen_degree=(2, 3), gen_count=(3, 6)),
+            dict(ambient_n=8, seed=3, edge_ideals_only=True, density=0.3),
+        ],
+        ids=["count", "count-range", "edges"],
+    )
+    @pytest.mark.parametrize(
+        "start, stop",
+        [(5, 140), (127, 129), (300, 301), (2**64 - 128, 2**64), (2**64 - 3, 2**64)],
+        ids=["off-128", "across-128", "one", "ends-at-last", "short-at-last"],
+    )
+    def test_ranges_match_a_fresh_generator_per_index(self, kw, start, stop):
+        # a range need not start on a multiple of 128, and its rows are its own
+        cfg = SearchConfig(sample_count=2**64, **kw)
+        expected = [sampled_ideal_fresh(cfg, i)[0] for i in range(start, stop)]
+        assert ranged(search._sampler(cfg), range(start, stop)) == expected
 
     def test_retries_match_a_fresh_generator(self):
         # a pool of 4 at density 0.1: about two draws in three come up empty
         cfg = SearchConfig(ambient_n=4, seed=1, sample_count=80, gen_degree=3, density=0.1)
         expected = outcomes(lambda i: sampled_ideal_fresh(cfg, i)[0], range(80))
-        assert outcomes(search._sampler(cfg), range(80)) == expected
+        assert ranged(search._sampler(cfg), range(80)) == expected
         assert outcomes(lambda i: random_ideal(cfg, i), range(80)) == expected
         drawn = [i for i in range(80) if isinstance(expected[i], Ideal)]
         assert sum(sampled_ideal_fresh(cfg, i)[1] > 1 for i in drawn) >= 20
@@ -233,7 +288,7 @@ class TestSampler:
         cfg = SearchConfig(ambient_n=3, seed=0, sample_count=80, gen_degree=3, density=0.05)
         expected = outcomes(lambda i: sampled_ideal_fresh(cfg, i)[0], range(80))
         # a degenerate index leaves the generator mid-stream; the next draw starts over
-        assert outcomes(search._sampler(cfg), range(80)) == expected
+        assert ranged(search._sampler(cfg), range(80)) == expected
         assert outcomes(lambda i: random_ideal(cfg, i), range(80)) == expected
         messages = [x for x in expected if isinstance(x, str)]
         assert 20 <= len(messages) <= 60
@@ -242,13 +297,13 @@ class TestSampler:
     def test_interleaved_samplers_draw_as_alone(self):
         a = base_cfg(seed=11, gen_count=(2, 5))
         b = base_cfg(seed=12, gen_count=None, density=0.05)
-        alone_a = outcomes(search._sampler(a), range(40))
-        alone_b = outcomes(search._sampler(b), reversed(range(40)))
+        alone_a = ranged(search._sampler(a), range(40))
+        alone_b = ranged(search._sampler(b), range(40))[::-1]
         draw_a, draw_b = search._sampler(a), search._sampler(b)
         both_a, both_b = [], []
         for i in range(40):
-            both_a += outcomes(draw_a, [i])
-            both_b += outcomes(draw_b, [39 - i])
+            both_a += ranged(draw_a, range(i, i + 1))
+            both_b += ranged(draw_b, range(39 - i, 40 - i))
         assert (both_a, both_b) == (alone_a, alone_b)
 
     def test_tail_shuffle_matches_a_fresh_generator(self):
@@ -259,27 +314,37 @@ class TestSampler:
         )
         assert len(candidate_pool(cfg)) == 15444
         indices = [0, 1, 2, 3, 4, 5, 2**64 - 1]
-        counts = [300 + search._bounded(search._philox_words(cfg.seed, i), 20) for i in indices]
+        counts = [300 + search._bounded(numpy_words(cfg.seed, i), 20) for i in indices]
         assert min(counts) <= 308 < max(counts)
         draw = search._sampler(cfg)
-        assert [draw(i) for i in indices] == [sampled_ideal_fresh(cfg, i)[0] for i in indices]
+        expected = [sampled_ideal_fresh(cfg, i)[0] for i in indices]
+        assert ranged(draw, range(6)) + ranged(draw, range(2**64 - 1, 2**64)) == expected
 
     def test_draws_past_the_row_go_on_from_the_next_counter(self, monkeypatch):
         # one counter block is 8 words, and a count of 8..12 reads 9 to 13
         monkeypatch.setattr(search, "_ROW_BLOCKS", 1)
         cfg = SearchConfig(ambient_n=8, seed=9, sample_count=300, gen_degree=3, gen_count=(8, 12))
-        indices = [*range(0, 300, 7), 299]
         draw = search._sampler(cfg)
-        assert [draw(i) for i in indices] == [sampled_ideal_fresh(cfg, i)[0] for i in indices]
+        expected = [sampled_ideal_fresh(cfg, i)[0] for i in range(300)]
+        assert ranged(draw, range(300)) == expected
+        assert [ranged(draw, range(i, i + 1))[0] for i in range(0, 300, 7)] == expected[::7]
 
-    def test_rows_serve_only_their_own_block(self):
-        # rows are taken on 0, 128 and 256.  300, past sample_count, and 3
-        # and 129, whose block's rows are gone, are drawn alone; 0 and 128
-        # take their rows again
-        cfg = SearchConfig(ambient_n=7, seed=2**64 - 1, sample_count=300, gen_count=(2, 6))
-        draw = search._sampler(cfg)
-        indices = [*range(299), 300, 299, 2**64 - 1, 3, 0, 129, 128, 129]
-        assert [draw(i) for i in indices] == [sampled_ideal_fresh(cfg, i)[0] for i in indices]
+    def test_draws_far_past_the_row_take_doubling_passes(self):
+        # every 7-subset of 14 variables: 3432 picks read 3432 words or more,
+        # 64 from the row and the rest from passes of 8, 16, 32, ... blocks
+        cfg = SearchConfig(
+            ambient_n=14, seed=2**64 - 1, sample_count=3, gen_degree=7, gen_count=3432
+        )
+        assert len(candidate_pool(cfg)) == 3432
+        expected = [sampled_ideal_fresh(cfg, i)[0] for i in range(3)]
+        assert ranged(search._sampler(cfg), range(3)) == expected
+        assert expected[0].masks == candidate_pool(cfg)
+        # a count range draws its count first, and picks short of the pool
+        cfg = SearchConfig(
+            ambient_n=14, seed=4, sample_count=3, gen_degree=7, gen_count=(1000, 3000)
+        )
+        expected = [sampled_ideal_fresh(cfg, i)[0] for i in range(3)]
+        assert ranged(search._sampler(cfg), range(3)) == expected
 
     @pytest.mark.parametrize("index", [-1, 2**64])
     def test_index_outside_the_key_refused(self, index):
@@ -288,7 +353,8 @@ class TestSampler:
 
     @pytest.mark.parametrize("mode, loaded", [("--gen-count=3-5", False), ("--density=0.3", True)])
     def test_only_the_density_mode_loads_numpy_random(self, mode, loaded):
-        # the count mode draws from _philox_words in a fresh interpreter
+        # in a fresh interpreter, the count mode takes its words from
+        # _philox_block's uint64 arithmetic and the density mode from numpy.random
         src = str(Path(__file__).resolve().parent.parent / "src")
         code = (
             "import sys\n"
@@ -305,14 +371,17 @@ class TestSampler:
 
 
 class TestPhiloxStream:
-    """The count mode's pure-Python draws against numpy's own Philox generator."""
+    """The count mode's words and draws against numpy's own Philox generator."""
 
     @pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
     @pytest.mark.parametrize("index", [0, 7, 2**64 - 1])
     def test_words_are_the_raw_words_low_half_first(self, seed, index):
+        # the count mode hands out each row's 64-bit words as this oracle's halves
         raw = np.random.Philox(key=(seed << 64) | index).random_raw(12).tolist()
         halves = [half for word in raw for half in (word & 0xFFFFFFFF, word >> 32)]
-        assert list(itertools.islice(search._philox_words(seed, index), 24)) == halves
+        assert list(itertools.islice(numpy_words(seed, index), 24)) == halves
+        row = search._philox_block(seed, [index], 3)
+        assert row.astype("<u8").view("<u4").tolist() == [halves]
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     @pytest.mark.parametrize(
@@ -328,14 +397,14 @@ class TestPhiloxStream:
     def test_block_is_the_raw_words_of_each_key(self, seed, indices, blocks):
         got = search._philox_block(seed, indices, blocks)
         assert got.dtype == np.uint64 and got.shape == (len(indices), 4 * blocks)
-        for row, index in zip(got.tolist(), indices):
-            raw = np.random.Philox(key=(seed << 64) | index).random_raw(4 * blocks).tolist()
-            assert row == raw
-            halves = [half for word in row for half in (word & 0xFFFFFFFF, word >> 32)]
-            assert list(itertools.islice(search._philox_words(seed, index), 8 * blocks)) == halves
-            # from counter c on, the words skip the 8 (c - 1) before it
-            later = itertools.islice(search._philox_words(seed, index, blocks), 8)
-            assert list(later) == halves[-8:]
+        raw = [
+            np.random.Philox(key=(seed << 64) | index).random_raw(4 * blocks + 8).tolist()
+            for index in indices
+        ]
+        assert got.tolist() == [words[:4 * blocks] for words in raw]
+        # from counter c on, the words skip the 4 (c - 1) before it
+        later = search._philox_block(seed, indices, 3, start=blocks)
+        assert later.tolist() == [words[4 * (blocks - 1):] for words in raw]
 
     @pytest.mark.parametrize(
         "population, size",
@@ -346,7 +415,7 @@ class TestPhiloxStream:
         for seed, index in [(0, 0), (3, 11), (2**64 - 1, 2**64 - 1)]:
             rng = np.random.Generator(np.random.Philox(key=(seed << 64) | index))
             expected = sorted(rng.choice(population, size=size, replace=False).tolist())
-            words = search._philox_words(seed, index)
+            words = numpy_words(seed, index)
             assert search._distinct(words, population, size) == expected
 
     def test_bounded_draws_what_integers_draws_through_rejections(self):
@@ -355,7 +424,7 @@ class TestPhiloxStream:
         for index in range(40):
             rng = np.random.Generator(np.random.Philox(key=(1 << 64) | index))
             read = []
-            words = (read.append(w) or w for w in search._philox_words(1, index))
+            words = (read.append(w) or w for w in numpy_words(1, index))
             assert search._bounded(words, top) == int(rng.integers(0, top, endpoint=True))
             rejected += len(read) > 1
             # the next draw starts on the same word, spare half included
@@ -496,8 +565,8 @@ class TestScan:
 
     def test_log_keeps_findings_when_the_scan_dies(self, tmp_path, monkeypatch):
         def sampler(cfg):
-            def boom(index):
-                raise RuntimeError(f"sample {index} killed")
+            def boom(indices):
+                raise RuntimeError(f"sample {indices[0]} killed")
 
             return boom
 
@@ -519,10 +588,11 @@ class TestScan:
         single = Ideal.from_supports([[1, 2, 3]], 8)
 
         def sampler(cfg):
-            def draw(index):
-                if index == 200:
-                    raise RuntimeError(f"sample {index} killed")
-                return fam if index == 150 else single
+            def draw(indices):
+                for index in indices:
+                    if index == 200:
+                        raise RuntimeError(f"sample {index} killed")
+                    yield fam if index == 150 else single
 
             return draw
 
