@@ -19,12 +19,14 @@ orbit walk refuses more than 2^24 candidates and any complex on more
 than 24 vertices.
 
 Everything is serial.  ``search`` draws each sample as a Philox generator
-keyed (seed, index) would.  It asks its sample source for ranges of up
-to 128 indices; for a generator count, one numpy pass of the package's
-one Philox implementation gives a whole range's words, without
+keyed (seed, index) would, as the generator masks of its ideal.  It asks
+its sample source for ranges of up to 128 indices; for a generator
+count, one numpy pass of the package's one Philox implementation gives a
+whole range's words and a second turns them into mask rows, without
 numpy.random, so a lone ``random_ideal`` pays a whole pass.  It keys each
-range's samples together, and computes each g-profile once per orbit of
-ideals under relabeling and each depth once per orbit of powers.
+range's samples together, computes each g-profile once per orbit of
+ideals under relabeling and each depth once per orbit of powers, and
+builds an ``Ideal`` only for a new profile, a search key or a finding.
 """
 
 from .betti import (

@@ -3,12 +3,17 @@
 Samples are a pure function of (seed, index) through a counter-based
 Philox stream, so a scan is reproducible and a prefix of it does not
 depend on where it stops.  Each sample is the one a new numpy generator
-keyed (seed << 64) | index draws.  Every source maps a range of indices
-to its ideals, and a scan asks for up to 128 indices a range.  A
-generator count is drawn without numpy.random: the Philox words of the
-whole range come from one vectorised numpy pass of ``_philox_block``, the
-package's one Philox implementation, and the count and the picks from
-plain Python, word for word.  A lone draw is a range of one and pays a
+keyed (seed << 64) | index draws, and it travels as a mask row: the
+``masks`` of its ``Ideal``, without the ideal.  Every source maps a range
+of indices to its mask rows, and a scan asks for up to 128 indices a
+range.  A generator count is drawn without numpy.random: the Philox words
+of the whole range come from one vectorised numpy pass of
+``_philox_block``, the package's one Philox implementation, and one more
+numpy pass, ``_vector_draws``, turns them into the count and the picks of
+every row, as numpy's Lemire bounded integers and Floyd's choice would.
+A row that rejects a word, reads past its words, takes the whole pool or
+falls to numpy's tail shuffle is drawn word by word instead, by
+``_bounded`` and ``_distinct``.  A lone draw is a range of one and pays a
 whole pass, about 0.15 ms.  A density is drawn by numpy's own generator,
 one per pass, re-keyed for each index.  A sample whose generators
 pairwise meet has nu = 1, so one g value and no finding: it is counted
@@ -17,13 +22,15 @@ keyed once by an exact canonical form under relabeling of the variables.
 An ideal with at most five generators takes the least sorted row of its
 variables' generator sets over all orders of the generators, from one
 cached table per generator count, and a block's samples are keyed
-together; a larger one takes an individualisation-refinement search.
-Both return a relabeling of the ideal, and relabeling keeps the
-generator count, so the key is exact across the cut.  That one key
-memoises the g-profile per prime and per orbit of the ideals, depth per
-prime and per orbit of the powers, and deduplicates findings (profiles
-with some g(k+1) > g(k)), which are evaluated in index order and can be
-appended to a line-delimited JSON log with an fsync per record.
+together from their mask rows; a larger one takes an individualisation-
+refinement search.  Both return a relabeling of the ideal, and
+relabeling keeps the generator count, so the key is exact across the
+cut.  That one key memoises the g-profile per prime and per orbit of the
+ideals, depth per prime and per orbit of the powers, and deduplicates
+findings (profiles with some g(k+1) > g(k)), which are evaluated in index
+order and can be appended to a line-delimited JSON log with an fsync per
+record.  A sample becomes an ``Ideal`` only where one is needed: for a
+new profile, for the search key, and for a new finding.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 import os
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -41,7 +49,7 @@ import numpy as np
 from .betti import GProfile, depth, g_profile
 from .errors import DegenerateSample, SpaceTooLarge
 from .homology import FieldSpec
-from .ideals import Ideal, _integer
+from .ideals import Ideal, _integer, _minimal_masks
 
 MAX_SEARCH_AMBIENT = 14
 # Entries kept by each of a scan's memos (canonical forms, profiles, depths); a
@@ -255,30 +263,96 @@ def _distinct(words: Iterator[int], population: int, size: int) -> list[int]:
     return sorted(picks)
 
 
-def _sampler(cfg: SearchConfig) -> Callable[[range], Iterator[Ideal]]:
-    """The sampled ideals of a range of indices, lazily and in index order:
-    each the one a fresh numpy ``Philox(key=(seed << 64) | index)``
-    generator draws, so a draw that raises leaves the ones before it drawn.
+def _vector_draws(words: np.ndarray, lo: int, hi: int, pool: np.ndarray) -> list[list[int] | None]:
+    """Each row's draw from its 32-bit words, as ``_bounded`` and ``_distinct``
+    draw it: a count in lo..hi, cut to the pool, then that many distinct
+    masks of ``pool``, ascending; or None for a row they must draw.
+
+    Without a rejection, a draw reads one word for the count, if it has a
+    range, and one per pick, so the Lemire products of every row and pick
+    come from one matrix product.  Floyd's algorithm then takes one numpy
+    step per pick across the rows, finding duplicates in a rows x pool
+    table of picks taken; a row past its count picks a spare column.  A
+    row is left to the scalar draw when a Lemire draw rejects, when the
+    draw reads past the row, when the count is the whole pool (its first
+    pick reads no word), or when numpy shuffles the tail of a pool of more
+    than 10000.  Spans stay below 2^21, so each product fits a uint64.
+    """
+    rows, width = words.shape
+    size = len(pool)
+    head = int(lo < hi)
+    if head:
+        m = words[:, 0].astype(np.uint64) * np.uint64(hi - lo + 1)
+        slow = (m & _WORD32) < (1 << 32) % (hi - lo + 1)
+        counts = np.minimum(lo + (m >> np.uint64(32)).astype(np.intp), size)
+    else:
+        slow = np.zeros(rows, dtype=bool)
+        counts = np.full(rows, min(lo, size), dtype=np.intp)
+    slow |= (head + counts > width) | (counts == size)
+    if size > 10000:
+        slow |= counts > size // 50
+    steps = int(counts.max(initial=0, where=~slow))
+    # Floyd's j for each row's k-th pick, size or more once the row has all its picks
+    top = (size - counts)[:, None] + np.arange(steps)
+    picking = top < size
+    span = (top + 1).astype(np.uint64)
+    m = words[:, head:head + steps] * span
+    slow |= (((m & _WORD32) < np.uint64(1 << 32) % span) & picking).any(axis=1)
+    value = np.where(picking, m >> np.uint64(32), size).astype(np.intp)
+    top = np.minimum(top, size)
+    row = np.arange(rows)
+    taken = np.zeros((rows, size + 1), dtype=bool)
+    picks = np.empty((rows, steps), dtype=np.intp)
+    for step in range(steps):
+        v = value[:, step]
+        picks[:, step] = np.where(taken[row, v], top[:, step], v)
+        taken[row, picks[:, step]] = True
+    picks.sort(axis=1)
+    # a row's picks past its count are the spare column, sorted last and cut off
+    out = pool.take(picks, mode="clip").tolist()
+    if head:
+        out = [drawn[:count] for drawn, count in zip(out, counts.tolist())]
+    for r in np.flatnonzero(slow).tolist():
+        out[r] = None
+    return out
+
+
+def _as_masks(cfg: SearchConfig) -> Callable[[list[int]], tuple[int, ...]]:
+    """Distinct pool masks, ascending, as the ``masks`` of their ``Ideal``:
+    as they are from a pool of one degree, where none divides another, and
+    else cut to the divisibility-minimal ones."""
+    lo, hi = cfg.gen_degree
+    return tuple if lo == hi else lambda masks: tuple(_minimal_masks(masks))
+
+
+def _sampler(cfg: SearchConfig) -> Callable[[range], Iterator[tuple[int, ...]]]:
+    """The sampled ideals of a range of indices, as generator-mask rows,
+    lazily and in index order: each row is the ``masks`` of the ideal a
+    fresh numpy ``Philox(key=(seed << 64) | index)`` generator draws, so a
+    draw that raises leaves the ones before it drawn.
 
     The count mode takes the first counter blocks of the whole range from
-    one ``_philox_block`` call, and a draw that reads past its row goes on
-    in single-index calls whose block counts double.  It draws the count as
-    ``integers`` does and the supports as ``choice(replace=False)`` does,
-    in plain Python, so it never loads ``numpy.random``.  A range costs one
-    call whatever its length, so a lone draw costs about 0.15 ms.  The
-    density mode keeps numpy's vectorised coins: one Philox generator, made
-    per call so no two scans share one, is re-keyed per index to the state
-    of a fresh generator, for about a tenth of the cost of building one;
-    after ``_SAMPLE_RETRIES`` empty draws it raises ``DegenerateSample``.
+    one ``_philox_block`` call and draws the count as ``integers`` does and
+    the supports as ``choice(replace=False)`` does, without loading
+    ``numpy.random``.  ``_vector_draws`` draws every row it can in one numpy
+    pass; the rows it leaves go through ``_bounded`` and ``_distinct`` word
+    by word, and read past their row in single-index calls whose block
+    counts double.  A range costs one pass whatever its length, so a lone
+    draw costs about 0.15 ms.  The density mode keeps numpy's vectorised
+    coins: one Philox generator, made per call so no two scans share one,
+    is re-keyed per index to the state of a fresh generator, for about a
+    tenth of the cost of building one; after ``_SAMPLE_RETRIES`` empty
+    draws it raises ``DegenerateSample``.
     """
     pool = candidate_pool(cfg)
+    as_masks = _as_masks(cfg)
     if cfg.density is not None:
         bits = np.random.Philox(key=cfg.seed << 64)
         rng = np.random.Generator(bits)
         fresh = bits.state  # counter 0, an empty buffer and no spare 32-bit half
         key = fresh["state"]["key"]  # [index, seed]: the key's low and high words
 
-        def by_density(indices: range) -> Iterator[Ideal]:
+        def by_density(indices: range) -> Iterator[tuple[int, ...]]:
             for index in indices:
                 key[0] = index
                 bits.state = fresh
@@ -286,7 +360,7 @@ def _sampler(cfg: SearchConfig) -> Callable[[range], Iterator[Ideal]]:
                     coins = rng.random(len(pool))
                     chosen = [m for m, c in zip(pool, coins) if c < cfg.density]
                     if chosen:
-                        yield Ideal(cfg.ambient_n, chosen)
+                        yield as_masks(chosen)
                         break
                 else:
                     raise DegenerateSample(
@@ -297,37 +371,44 @@ def _sampler(cfg: SearchConfig) -> Callable[[range], Iterator[Ideal]]:
     if cfg.gen_count is None:
         raise ValueError("need density or gen_count for random sampling")
     lo, hi = cfg.gen_count
+    pool_array = np.array(pool, dtype=np.int64)
     # a draw without rejections reads a word for the count, if it has a range,
     # and one per pick: 8 words a counter block
     blocks = min(-(-((lo < hi) + min(hi, len(pool))) // 8), _ROW_BLOCKS)
 
-    def halves(indices: Sequence[int], count: int, start: int) -> list[list[int]]:
+    def halves(indices: Sequence[int], count: int, start: int) -> np.ndarray:
         """Each index's 32-bit words of counter blocks start.., low half first."""
         raw = _philox_block(cfg.seed, indices, count, start)
-        return raw.astype("<u8", copy=False).view("<u4").tolist()
+        return raw.astype("<u8", copy=False).view("<u4")
 
     def beyond(index: int) -> Iterator[int]:
         """The index's words past its row, in single-index calls of doubling length."""
         start, count = blocks + 1, blocks
         while True:
-            yield from halves([index], count, start)[0]
+            yield from halves([index], count, start)[0].tolist()
             start, count = start + count, 2 * count
 
-    def by_count(indices: range) -> Iterator[Ideal]:
-        for index, row in zip(indices, halves(indices, blocks, 1)):
-            words = itertools.chain(row, beyond(index))
-            count = min(lo + _bounded(words, hi - lo), len(pool))
-            yield Ideal(cfg.ambient_n, [pool[i] for i in _distinct(words, len(pool), count)])
+    def by_count(indices: range) -> Iterator[tuple[int, ...]]:
+        rows = halves(indices, blocks, 1)
+        for i, drawn in enumerate(_vector_draws(rows, lo, hi, pool_array)):
+            if drawn is None:  # the scalar draw, word by word
+                words = itertools.chain(rows[i].tolist(), beyond(indices[i]))
+                count = min(lo + _bounded(words, hi - lo), len(pool))
+                drawn = [pool[j] for j in _distinct(words, len(pool), count)]
+            yield as_masks(drawn)
 
     return by_count
 
 
 def random_ideal(cfg: SearchConfig, index: int) -> Ideal:
-    """The index-th sampled ideal: deterministic in (cfg.seed, index)."""
+    """The index-th sampled ideal: deterministic in (cfg.seed, index).
+
+    The sampler's one mask row for the range index..index + 1, as an ``Ideal``.
+    """
     if not 0 <= index < 1 << 64:
         raise ValueError(f"sample index {index} outside 0..2**64 - 1")
-    (ideal,) = _sampler(cfg)(range(index, index + 1))
-    return ideal
+    (masks,) = _sampler(cfg)(range(index, index + 1))
+    return Ideal(cfg.ambient_n, masks)
 
 
 @dataclass(frozen=True)
@@ -628,18 +709,19 @@ def _search_key(ideal: Ideal) -> tuple[int, ...]:
     return best[0]
 
 
-def _samples(cfg: SearchConfig) -> Iterator[list[tuple[int, Ideal]]]:
-    """The (index, ideal) pairs of one pass, in blocks: the injected ideals
-    at -1, -2, ... in one block, then one block per ``_BLOCK`` indices of
-    the source, which maps a range of indices to its ideals.  The
-    exhaustive source, which wins over a sampling mode, maps the subset
-    index i to the pool's supports at the set bits of i.
+def _samples(cfg: SearchConfig) -> Iterator[list[tuple[int, tuple[int, ...]]]]:
+    """The (index, masks) pairs of one pass, in blocks, where masks is the
+    ``masks`` of the sample's ``Ideal``: the injected ideals at -1, -2, ...
+    in one block, then one block per ``_BLOCK`` indices of the source,
+    which maps a range of indices to its mask rows.  The exhaustive source,
+    which wins over a sampling mode, maps the subset index i to the pool's
+    supports at the set bits of i.
 
     A draw that raises ends the stream: the pairs drawn before it in its
     block come first, then the error.  An exhaustive space over the cap
     raises ``SpaceTooLarge`` here, on the call, not on the first block.
     """
-    injected = [(-(j + 1), ideal) for j, ideal in enumerate(cfg.inject)]
+    injected = [(-(j + 1), ideal.masks) for j, ideal in enumerate(cfg.inject)]
     if cfg.exhaustive:
         pool = candidate_pool(cfg)
         space = 1 << len(pool)
@@ -647,20 +729,20 @@ def _samples(cfg: SearchConfig) -> Iterator[list[tuple[int, Ideal]]]:
             raise SpaceTooLarge(
                 f"exhaustive space 2^{len(pool)} exceeds cap {cfg.exhaustive_cap}"
             )
-        indices = range(1, space)
+        indices, as_masks = range(1, space), _as_masks(cfg)
 
-        def draw(span: range) -> Iterator[Ideal]:
+        def draw(span: range) -> Iterator[tuple[int, ...]]:
             for i in span:
-                yield Ideal(cfg.ambient_n, [m for j, m in enumerate(pool) if i >> j & 1])
+                yield as_masks([m for j, m in enumerate(pool) if i >> j & 1])
     else:
         draw, indices = _sampler(cfg), range(cfg.sample_count)
 
-    def blocks() -> Iterator[list[tuple[int, Ideal]]]:
+    def blocks() -> Iterator[list[tuple[int, tuple[int, ...]]]]:
         if injected:
             yield injected
         for start in range(indices.start, indices.stop, _BLOCK):
             span = range(start, min(start + _BLOCK, indices.stop))
-            block: list[tuple[int, Ideal]] = []
+            block: list[tuple[int, tuple[int, ...]]] = []
             try:
                 for pair in zip(span, draw(span)):
                     block.append(pair)
@@ -692,32 +774,38 @@ class ScanResult:
 def scan(cfg: SearchConfig, log_path: str | None = None) -> ScanResult:
     """Evaluate the configured stream; collect, deduplicate and log findings.
 
-    Each prime makes one pass over ``_samples(cfg)``.  A sample whose
-    generators pairwise meet (nu = 1) is only counted.  Relabeling the
-    variables of I relabels each I^[k] along with it, which changes neither
-    nu, d_k nor depth(S/I^[k]); so each other sample's canonical form,
-    computed once, keys the pass's memo of its profile, largest step and
-    violations, and its finding dedup, and the form of each power keys the
-    pass's depth memo.  The forms are cached for the whole scan.  Each new
-    finding is appended to the log and fsynced as soon as it is found, so a
-    scan that dies keeps what it had found.
+    Each prime makes one pass over ``_samples(cfg)``, whose samples are
+    mask rows.  A sample whose generators pairwise meet (nu = 1) is only
+    counted.  Relabeling the variables of I relabels each I^[k] along with
+    it, which changes neither nu, d_k nor depth(S/I^[k]); so each other
+    sample's canonical form, computed once, keys the pass's memo of its
+    profile, largest step and violations, and its finding dedup, and the
+    form of each power keys the pass's depth memo.  The forms are cached by
+    mask row for the whole scan.  A row becomes an ``Ideal`` only on a
+    profile-memo miss, for a search key (more than ``_TABLE_GENERATORS``
+    generators) and for a new finding.  Each new finding is appended to the
+    log and fsynced as soon as it is found, so a scan that dies keeps what
+    it had found.
     """
     # every pass's stream is checked (SpaceTooLarge) before the log is opened
     passes = [(FieldSpec(p), _samples(cfg)) for p in cfg.primes]
     forms: dict = {}
 
-    def form(ideal: Ideal) -> tuple[int, ...]:
-        """The canonical form, cached by labelled generator masks for all primes."""
-        return _remember(forms, ideal.masks, lambda: canonical_relabeling_key(ideal))
+    def form(masks: tuple[int, ...], ideal: Ideal | None = None) -> tuple[int, ...]:
+        """The canonical form of the ideal with these generator masks, cached
+        for all primes; the ideal is built only if it is not given."""
+        return _remember(forms, masks, lambda: canonical_relabeling_key(
+            Ideal(cfg.ambient_n, masks) if ideal is None else ideal
+        ))
 
-    def table_forms(ideals: list[Ideal]) -> None:
-        """Cache the forms of the ideals that ``_table_keys`` keys and that
+    def table_forms(rows: list[tuple[int, ...]]) -> None:
+        """Cache the forms of the mask rows that ``_table_keys`` keys and that
         are not cached yet, one call per generator count."""
         groups: dict[int, dict] = {}
-        for ideal in ideals:
-            m = len(ideal.masks)
-            if m <= _TABLE_GENERATORS and ideal.masks not in forms:
-                groups.setdefault(m, {})[ideal.masks] = None
+        for masks in rows:
+            m = len(masks)
+            if m <= _TABLE_GENERATORS and masks not in forms:
+                groups.setdefault(m, {})[masks] = None
         for m, group in groups.items():
             for masks, key in zip(group, _table_keys(cfg.ambient_n, m, list(group))):
                 _remember(forms, masks, lambda: key)
@@ -736,10 +824,10 @@ def scan(cfg: SearchConfig, log_path: str | None = None) -> ScanResult:
             seen: set = set()
 
             def orbit_depth(power: Ideal, field: FieldSpec) -> int:
-                return _remember(depths, form(power), lambda: depth(power, field))
+                return _remember(depths, form(power.masks, power), lambda: depth(power, field))
 
-            def evaluate(ideal: Ideal) -> tuple[GProfile, int | None, tuple[int, ...]]:
-                profile = g_profile(ideal, field, orbit_depth)
+            def evaluate(masks: tuple[int, ...]) -> tuple[GProfile, int | None, tuple[int, ...]]:
+                profile = g_profile(Ideal(cfg.ambient_n, masks), field, orbit_depth)
                 g = profile.g_values
                 gap = max((g[k] - g[k - 1] for k in range(1, len(g))), default=None)
                 return profile, gap, tuple(profile.violations())
@@ -747,15 +835,15 @@ def scan(cfg: SearchConfig, log_path: str | None = None) -> ScanResult:
             for block in samples:
                 evaluated += len(block)
                 wide = [
-                    (index, ideal) for index, ideal in block
-                    if not all(a & b for a, b in itertools.combinations(ideal.masks, 2))
+                    (index, masks) for index, masks in block
+                    if not all(itertools.starmap(operator.and_, itertools.combinations(masks, 2)))
                 ]
                 if len(wide) < len(block):  # nu = 1: one g value, no gap
                     by_nu[1] = by_nu.get(1, 0) + len(block) - len(wide)
-                table_forms([ideal for _, ideal in wide])
-                for index, ideal in wide:
-                    key = form(ideal)
-                    profile, gap, violations = _remember(profiles, key, lambda: evaluate(ideal))
+                table_forms([masks for _, masks in wide])
+                for index, masks in wide:
+                    key = form(masks)
+                    profile, gap, violations = _remember(profiles, key, lambda: evaluate(masks))
                     by_nu[profile.nu] = by_nu.get(profile.nu, 0) + 1
                     if gap is not None and (max_gap is None or gap > max_gap):
                         max_gap = gap
@@ -766,7 +854,8 @@ def scan(cfg: SearchConfig, log_path: str | None = None) -> ScanResult:
                         continue
                     seen.add(key)
                     finding = Finding(
-                        ideal, profile, violations, field.characteristic, cfg.seed, index
+                        Ideal(cfg.ambient_n, masks), profile, violations,
+                        field.characteristic, cfg.seed, index,
                     )
                     findings.append(finding)
                     if log is not None:

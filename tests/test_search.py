@@ -196,7 +196,7 @@ class TestRandomIdeal:
 
 
 def outcomes(draw, indices) -> list:
-    """Each index's ideal, or the message of its DegenerateSample."""
+    """Each index's draw, or the message of its DegenerateSample."""
     out = []
     for index in indices:
         try:
@@ -207,8 +207,8 @@ def outcomes(draw, indices) -> list:
 
 
 def ranged(draw, indices: range) -> list:
-    """``outcomes`` of a sampler asked for the whole range at once; a
-    DegenerateSample ends a range, so the next range starts past it."""
+    """``outcomes`` of a sampler asked for the whole range at once, as mask
+    rows; a DegenerateSample ends a range, so the next range starts past it."""
     out = []
     while len(out) < len(indices):
         try:
@@ -229,7 +229,7 @@ def numpy_words(seed: int, index: int):
 
 
 class TestSampler:
-    """The range sampler against a fresh Philox generator per index."""
+    """The range sampler's mask rows against a fresh Philox generator per index."""
 
     @pytest.mark.parametrize(
         "kw",
@@ -249,9 +249,10 @@ class TestSampler:
         draw = search._sampler(cfg)
         indices = [*range(80), 2**63, 2**64 - 1]
         expected = [sampled_ideal_fresh(cfg, i)[0] for i in indices]
-        assert ranged(draw, range(80)) == expected[:80]
+        rows = [ideal.masks for ideal in expected]
+        assert ranged(draw, range(80)) == rows[:80]
         # ranges of one index, as random_ideal draws them
-        assert [ranged(draw, range(i, i + 1))[0] for i in indices] == expected
+        assert [ranged(draw, range(i, i + 1))[0] for i in indices] == rows
         assert [random_ideal(cfg, i) for i in indices] == expected
 
     @pytest.mark.parametrize(
@@ -271,25 +272,25 @@ class TestSampler:
     def test_ranges_match_a_fresh_generator_per_index(self, kw, start, stop):
         # a range need not start on a multiple of 128, and its rows are its own
         cfg = SearchConfig(sample_count=2**64, **kw)
-        expected = [sampled_ideal_fresh(cfg, i)[0] for i in range(start, stop)]
+        expected = [sampled_ideal_fresh(cfg, i)[0].masks for i in range(start, stop)]
         assert ranged(search._sampler(cfg), range(start, stop)) == expected
 
     def test_retries_match_a_fresh_generator(self):
         # a pool of 4 at density 0.1: about two draws in three come up empty
         cfg = SearchConfig(ambient_n=4, seed=1, sample_count=80, gen_degree=3, density=0.1)
-        expected = outcomes(lambda i: sampled_ideal_fresh(cfg, i)[0], range(80))
+        expected = outcomes(lambda i: sampled_ideal_fresh(cfg, i)[0].masks, range(80))
         assert ranged(search._sampler(cfg), range(80)) == expected
-        assert outcomes(lambda i: random_ideal(cfg, i), range(80)) == expected
-        drawn = [i for i in range(80) if isinstance(expected[i], Ideal)]
+        assert outcomes(lambda i: random_ideal(cfg, i).masks, range(80)) == expected
+        drawn = [i for i in range(80) if isinstance(expected[i], tuple)]
         assert sum(sampled_ideal_fresh(cfg, i)[1] > 1 for i in drawn) >= 20
 
     def test_degenerate_samples_match_a_fresh_generator(self):
         # a pool of 1 at density 0.05: 16 empty draws in a row have chance 0.44
         cfg = SearchConfig(ambient_n=3, seed=0, sample_count=80, gen_degree=3, density=0.05)
-        expected = outcomes(lambda i: sampled_ideal_fresh(cfg, i)[0], range(80))
+        expected = outcomes(lambda i: sampled_ideal_fresh(cfg, i)[0].masks, range(80))
         # a degenerate index leaves the generator mid-stream; the next draw starts over
         assert ranged(search._sampler(cfg), range(80)) == expected
-        assert outcomes(lambda i: random_ideal(cfg, i), range(80)) == expected
+        assert outcomes(lambda i: random_ideal(cfg, i).masks, range(80)) == expected
         messages = [x for x in expected if isinstance(x, str)]
         assert 20 <= len(messages) <= 60
         assert all(m.endswith(" stayed zero after 16 attempts") for m in messages)
@@ -317,7 +318,7 @@ class TestSampler:
         counts = [300 + search._bounded(numpy_words(cfg.seed, i), 20) for i in indices]
         assert min(counts) <= 308 < max(counts)
         draw = search._sampler(cfg)
-        expected = [sampled_ideal_fresh(cfg, i)[0] for i in indices]
+        expected = [sampled_ideal_fresh(cfg, i)[0].masks for i in indices]
         assert ranged(draw, range(6)) + ranged(draw, range(2**64 - 1, 2**64)) == expected
 
     def test_draws_past_the_row_go_on_from_the_next_counter(self, monkeypatch):
@@ -325,7 +326,7 @@ class TestSampler:
         monkeypatch.setattr(search, "_ROW_BLOCKS", 1)
         cfg = SearchConfig(ambient_n=8, seed=9, sample_count=300, gen_degree=3, gen_count=(8, 12))
         draw = search._sampler(cfg)
-        expected = [sampled_ideal_fresh(cfg, i)[0] for i in range(300)]
+        expected = [sampled_ideal_fresh(cfg, i)[0].masks for i in range(300)]
         assert ranged(draw, range(300)) == expected
         assert [ranged(draw, range(i, i + 1))[0] for i in range(0, 300, 7)] == expected[::7]
 
@@ -336,14 +337,14 @@ class TestSampler:
             ambient_n=14, seed=2**64 - 1, sample_count=3, gen_degree=7, gen_count=3432
         )
         assert len(candidate_pool(cfg)) == 3432
-        expected = [sampled_ideal_fresh(cfg, i)[0] for i in range(3)]
+        expected = [sampled_ideal_fresh(cfg, i)[0].masks for i in range(3)]
         assert ranged(search._sampler(cfg), range(3)) == expected
-        assert expected[0].masks == candidate_pool(cfg)
+        assert expected[0] == candidate_pool(cfg)
         # a count range draws its count first, and picks short of the pool
         cfg = SearchConfig(
             ambient_n=14, seed=4, sample_count=3, gen_degree=7, gen_count=(1000, 3000)
         )
-        expected = [sampled_ideal_fresh(cfg, i)[0] for i in range(3)]
+        expected = [sampled_ideal_fresh(cfg, i)[0].masks for i in range(3)]
         assert ranged(search._sampler(cfg), range(3)) == expected
 
     @pytest.mark.parametrize("index", [-1, 2**64])
@@ -351,23 +352,29 @@ class TestSampler:
         with pytest.raises(ValueError, match="outside 0..2\\*\\*64 - 1"):
             random_ideal(base_cfg(), index)
 
-    @pytest.mark.parametrize("mode, loaded", [("--gen-count=3-5", False), ("--density=0.3", True)])
+    @pytest.mark.parametrize(
+        "mode, loaded",
+        [("--gen-count=3-5", False), ("--gen-count=1-60", False), ("--density=0.3", True)],
+    )
     def test_only_the_density_mode_loads_numpy_random(self, mode, loaded):
         # in a fresh interpreter, the count mode takes its words from
-        # _philox_block's uint64 arithmetic and the density mode from numpy.random
+        # _philox_block's uint64 arithmetic and the density mode from
+        # numpy.random.  Neither loads numpy.ma, which np.unique's first call
+        # imports for about 10 ms.
         src = str(Path(__file__).resolve().parent.parent / "src")
         code = (
             "import sys\n"
             "from sqfdepth.cli import main\n"
-            f"main(['search', '--ambient-n', '6', '--samples', '40', '{mode}'])\n"
-            "print('numpy' in sys.modules, 'numpy.random' in sys.modules)\n"
+            "main(['search', '--ambient-n', '6', '--samples', '200', '--gen-degree', '1-3',"
+            f" '{mode}'])\n"
+            "print(*(name in sys.modules for name in ('numpy', 'numpy.random', 'numpy.ma')))\n"
         )
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         run = subprocess.run(
             [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
             capture_output=True, text=True, check=True,
         )
-        assert run.stdout.splitlines()[-1] == f"True {loaded}"
+        assert run.stdout.splitlines()[-1] == f"True {loaded} False"
 
 
 class TestPhiloxStream:
@@ -418,6 +425,22 @@ class TestPhiloxStream:
             words = numpy_words(seed, index)
             assert search._distinct(words, population, size) == expected
 
+    @pytest.mark.parametrize("lo, hi", [(5, 5), (3, 9), (1, 60)])
+    def test_vector_draws_pick_what_choice_picks(self, lo, hi):
+        # the count mode's rows and its vector pass against a fresh generator per key
+        pool = search._supports(8, 2, 3)
+        for seed, indices in [(0, range(40)), (2**64 - 1, range(2**64 - 40, 2**64))]:
+            blocks = -(-((lo < hi) + hi) // 8)
+            words = search._philox_block(seed, indices, blocks).astype("<u8").view("<u4")
+            got = search._vector_draws(words, lo, hi, np.array(pool, dtype=np.int64))
+            expected = []
+            for index in indices:
+                rng = np.random.Generator(np.random.Philox(key=(seed << 64) | index))
+                count = int(rng.integers(lo, hi + 1)) if lo < hi else lo
+                picks = sorted(rng.choice(len(pool), size=count, replace=False).tolist())
+                expected.append([pool[i] for i in picks])
+            assert got == expected
+
     def test_bounded_draws_what_integers_draws_through_rejections(self):
         # a span of 2**31 + 1 rejects about half of the words
         top, rejected = 2**31, 0
@@ -450,6 +473,109 @@ class TestPhiloxStream:
     def test_bounded_refuses_tops_past_32_bits(self, top):
         with pytest.raises(ValueError, match="0 <= top < 2\\*\\*32 - 1"):
             search._bounded(iter([5]), top)
+
+
+def scalar_draw(row: list[int], lo: int, hi: int, pool: tuple[int, ...]):
+    """The scalar draw from the words of ``row``: its masks, the words it
+    read and its count; None when it reads past the row."""
+    read = []
+    words = (read.append(w) or w for w in row)
+    try:
+        count = min(lo + search._bounded(words, hi - lo), len(pool))
+        picks = search._distinct(words, len(pool), count)
+    except StopIteration:
+        return None
+    return [pool[i] for i in picks], len(read), count
+
+
+def assert_vector_draws_match(words: np.ndarray, lo: int, hi: int, pool: tuple[int, ...]) -> list:
+    """The vector pass on ``words`` against the scalar draw, row by row: it
+    draws exactly the rows that read one word for the count, if it has a
+    range, and one per pick, short of the whole pool and of numpy's tail
+    shuffle, and it draws them as the scalar draw does.  Returns its rows."""
+    got = search._vector_draws(words, lo, hi, np.array(pool, dtype=np.int64))
+    assert len(got) == len(words)
+    for row, fast in zip(words.tolist(), got):
+        scalar = scalar_draw(row, lo, hi, pool)
+        if scalar is None:
+            assert fast is None
+            continue
+        masks, read, count = scalar
+        plain = read == (lo < hi) + count and count < len(pool)
+        if len(pool) > 10000 and count > len(pool) // 50:
+            plain = False
+        assert fast == (masks if plain else None), (row, lo, hi)
+    return got
+
+
+def random_rows(seed: int, rows: int, width: int) -> np.ndarray:
+    return np.random.default_rng(seed).integers(0, 2**32, size=(rows, width), dtype=np.uint32)
+
+
+class TestVectorDraws:
+    """``_vector_draws`` against the scalar ``_bounded`` and ``_distinct`` on the same words."""
+
+    @pytest.mark.parametrize("lo, hi", [(5, 5), (3, 5), (1, 60)])
+    def test_zero_words_force_a_rejection(self, lo, hi):
+        # a zero word's product has low word 0, below 2**32 mod span for any
+        # span that is no power of two, as the counts' 3 and 60 and the picks' 52..56
+        pool = search._supports(8, 3, 3)
+        words = np.zeros((4, 64), dtype=np.uint32)
+        assert assert_vector_draws_match(words, lo, hi, pool) == [None] * 4
+        # one zero word in a random row rejects the pick that reads it
+        words = random_rows(1, 64, 64)
+        words[np.arange(64), np.arange(64) % 8] = 0
+        got = assert_vector_draws_match(words, lo, hi, pool)
+        assert got.count(None) >= 32 and got.count(None) < 64
+
+    def test_rows_too_short_for_their_draw(self):
+        # four words hold a count and three picks
+        pool = search._supports(8, 2, 3)
+        got = assert_vector_draws_match(random_rows(2, 200, 4), 1, 8, pool)
+        assert 0 < got.count(None) < 200
+        assert all(len(masks) <= 3 for masks in got if masks is not None)
+
+    @pytest.mark.parametrize("lo, hi", [(10, 10), (8, 14), (12, 12)])
+    def test_counts_that_take_the_whole_pool(self, lo, hi):
+        # a count of the pool or past it is cut to the pool, whose first pick reads no word
+        pool = search._supports(5, 2, 2)
+        got = assert_vector_draws_match(random_rows(3, 100, 16), lo, hi, pool)
+        assert None in got
+
+    def test_tail_shuffle_pool(self):
+        # 15444 supports: numpy shuffles the tail for counts above 308
+        pool = search._supports(14, 4, 10)
+        assert len(pool) == 15444
+        got = assert_vector_draws_match(random_rows(4, 24, 330), 300, 320, pool)
+        assert 0 < got.count(None) < 24
+
+    @pytest.mark.parametrize(
+        "n, degrees", [(8, (3, 3)), (8, (1, 4)), (10, (2, 5)), (6, (1, 6)), (14, (7, 7))]
+    )
+    @pytest.mark.parametrize("lo, hi", [(1, 60), (1, 1), (60, 60), (7, 30), (2, 3)])
+    def test_counts_up_to_sixty_over_degree_ranges(self, n, degrees, lo, hi):
+        pool = search._supports(n, *degrees)
+        width = 8 * search._ROW_BLOCKS
+        got = assert_vector_draws_match(random_rows(100 * n + lo, 128, width), lo, hi, pool)
+        if lo < len(pool) and (lo < hi) + lo <= width:  # some counts fit the row
+            assert got.count(None) < 128
+
+    def test_one_row_and_every_row_left(self):
+        pool = search._supports(8, 3, 3)
+        assert assert_vector_draws_match(random_rows(5, 1, 64), 2, 9, pool)[0] is not None
+        assert assert_vector_draws_match(random_rows(5, 3, 64), 56, 56, pool) == [None] * 3
+
+    def test_the_cubic_scan_draws_every_sample_in_the_vector_pass(self, monkeypatch):
+        # the scan-cubic8 benchmark's p = 2 job at seed 1: 1000 samples of five cubics
+        cfg = SearchConfig(ambient_n=8, seed=1, sample_count=1000, gen_degree=3, gen_count=5)
+
+        def scalar(*args):
+            raise AssertionError("a sample took the scalar draw")
+
+        monkeypatch.setattr(search, "_distinct", scalar)
+        rows = [masks for block in search._samples(cfg) for _, masks in block]
+        monkeypatch.undo()
+        assert rows == [sampled_ideal_fresh(cfg, i)[0].masks for i in range(1000)]
 
 
 class TestScan:
@@ -567,6 +693,7 @@ class TestScan:
         def sampler(cfg):
             def boom(indices):
                 raise RuntimeError(f"sample {indices[0]} killed")
+                yield ()  # a mask row, never reached
 
             return boom
 
@@ -592,7 +719,7 @@ class TestScan:
                 for index in indices:
                     if index == 200:
                         raise RuntimeError(f"sample {index} killed")
-                    yield fam if index == 150 else single
+                    yield fam.masks if index == 150 else single.masks
 
             return draw
 
@@ -643,6 +770,85 @@ class TestScan:
         result = scan(cfg)
         assert sum(result.summary["by_nu"].values()) == 40
         assert result.summary["evaluated"] == 40
+
+
+class TestStream:
+    """``_samples`` yields each sample as the ``masks`` of its ideal."""
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(ambient_n=8, seed=1, sample_count=300, gen_degree=3, gen_count=5),
+            # degree-1 supports divide others, so rows are cut to the minimal ones
+            dict(ambient_n=7, seed=2, sample_count=300, gen_degree=(1, 3), gen_count=(2, 12)),
+            dict(ambient_n=6, seed=3, sample_count=300, gen_degree=(1, 3), density=0.2),
+        ],
+        ids=["count", "count-range-mixed-degrees", "density"],
+    )
+    def test_sampled_rows_are_the_masks_of_their_ideals(self, kw):
+        cfg = SearchConfig(**kw)
+        pairs = [pair for block in search._samples(cfg) for pair in block]
+        assert [index for index, _ in pairs] == list(range(300))
+        for index, masks in pairs:
+            assert type(masks) is tuple and masks == Ideal(cfg.ambient_n, masks).masks
+            assert masks == sampled_ideal_fresh(cfg, index)[0].masks
+        if cfg.gen_degree[0] < cfg.gen_degree[1]:
+            pool = set(candidate_pool(cfg))
+            cut = [masks for _, masks in pairs if any(m & k == k != m for m in masks for k in pool)]
+            assert cut  # some rows drew supports above a drawn one, and lost them
+
+    @pytest.mark.parametrize("kw", [
+        dict(ambient_n=4, edge_ideals_only=True),
+        dict(ambient_n=4, gen_degree=(1, 2)),
+    ], ids=["edges", "mixed-degrees"])
+    def test_exhaustive_rows_are_the_masks_of_their_ideals(self, kw):
+        cfg = SearchConfig(exhaustive=True, **kw)
+        pool = candidate_pool(cfg)
+        pairs = [pair for block in search._samples(cfg) for pair in block]
+        assert [index for index, _ in pairs] == list(range(1, 1 << len(pool)))
+        for index, masks in pairs:
+            ideal = Ideal(cfg.ambient_n, [m for j, m in enumerate(pool) if index >> j & 1])
+            assert type(masks) is tuple and masks == ideal.masks
+
+    def test_injected_rows_are_their_masks(self):
+        fam = build_family(8)
+        twin = relabel_ideal(fam, {1: 2, 2: 1, 3: 3, 4: 4, 5: 6, 6: 5, 7: 7, 8: 8})
+        cfg = SearchConfig(ambient_n=8, seed=0, sample_count=3, gen_count=2, inject=(fam, twin))
+        first = next(search._samples(cfg))
+        assert first == [(-1, fam.masks), (-2, twin.masks)]
+
+    def test_ideals_are_built_only_for_new_classes(self, monkeypatch):
+        # cubics with four to seven generators: those with more than five are
+        # keyed by the search, which takes an Ideal; the injected family finds
+        cfg = SearchConfig(
+            ambient_n=8, seed=6, sample_count=300, gen_degree=3, gen_count=(4, 7),
+            primes=(2, 3), inject=(build_family(8),),
+        )
+        built, misses, searched = [], [], []
+
+        class Counted(Ideal):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        def profile(ideal, field, depth_fn):
+            misses.append(ideal)
+            return g_profile(ideal, field, depth_fn)
+
+        def key(ideal):
+            if ideal.masks[0].bit_count() == 3:  # a sample's; a power's generators are larger
+                searched.append(ideal)
+            return canonical_relabeling_key(ideal)
+
+        monkeypatch.setattr(search, "Ideal", Counted)
+        monkeypatch.setattr(search, "g_profile", profile)
+        monkeypatch.setattr(search, "canonical_relabeling_key", key)
+        result = scan(cfg)
+        assert searched and len(result.findings) >= 2
+        assert all(len(ideal.masks) > search._TABLE_GENERATORS for ideal in searched)
+        assert len(built) == len(misses) + len(searched) + len(result.findings)
+        monkeypatch.undo()
+        assert scan(cfg).summary == result.summary
 
 
 def never_remember(memo, key, compute):
