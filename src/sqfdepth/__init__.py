@@ -11,7 +11,9 @@ lattice of Gasharov, Peeva and Welker, by Alexander duality).  The
 table's walk (``depth_report``, ``betti_table``) lists every Betti
 number; ``proj_dim`` and ``depth`` stop at the first nonzero degree.
 Both take one route: an ideal with at most six generators walks its lcm
-lattice, each sigma on K_sigma with homology cached for the process; a
+lattice, each sigma on K_sigma with homology cached for the process, and
+ranked over F_2 for every field when K_sigma has at most five vertices,
+since no complex that small has torsion; a
 larger one first collapses its independent twin classes, then walks the
 lattice if at most six generators are left, and otherwise one
 representative per orbit of its twin variables.  Ranks are exact.  The
@@ -25,8 +27,10 @@ count, one numpy pass of the package's one Philox implementation gives a
 whole range's words and a second turns them into mask rows, without
 numpy.random, so a lone ``random_ideal`` pays a whole pass.  It keys each
 range's samples together, computes each g-profile once per orbit of
-ideals under relabeling and each depth once per orbit of powers, and
-builds an ``Ideal`` only for a new profile, a search key or a finding.
+ideals under relabeling and prime, and each depth once per orbit of
+powers and process, for all primes at once when the power has at most
+five generators, and builds an ``Ideal`` only for a new profile, a search
+key or a finding.
 """
 
 from .betti import (

@@ -26,11 +26,15 @@ together from their mask rows; a larger one takes an individualisation-
 refinement search.  Both return a relabeling of the ideal, and
 relabeling keeps the generator count, so the key is exact across the
 cut.  That one key memoises the g-profile per prime and per orbit of the
-ideals, depth per prime and per orbit of the powers, and deduplicates
-findings (profiles with some g(k+1) > g(k)), which are evaluated in index
-order and can be appended to a line-delimited JSON log with an fsync per
-record.  A sample becomes an ``Ideal`` only where one is needed: for a
-new profile, for the search key, and for a new finding.
+ideals, and deduplicates findings (profiles with some g(k+1) > g(k)),
+which are evaluated in index order and can be appended to a
+line-delimited JSON log with an fsync per record.  The form of each power
+keys its depth per orbit for the whole process: per prime, except that a
+power with at most five generators has one depth over every field
+(``betti._TORSION_FREE_VERTICES``), so the primes of a scan, and later
+scans, share it.  The forms themselves are cached for the process.  A
+sample becomes an ``Ideal`` only where one is needed: for a new profile,
+for the search key, and for a new finding.
 """
 
 from __future__ import annotations
@@ -46,15 +50,15 @@ from numbers import Real
 
 import numpy as np
 
-from .betti import GProfile, depth, g_profile
+from .betti import _TORSION_FREE_VERTICES, GProfile, depth, g_profile
 from .errors import DegenerateSample, SpaceTooLarge
 from .homology import FieldSpec
 from .ideals import Ideal, _integer, _minimal_masks
 
 MAX_SEARCH_AMBIENT = 14
-# Entries kept by each of a scan's memos (canonical forms, profiles, depths); a
-# full memo starts over, which costs time but never changes a result, and keeps
-# long scans in bounded memory.
+# Entries kept by each memo: the canonical forms and depths, kept for the
+# process, and each pass's profiles; a full memo starts over, which costs
+# time but never changes a result, and keeps long scans in bounded memory.
 _MEMO_LIMIT = 1 << 16
 _SAMPLE_RETRIES = 16
 # Samples drawn and keyed together.  The keys' temporaries, (samples x
@@ -765,6 +769,47 @@ def _remember(memo: dict, key, compute):
     return value
 
 
+# The process's canonical forms, by (ambient_n, masks), and depths, by
+# (ambient_n, prime or None, form): pure functions of their keys, so every
+# scan of the process shares them, as every walk shares ``_k_dims``
+_forms: dict = {}
+_depths: dict = {}
+
+
+def _form(n: int, masks: tuple[int, ...], ideal: Ideal | None = None) -> tuple[int, ...]:
+    """The canonical form of the ideal on n variables with these generator
+    masks, cached for the process; the ideal is built only if not given."""
+    return _remember(_forms, (n, masks), lambda: canonical_relabeling_key(
+        Ideal(n, masks) if ideal is None else ideal
+    ))
+
+
+def _table_forms(n: int, rows: list[tuple[int, ...]]) -> None:
+    """Cache the forms of the mask rows that ``_table_keys`` keys and that
+    are not cached yet, one call per generator count."""
+    groups: dict[int, dict] = {}
+    for masks in rows:
+        m = len(masks)
+        if m <= _TABLE_GENERATORS and (n, masks) not in _forms:
+            groups.setdefault(m, {})[masks] = None
+    for m, group in groups.items():
+        for masks, key in zip(group, _table_keys(n, m, list(group))):
+            _remember(_forms, (n, masks), lambda: key)
+
+
+def _orbit_depth(power: Ideal, field: FieldSpec) -> int:
+    """depth(S/power), memoised for the process by the power's form.
+
+    A power with at most ``_TORSION_FREE_VERTICES`` generators has one
+    depth over every field, so its key leaves the prime out and every
+    prime shares it; a larger one keys its depth per prime.
+    """
+    n = power.ambient_n
+    key = _form(n, power.masks, power)
+    p = None if len(key) <= _TORSION_FREE_VERTICES else field.characteristic
+    return _remember(_depths, (n, p, key), lambda: depth(power, field))
+
+
 @dataclass
 class ScanResult:
     findings: list[Finding]
@@ -778,38 +823,20 @@ def scan(cfg: SearchConfig, log_path: str | None = None) -> ScanResult:
     mask rows.  A sample whose generators pairwise meet (nu = 1) is only
     counted.  Relabeling the variables of I relabels each I^[k] along with
     it, which changes neither nu, d_k nor depth(S/I^[k]); so each other
-    sample's canonical form, computed once, keys the pass's memo of its
-    profile, largest step and violations, and its finding dedup, and the
-    form of each power keys the pass's depth memo.  The forms are cached by
-    mask row for the whole scan.  A row becomes an ``Ideal`` only on a
-    profile-memo miss, for a search key (more than ``_TABLE_GENERATORS``
-    generators) and for a new finding.  Each new finding is appended to the
-    log and fsynced as soon as it is found, so a scan that dies keeps what
-    it had found.
+    sample's canonical form keys the pass's memo of its profile, largest
+    step and violations, and its finding dedup, and the form of each power
+    keys the process's depth memo (``_orbit_depth``), shared by the primes
+    for a power with at most ``_TORSION_FREE_VERTICES`` generators.  The
+    forms are cached by ambient and mask row for the process, so a second
+    prime, or a second scan, keys no row again.  A row becomes an ``Ideal``
+    only on a profile-memo miss, for a search key (more than
+    ``_TABLE_GENERATORS`` generators) and for a new finding.  Each new
+    finding is appended to the log and fsynced as soon as it is found, so a
+    scan that dies keeps what it had found.
     """
     # every pass's stream is checked (SpaceTooLarge) before the log is opened
     passes = [(FieldSpec(p), _samples(cfg)) for p in cfg.primes]
-    forms: dict = {}
-
-    def form(masks: tuple[int, ...], ideal: Ideal | None = None) -> tuple[int, ...]:
-        """The canonical form of the ideal with these generator masks, cached
-        for all primes; the ideal is built only if it is not given."""
-        return _remember(forms, masks, lambda: canonical_relabeling_key(
-            Ideal(cfg.ambient_n, masks) if ideal is None else ideal
-        ))
-
-    def table_forms(rows: list[tuple[int, ...]]) -> None:
-        """Cache the forms of the mask rows that ``_table_keys`` keys and that
-        are not cached yet, one call per generator count."""
-        groups: dict[int, dict] = {}
-        for masks in rows:
-            m = len(masks)
-            if m <= _TABLE_GENERATORS and masks not in forms:
-                groups.setdefault(m, {})[masks] = None
-        for m, group in groups.items():
-            for masks, key in zip(group, _table_keys(cfg.ambient_n, m, list(group))):
-                _remember(forms, masks, lambda: key)
-
+    n = cfg.ambient_n
     by_nu: dict[int, int] = {}
     max_gap: int | None = None
     evaluated = 0
@@ -820,14 +847,10 @@ def scan(cfg: SearchConfig, log_path: str | None = None) -> ScanResult:
     try:
         for field, samples in passes:
             profiles: dict = {}
-            depths: dict = {}
             seen: set = set()
 
-            def orbit_depth(power: Ideal, field: FieldSpec) -> int:
-                return _remember(depths, form(power.masks, power), lambda: depth(power, field))
-
             def evaluate(masks: tuple[int, ...]) -> tuple[GProfile, int | None, tuple[int, ...]]:
-                profile = g_profile(Ideal(cfg.ambient_n, masks), field, orbit_depth)
+                profile = g_profile(Ideal(n, masks), field, _orbit_depth)
                 g = profile.g_values
                 gap = max((g[k] - g[k - 1] for k in range(1, len(g))), default=None)
                 return profile, gap, tuple(profile.violations())
@@ -840,9 +863,9 @@ def scan(cfg: SearchConfig, log_path: str | None = None) -> ScanResult:
                 ]
                 if len(wide) < len(block):  # nu = 1: one g value, no gap
                     by_nu[1] = by_nu.get(1, 0) + len(block) - len(wide)
-                table_forms([masks for _, masks in wide])
+                _table_forms(n, [masks for _, masks in wide])
                 for index, masks in wide:
-                    key = form(masks)
+                    key = _form(n, masks)
                     profile, gap, violations = _remember(profiles, key, lambda: evaluate(masks))
                     by_nu[profile.nu] = by_nu.get(profile.nu, 0) + 1
                     if gap is not None and (max_gap is None or gap > max_gap):
@@ -854,7 +877,7 @@ def scan(cfg: SearchConfig, log_path: str | None = None) -> ScanResult:
                         continue
                     seen.add(key)
                     finding = Finding(
-                        Ideal(cfg.ambient_n, masks), profile, violations,
+                        Ideal(n, masks), profile, violations,
                         field.characteristic, cfg.seed, index,
                     )
                     findings.append(finding)

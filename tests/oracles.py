@@ -15,6 +15,13 @@ from sqfdepth.errors import DegenerateSample
 from sqfdepth.ideals import Ideal
 
 
+# The 6-vertex projective plane: the smallest complex with torsion, H_1 = Z/2
+RP2_FACETS = [
+    (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
+    (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6),
+]
+
+
 def rank_mod_p_oracle(rows: list[list[int]], p: int) -> int:
     """Plain row-reduction rank over F_p, no numpy, no shortcuts."""
     mat = [[x % p for x in row] for row in rows]
@@ -173,8 +180,9 @@ def homology_of_facet_complex(facets: list[tuple[int, ...]], p: int) -> dict[int
     return homology_of_faces(faces, p)
 
 
-def homology_of_faces(faces: set[tuple[int, ...]], p: int) -> dict[int, int]:
-    """Reduced homology dims {degree: dim} of a complex listed face by face.
+def _boundaries(faces: set[tuple[int, ...]]) -> tuple[dict[int, int], dict[int, list[list[int]]]]:
+    """The face count of each size, and each integer boundary matrix, from
+    the faces of size s (columns) to those of size s - 1 (rows), s >= 1.
 
     Faces are sorted vertex tuples and must include the empty face ().
     """
@@ -183,23 +191,105 @@ def homology_of_faces(faces: set[tuple[int, ...]], p: int) -> dict[int, int]:
         by_size.setdefault(len(f), []).append(f)
     for group in by_size.values():
         group.sort()
-    top = max(by_size)
-    ranks = {}
-    for s in range(1, top + 1):
+    matrices = {}
+    for s in range(1, max(by_size) + 1):
         lower = {f: r for r, f in enumerate(by_size.get(s - 1, []))}
         upper = by_size.get(s, [])
         rows = [[0] * len(upper) for _ in range(len(lower))]
         for c, f in enumerate(upper):
             for pos in range(len(f)):
-                sub = f[:pos] + f[pos + 1 :]
-                rows[lower[sub]][c] = 1 if pos % 2 == 0 else p - 1
-        ranks[s] = rank_mod_p_oracle(rows, p)
-    ranks[top + 1] = 0
-    dims = {}
-    for s in range(top + 1):
-        d = len(by_size.get(s, [])) - ranks.get(s, 0) - ranks.get(s + 1, 0)
-        dims[s - 1] = d
-    return dims
+                rows[lower[f[:pos] + f[pos + 1 :]]][c] = -1 if pos % 2 else 1
+        matrices[s] = rows
+    return {s: len(group) for s, group in by_size.items()}, matrices
+
+
+def homology_of_faces(faces: set[tuple[int, ...]], p: int) -> dict[int, int]:
+    """Reduced homology dims {degree: dim} of a complex listed face by face.
+
+    Faces are sorted vertex tuples and must include the empty face ().
+    """
+    counts, matrices = _boundaries(faces)
+    ranks = {s: rank_mod_p_oracle(rows, p) for s, rows in matrices.items()}
+    return {
+        s - 1: counts.get(s, 0) - ranks.get(s, 0) - ranks.get(s + 1, 0)
+        for s in range(max(counts) + 1)
+    }
+
+
+def smith_invariants(rows: list[list[int]]) -> list[int]:
+    """The nonzero invariant factors of an integer matrix, from its Smith normal form.
+
+    Plain integer elimination: the entry of least absolute value becomes the
+    pivot, and division with remainder clears its row and column; a
+    remainder left behind is a smaller pivot for the next round.  Once they
+    are clear, a pivot that fails to divide some entry of the rest takes
+    that entry's row into its own and goes round again; else it is the
+    next invariant factor, and the rest is reduced alone.
+    """
+    mat = [list(row) for row in rows]
+    factors = []
+    while True:
+        entries = [(abs(x), i, j) for i, row in enumerate(mat) for j, x in enumerate(row) if x]
+        if not entries:
+            return factors
+        _, i, j = min(entries)
+        mat[0], mat[i] = mat[i], mat[0]
+        for row in mat:
+            row[0], row[j] = row[j], row[0]
+        pivot = mat[0][0]
+        clear = True
+        for r in range(1, len(mat)):
+            q = mat[r][0] // pivot
+            mat[r] = [a - q * b for a, b in zip(mat[r], mat[0])]
+            clear &= mat[r][0] == 0
+        for c in range(1, len(mat[0])):
+            q = mat[0][c] // pivot
+            for row in mat:
+                row[c] -= q * row[0]
+            clear &= mat[0][c] == 0
+        if not clear:
+            continue
+        left = next((r for r in range(1, len(mat)) if any(x % pivot for x in mat[r][1:])), None)
+        if left is not None:
+            mat[0] = [a + b for a, b in zip(mat[0], mat[left])]
+            continue
+        factors.append(abs(pivot))
+        mat = [row[1:] for row in mat[1:]]
+
+
+def integral_homology_of_faces(faces: set[tuple[int, ...]]) -> dict[int, tuple[int, list[int]]]:
+    """Reduced integral homology {degree: (rank, torsion)} of a complex listed
+    face by face, the torsion as its invariant factors above 1.
+
+    H~_{s-1} is the kernel of the boundary out of the faces of size s over
+    the image of the one out of size s + 1, so its rank is the face count
+    less both ranks, and its torsion is the invariant factors of the second
+    that exceed 1.
+    """
+    counts, matrices = _boundaries(faces)
+    invariants = {s: smith_invariants(rows) for s, rows in matrices.items()}
+    out = {}
+    for s in range(max(counts) + 1):
+        below, above = invariants.get(s, []), invariants.get(s + 1, [])
+        rank = counts.get(s, 0) - len(below) - len(above)
+        out[s - 1] = (rank, [d for d in above if d > 1])
+    return out
+
+
+def antichains(n: int) -> list[list[int]]:
+    """Every antichain of nonempty subsets of n vertices, as lists of masks:
+    the minimal nonfaces of every simplicial complex on at most n vertices."""
+    subsets = range(1, 1 << n)
+    out = []
+
+    def extend(start: int, chosen: list[int]) -> None:
+        out.append(chosen)
+        for s in subsets[start:]:
+            if all(s & c not in (s, c) for c in chosen):
+                extend(s, chosen + [s])
+
+    extend(0, [])
+    return out
 
 
 def depth_via_links(ideal: Ideal, p: int) -> int:
@@ -271,6 +361,20 @@ def sampled_ideal_fresh(cfg, index: int) -> tuple[Ideal, int]:
         if chosen:
             return Ideal(cfg.ambient_n, chosen), attempt
     raise DegenerateSample(f"sample {index} stayed zero after 16 attempts")
+
+
+def transposed_rp2() -> Ideal:
+    """The 6-vertex projective plane with the roles of vertices and nonfaces swapped.
+
+    One variable per non-facet triangle, and generator j is the triangles
+    that contain vertex j: relabeled, the RP^2 facets that miss j, since
+    each non-facet is the complement of a facet.  At the full support
+    K_sigma is the projective plane itself, so beta_{4,sigma} over F_2 is
+    its torsion.
+    """
+    missing = sorted(set(itertools.combinations(range(1, 7), 3)) - set(RP2_FACETS))
+    supports = [[t + 1 for t, tri in enumerate(missing) if j in tri] for j in range(1, 7)]
+    return Ideal.from_supports(supports, len(missing))
 
 
 def complete_multipartite(parts: list[int]) -> Ideal:

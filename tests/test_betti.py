@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from oracles import (
+    RP2_FACETS,
     complete_multipartite,
     depth_via_links,
     homology_of_facet_complex,
     koszul_betti_table,
     random_test_ideal,
     survivors_by_sweep,
+    transposed_rp2,
 )
 from sqfdepth import betti
 from sqfdepth.betti import (
@@ -38,12 +40,6 @@ from sqfdepth.search import SearchConfig, random_ideal, scan
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
 _K_MARGIN_DEFAULT = betti._K_MARGIN
-
-RP2_FACETS = [
-    (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
-    (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6),
-]
-
 
 def rp2_ideal() -> Ideal:
     """Stanley-Reisner ideal of the 6-vertex projective plane: the 10 non-faces."""
@@ -477,22 +473,22 @@ class TestSmallerComplexWalk:
 
         monkeypatch.setattr(homology.FaceSieve, "homology_dims", recording_dims)
         monkeypatch.setattr(homology.FaceSieve, "__init__", recording_init)
-        # the K_sigma homology of the lattice route is cached for the process:
-        # start empty, so earlier calls hide no sieve
-        betti._Columns._k_dims.cache_clear()
+        # the K_sigma homology of the lattice route is cached for the process,
+        # and the fixture starts it empty, so earlier calls hide no sieve
         return calls, sizes
 
-    def test_family_needs_two_homology_walks(self, monkeypatch):
+    def test_family_needs_one_homology_walk(self, monkeypatch):
         # every member collapses to the same 7 variables and 6 generators:
-        # the first call at each prime ranks one reduced K_sigma on 5
-        # vertices, and every later member finds it in the cache
+        # the first call ranks one reduced K_sigma on 5 vertices, over F_2
+        # whatever the field, and every later member and prime finds it in
+        # the cache
         calls, sizes = self.recording(monkeypatch)
-        for p in (2, 3):
+        for p in (2, 3, 5):
             for n in (8, 12, 16, 40):
                 calls.clear()
                 sizes.clear()
                 assert proj_dim(build_family(n), FieldSpec(p)) == n - 3
-                assert sizes == ([5] if n == 8 else []) and len(calls) == len(sizes)
+                assert sizes == ([5] if (p, n) == (2, 8) else []) and len(calls) == len(sizes)
 
     def test_cubic_samples_never_sieve_all_eight_variables(self, monkeypatch):
         cfg = SearchConfig(ambient_n=8, seed=1, gen_degree=3, gen_count=5)
@@ -550,18 +546,6 @@ class TestSmallerComplexWalk:
             for ideal in ideals:
                 proj_dim(ideal, FieldSpec(p))
         assert sizes and 0 not in sizes
-
-
-def transposed_rp2() -> Ideal:
-    """The 6-vertex projective plane with the roles of vertices and nonfaces swapped.
-
-    One variable per non-facet triangle, and generator j is the triangles
-    that contain vertex j.  At the full support K_sigma is the projective
-    plane itself, so beta_{4,sigma} over F_2 is its torsion.
-    """
-    missing = sorted(set(itertools.combinations(range(1, 7), 3)) - set(RP2_FACETS))
-    supports = [[t + 1 for t, tri in enumerate(missing) if j in tri] for j in range(1, 7)]
-    return Ideal.from_supports(supports, len(missing))
 
 
 def boolean_lattice_ideal(n: int) -> Ideal:
@@ -626,6 +610,20 @@ class TestLatticeRoute:
         monkeypatch.setattr(betti, "_orbits", None)  # the lattice route never calls it
         betti._Columns._k_dims.cache_clear()
         assert {p: proj_dim(ideal, FieldSpec(p)) for p in (2, 3, 5)} == reports
+
+    def test_six_generators_are_the_sharp_bound(self):
+        # every K_sigma of an ideal with at most five generators has at most
+        # five vertices and no torsion; the transposed projective plane has
+        # six generators, and its top K_sigma is the projective plane
+        ideal = transposed_rp2()
+        assert len(ideal.masks) == betti._TORSION_FREE_VERTICES + 1
+        reports = {p: depth_report(ideal, FieldSpec(p)) for p in (2, 3)}
+        tables = {p: {(i, j): v for i, j, v in report.betti} for p, report in reports.items()}
+        differ = {key for key in tables[2].keys() | tables[3].keys()
+                  if tables[2].get(key) != tables[3].get(key)}
+        assert differ == {(3, 10), (4, 10)}
+        assert (reports[2].depth, reports[3].depth) == (6, 7)
+        assert depth_report(ideal, F2, both_primes=True).field_sensitive
 
     def test_scan_is_the_same_on_either_route(self, tmp_path, monkeypatch):
         cfg = SearchConfig(

@@ -6,8 +6,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import homology_of_faces, random_test_ideal, rank_mod_p_oracle
-from sqfdepth import homology
+from oracles import (
+    RP2_FACETS,
+    antichains,
+    homology_of_faces,
+    integral_homology_of_faces,
+    random_test_ideal,
+    rank_mod_p_oracle,
+)
+from sqfdepth import betti, homology
 from sqfdepth.family import build_family
 from sqfdepth.homology import (
     MAX_CHARACTERISTIC,
@@ -169,6 +176,40 @@ class TestReducedHomology:
                 full = list(sieve.homology_dims(sigma, n))
                 for top in range(n + 1):
                     assert list(sieve.homology_dims(sigma, top)) == full[: top + 1]
+
+
+class TestTorsionFreeLemma:
+    """No complex on at most ``betti._TORSION_FREE_VERTICES`` vertices has torsion."""
+
+    @staticmethod
+    def faces(n: int, nonfaces: list[int]) -> set[tuple[int, ...]]:
+        return {
+            tuple(v for v in range(n) if f >> v & 1)
+            for f in range(1 << n)
+            if not any(f & g == g for g in nonfaces)
+        }
+
+    def test_every_complex_on_five_vertices(self):
+        # the minimal nonfaces of a complex on at most 5 vertices are an
+        # antichain of nonempty subsets of 5 labelled vertices; the bound
+        # may not pass what this checks
+        n = 5
+        assert betti._TORSION_FREE_VERTICES <= n
+        complexes = antichains(n)
+        assert len(complexes) == 7580
+        for nonfaces in complexes:
+            integral = integral_homology_of_faces(self.faces(n, nonfaces))
+            assert all(not torsion for _, torsion in integral.values()), nonfaces
+            ranks = [integral.get(s - 1, (0, []))[0] for s in range(n + 1)]
+            for p in (2, 3, 5, 7):
+                dims = homology.FaceSieve(n, nonfaces, p).homology_dims((1 << n) - 1, n)
+                assert list(dims) == ranks, (nonfaces, p)
+
+    def test_projective_plane_has_torsion(self):
+        # the oracle sees torsion where there is some, so the lemma is not vacuous
+        faces = {f for facet in RP2_FACETS for k in range(4) for f in itertools.combinations(facet, k)}
+        integral = integral_homology_of_faces(faces)
+        assert integral == {-1: (0, []), 0: (0, []), 1: (0, [2]), 2: (0, [])}
 
 
 class TestSweepCap:

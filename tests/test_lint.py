@@ -237,3 +237,43 @@ def test_one_table_of_generator_orders():
     inside = {id(node) for node in ast.walk(builder)}
     lines = [node.lineno for node in calls]
     assert len(calls) == 1 and id(calls[0]) in inside, f"search.py permutes at lines {lines}"
+
+
+def test_one_torsion_free_bound():
+    # no complex on at most _TORSION_FREE_VERTICES vertices has torsion: one
+    # definition in betti, read only where _Columns picks the field of a
+    # K_sigma and where the scan keys a depth with or without its prime
+    name = "_TORSION_FREE_VERTICES"
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    stores = [
+        (path, node.lineno)
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == name and not isinstance(node.ctx, ast.Load)
+    ]
+    defined = [
+        node for node in trees["betti.py"].body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == [name]
+    ]
+    assert len(stores) == len(defined) == 1, f"{name} is bound at {stores}"
+    columns = next(
+        node for node in trees["betti.py"].body
+        if isinstance(node, ast.ClassDef) and node.name == "_Columns"
+    )
+    readers = {
+        "betti.py": next(node for node in columns.body if getattr(node, "name", "") == "column"),
+        "search.py": _function(trees["search.py"], "_orbit_depth"),
+    }
+    for path, tree in trees.items():
+        inside = {id(node) for node in ast.walk(readers[path])} if path in readers else set()
+        reads = _reads(tree, lambda read: read == name) + [
+            node for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == name
+        ]
+        outside = [node.lineno for node in reads if id(node) not in inside]
+        assert outside == [] and bool(reads) == (path in readers), f"{path} reads {name} at {outside}"
+        imports = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names)
+        ]
+        assert len(imports) == (path == "search.py"), f"{path} imports {name} at lines {imports}"

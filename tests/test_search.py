@@ -10,7 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import max_matching_brute, random_test_ideal, relabel_ideal, sampled_ideal_fresh
+from oracles import (
+    max_matching_brute,
+    random_test_ideal,
+    relabel_ideal,
+    sampled_ideal_fresh,
+    transposed_rp2,
+)
 from sqfdepth import search
 from sqfdepth.betti import depth, g_profile
 from sqfdepth.errors import DegenerateSample, SpaceTooLarge
@@ -869,7 +875,7 @@ def count_depth_calls(monkeypatch) -> list:
 
 
 class TestOrbitMemo:
-    def test_memoised_scan_equals_from_scratch_scan(self, tmp_path, monkeypatch):
+    def test_memoised_scan_equals_from_scratch_scan(self, tmp_path, monkeypatch, fresh_memos):
         # seed 99 has organic findings, so the log and the dedup are exercised
         cfg = SearchConfig(
             ambient_n=8,
@@ -880,14 +886,27 @@ class TestOrbitMemo:
             primes=(2, 3),
             inject=(build_family(8),),
         )
+        # the memo computes each orbit of powers once, for both primes when
+        # it has at most five generators and once per prime otherwise
+        ideals = list(cfg.inject) + [random_ideal(cfg, i) for i in range(cfg.sample_count)]
+        forms = {
+            search.canonical_relabeling_key(ideal.squarefree_power(k))
+            for ideal in ideals if ideal.nu() >= 2 for k in range(1, ideal.nu() + 1)
+        }
+        few = sum(len(form) <= search._TORSION_FREE_VERTICES for form in forms)
+        assert 0 < few < len(forms)
         calls = count_depth_calls(monkeypatch)
         runs = {}
         for name, patches in (
             ("memo", {}),
+            # a second scan of the process finds every depth memoised
+            ("again", {}),
             # memos that start over every few entries
             ("small", {"_MEMO_LIMIT": 5}),
             ("scratch", {"_remember": never_remember}),
         ):
+            if name != "again":
+                fresh_memos()
             for attr, value in patches.items():
                 monkeypatch.setattr(search, attr, value)
             del calls[:]
@@ -895,8 +914,9 @@ class TestOrbitMemo:
             result = scan(cfg, log_path=str(log))
             findings = json.dumps([f.to_json_dict() for f in result.findings])
             runs[name] = (len(calls), findings, json.dumps(result.summary), log.read_bytes())
+        assert runs["memo"][0] == few + 2 * (len(forms) - few) and runs["again"][0] == 0
         assert runs["memo"][0] < runs["small"][0] < runs["scratch"][0]
-        assert runs["memo"][1:] == runs["small"][1:] == runs["scratch"][1:]
+        assert runs["memo"][1:] == runs["again"][1:] == runs["small"][1:] == runs["scratch"][1:]
         assert len(json.loads(runs["memo"][1])) >= 3
 
     def test_relabeled_twin_reuses_every_depth(self, monkeypatch):
@@ -909,11 +929,36 @@ class TestOrbitMemo:
         )
         calls = count_depth_calls(monkeypatch)
         result = scan(cfg)
+        # I^[2] has one generator, so p = 3 finds its depth from p = 2
         powers = [fam.squarefree_power(k) for k in range(1, fam.nu() + 1)]
-        assert calls == [(power, p) for p in (2, 3) for power in powers]
+        assert [len(power.masks) for power in powers] == [7, 1]
+        assert calls == [(powers[0], 2), (powers[1], 2), (powers[0], 3)]
         assert result.summary["evaluated"] == 4
         assert result.summary["findings_total"] == 4
         assert result.summary["findings_unique"] == 2
+
+    def test_six_generator_powers_keep_their_prime(self, monkeypatch):
+        # J, the transposed projective plane plus x11 x12, has J^[2] with six
+        # generators and a K_sigma with torsion: depth 8 over F_2 and 9 over
+        # F_3, so each prime computes it and gets its own profile
+        plane = transposed_rp2()
+        ideal = Ideal(12, [*plane.masks, 0b11 << 10])
+        square = ideal.squarefree_power(2)
+        assert len(square.masks) == search._TORSION_FREE_VERTICES + 1
+        calls = count_depth_calls(monkeypatch)
+        profiles = []
+
+        def recorded(ideal, field, depth_fn):
+            profile = g_profile(ideal, field, depth_fn)
+            profiles.append((field.characteristic, profile.g_values))
+            return profile
+
+        monkeypatch.setattr(search, "g_profile", recorded)
+        scan(SearchConfig(
+            ambient_n=12, seed=0, sample_count=0, gen_count=1, primes=(2, 3), inject=(ideal,),
+        ))
+        assert profiles == [(2, (6, 2)), (3, (7, 3))]
+        assert [p for power, p in calls if power == square] == [2, 3]
 
     def test_one_profile_per_graph_class(self, monkeypatch):
         # 34 graphs on 5 vertices up to isomorphism (OEIS A000088), less the empty

@@ -151,11 +151,13 @@ class TestOrbitReduction:
         # cone K_sigma or on K_sigma = {empty face}: each goes either to its
         # reduced K_sigma (one build; one sieve and walk per distinct K_sigma)
         # or to the ideal's sieve; an r = 0 representative gets its K build
-        # and no sieve.  The K_sigma homology is cached for the process, so
-        # the cache starts empty: earlier calls must not hide a sieve.  The
-        # family's own orbits: collapsed, it would walk its lcm lattice
+        # and no sieve.  The K_sigma homology is cached for the process, and
+        # the fixture starts it empty: earlier calls must not hide a sieve.
+        # Both distinct K_sigma have at most 5 vertices, so they are ranked
+        # over F_2 at p = 2 and found in the cache at p = 3, while the
+        # ideal's own sieve is built and walked at each prime.  The family's
+        # own orbits: collapsed, it would walk its lcm lattice
         monkeypatch.setattr(betti, "_collapse", lambda ideal, classes: None)
-        betti._Columns._k_dims.cache_clear()
         calls: list[tuple[bool, int]] = []
         sieves: list[tuple[bool, int]] = []
         built: list[int] = []
@@ -198,12 +200,15 @@ class TestOrbitReduction:
             # at most one K build per representative, none on a cone
             assert len(set(built)) == len(built) and not set(built) & set(hochster)
             assert set(built + hochster) == orbits - cones
-            # a sieve and one homology walk for each distinct K_sigma with a
-            # vertex: 13 representatives share 2 of them
+            # at p = 2 a sieve and one homology walk for each distinct K_sigma
+            # with a vertex, 13 representatives sharing 2 of them; none at p = 3
             distinct = {(reduced[rep][0], tuple(reduced[rep][1])) for rep in set(built) - empty}
             assert (len(set(built) - empty), len(distinct)) == (13, 2)
-            assert len(on_k) == len(distinct) == len(calls) - len(hochster)
-            assert len(calls) == len(orbits) - len(cones) - len(empty) - 13 + 2 == 9
+            assert max(r for r, _ in distinct) <= betti._TORSION_FREE_VERTICES
+            ranked = len(distinct) if p == 2 else 0
+            assert len(on_k) == ranked == len(calls) - len(hochster)
+            assert len(hochster) == len(orbits) - len(cones) - len(empty) - 13 == 7
+            assert len(calls) == 7 + ranked and sieves.count((True, ideal.ambient_n)) == 1
             assert 0 not in on_k
 
 
